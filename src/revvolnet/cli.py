@@ -43,10 +43,11 @@ def _emit(doc):
 
 def cmd_gradcheck(args):
     from . import ops, verification
+    from .unet import load_spec
 
     width = args.width
     if args.spec:
-        spec = _load_spec(args.spec)
+        spec = load_spec(args.spec)
         width = spec.levels[0] if spec.reversible else 2 * spec.levels[0]
     if args.inject_fault:
         name, _, scale = args.inject_fault.partition("=")
@@ -89,17 +90,15 @@ def cmd_invert(args):
     return 0 if doc["pass"] else VERIFY_ERROR
 
 
-def _load_spec(path):
-    from .unet import load_spec
+def _step_peak(network, input_shape, seed, stored=False, timed_steps=0):
+    """Train on one seeded random batch: a warm-up step, ``timed_steps`` timed
+    steps, then one step measured for its peak tracked bytes.
 
-    return load_spec(path)
-
-
-def _measured_step_peak(network, input_shape, seed):
+    Returns the timed steps' seconds and that peak.
+    """
     from . import memory_model
-    from .tape import Tape, backprop
     from .tensor import Tensor
-    from .training import AdamState, adam_step, dice_loss
+    from .training import AdamState, train_step
 
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal(input_shape, dtype=np.float32) * 0.1)
@@ -108,51 +107,40 @@ def _measured_step_peak(network, input_shape, seed):
     params = list(network.parameters())
     state = AdamState()
 
-    def step():
-        for p in params:
-            p.zero_grad()
-        with Tape() as tape:
-            pred = network.forward(x)
-            loss = dice_loss(pred, target)
-            backprop(tape, loss)
-        adam_step(params, state, 1e-4, 1e-5)
+    def run():
+        train_step(network, params, state, x, target, 1e-4, 1e-5,
+                   stored_activations=stored)
 
-    step()  # warm-up allocates optimizer state outside the measured region
-    return memory_model.measure_peak(step)
+    run()  # warm-up allocates optimizer state outside the measured region
+    times = []
+    for _ in range(timed_steps):
+        t0 = time.perf_counter()
+        run()
+        times.append(time.perf_counter() - t0)
+    return times, memory_model.measure_peak(run)
 
 
 def cmd_estimate_memory(args):
     from . import memory_model
-    from .unet import build
+    from .unet import build, load_spec
 
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     network = build(spec, seed=args.seed)
     input_shape = (args.batch, spec.in_channels) + args.input_shape
-    if spec.reversible:
-        report = memory_model.estimate_partially_reversible(
-            network, input_shape, args.optimizer_multiplier)
-    else:
-        report = memory_model.estimate_nonreversible(
-            network, input_shape, args.optimizer_multiplier)
+    report = memory_model.estimate(network, input_shape, args.optimizer_multiplier)
     if args.measure:
-        report.measured_peak_bytes = _measured_step_peak(network, input_shape,
-                                                         args.seed)
+        _, report.measured_peak_bytes = _step_peak(network, input_shape, args.seed)
 
     doc = json.loads(report.to_json())
     doc["input_shape"] = list(input_shape)
     doc["reversible"] = spec.reversible
     if args.compare:
         twin = build(spec.paired(), seed=args.seed)
-        twin_report = (memory_model.estimate_nonreversible
-                       if spec.reversible else
-                       memory_model.estimate_partially_reversible)(
-            twin, input_shape, args.optimizer_multiplier)
-        if spec.reversible:
-            rev_total = report.total_prev_bytes
-            base_total = twin_report.total_nonrev_bytes
-        else:
-            rev_total = twin_report.total_prev_bytes
-            base_total = report.total_nonrev_bytes
+        by_kind = {spec.reversible: report,
+                   not spec.reversible: memory_model.estimate(
+                       twin, input_shape, args.optimizer_multiplier)}
+        rev_total = by_kind[True].total_prev_bytes
+        base_total = by_kind[False].total_nonrev_bytes
         doc["compare"] = {
             "reversible_total_bytes": rev_total,
             "baseline_total_bytes": base_total,
@@ -180,9 +168,9 @@ def _make_dataset(args, spec):
 def cmd_train(args):
     from .training import (TrainingConfig, load_config, restore_params,
                            train, write_metrics_csv)
-    from .unet import build, save_checkpoint
+    from .unet import build, load_spec, save_checkpoint
 
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     config = load_config(args.config) if args.config else TrainingConfig()
     if args.seed is not None:
         config.seed = args.seed
@@ -216,61 +204,27 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    from .training import evaluate, generate_synthetic, load_dataset
+    from .training import evaluate
     from .unet import load_checkpoint
 
     network = load_checkpoint(args.checkpoint)
-    if args.synthetic:
-        rng = np.random.default_rng(args.seed)
-        dataset = [generate_synthetic(rng, size=args.size,
-                                      modalities=network.spec.in_channels)
-                   for _ in range(args.synthetic)]
-    else:
-        dataset = load_dataset(args.data)
+    dataset = _make_dataset(args, network.spec)
     scores = evaluate(network, dataset)
     _emit({"volumes": len(dataset), "mean_dice": scores})
     return 0
 
 
 def cmd_bench(args):
-    from . import memory_model
-    from .tape import Tape, backprop
-    from .tensor import Tensor
-    from .training import AdamState, adam_step, dice_loss
-    from .unet import build
+    from .unet import build, load_spec
 
-    spec = _load_spec(args.spec)
+    spec = load_spec(args.spec)
     network = build(spec, seed=args.seed)
-    rng = np.random.default_rng(args.seed)
     shape = (1, spec.in_channels) + args.input_shape
-    x = Tensor(rng.standard_normal(shape, dtype=np.float32) * 0.1)
-    target = (rng.random((1, spec.out_regions) + args.input_shape) < 0.3
-              ).astype(np.float32)
-    params = list(network.parameters())
-
-    def step(stored):
-        state = AdamState()
-
-        def run():
-            for p in params:
-                p.zero_grad()
-            with Tape() as tape:
-                pred = network.forward(x, stored_activations=stored)
-                loss = dice_loss(pred, target)
-                backprop(tape, loss)
-            adam_step(params, state, 1e-4, 1e-5)
-
-        run()  # warm-up
-        times = []
-        for _ in range(args.steps):
-            t0 = time.perf_counter()
-            run()
-            times.append(time.perf_counter() - t0)
-        peak = memory_model.measure_peak(run)
-        return float(np.mean(times)), peak
-
-    rev_time, rev_peak = step(stored=False)
-    ref_time, ref_peak = step(stored=True)
+    rev_times, rev_peak = _step_peak(network, shape, args.seed, stored=False,
+                                     timed_steps=args.steps)
+    ref_times, ref_peak = _step_peak(network, shape, args.seed, stored=True,
+                                     timed_steps=args.steps)
+    rev_time, ref_time = float(np.mean(rev_times)), float(np.mean(ref_times))
     doc = {
         "steps": args.steps,
         "input_shape": list(shape),

@@ -95,7 +95,11 @@ class MemoryReport:
         return "\n".join(lines)
 
 
-def _analyze(network, input_shape, optimizer_multiplier) -> MemoryReport:
+def estimate(network, input_shape, optimizer_multiplier: int = 4) -> MemoryReport:
+    """Both closed-form totals for ``network`` at ``input_shape``.
+
+    For a network without reversible sequences the two totals coincide.
+    """
     entries = network.trace(input_shape)
     terms = []
     for e in entries:
@@ -169,18 +173,9 @@ def _max_concurrent_derivative_bytes(entries) -> int:
     return peak
 
 
-def estimate_nonreversible(network, input_shape, optimizer_multiplier: int = 4) -> MemoryReport:
-    """Eq.-style estimate with every activation stored for backward."""
-    return _analyze(network, input_shape, optimizer_multiplier)
-
-
-def estimate_partially_reversible(network, input_shape, optimizer_multiplier: int = 4) -> MemoryReport:
-    """Estimate with sequence interiors recomputed instead of stored.
-
-    For a network without reversible sequences this equals
-    ``estimate_nonreversible`` (both totals coincide).
-    """
-    return _analyze(network, input_shape, optimizer_multiplier)
+# Names kept for callers that pick a total by the network's kind.
+estimate_nonreversible = estimate
+estimate_partially_reversible = estimate
 
 
 def measure_peak(run) -> int:

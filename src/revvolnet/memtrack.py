@@ -7,9 +7,10 @@ buffers managed by the backward engine are reported here as well. Raw numpy
 workspaces inside op kernels are deliberately not counted.
 
 Code outside the engine may still leave reference cycles that hold Tensors.
-`AllocationTracker.measure` collects them before it reads its baseline, so
-that the cyclic collector cannot free them inside the measured closure and
-subtract their bytes from its peak.
+`AllocationTracker.reset_peak` collects them before it reads its baseline, so
+that the cyclic collector cannot free them inside the measured region and
+subtract their bytes from its peak. `measure` and the training loop both take
+their baseline from it.
 """
 
 import gc
@@ -32,16 +33,17 @@ class AllocationTracker:
         with self._lock:
             self.live_bytes -= nbytes
 
-    def reset_peak(self) -> None:
+    def reset_peak(self) -> int:
+        """Collect pending cyclic garbage, restart the high-water mark at the
+        live level and return that level."""
+        gc.collect()
         with self._lock:
             self.peak_bytes = self.live_bytes
+            return self.live_bytes
 
     def measure(self, run) -> int:
         """Run a closure and return its peak live bytes above the entry level."""
-        gc.collect()
-        with self._lock:
-            baseline = self.live_bytes
-            self.peak_bytes = self.live_bytes
+        baseline = self.reset_peak()
         run()
         with self._lock:
             return self.peak_bytes - baseline

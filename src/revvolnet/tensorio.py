@@ -1,6 +1,7 @@
 """Raw tensor file format: 20-byte header (magic "RVT1" + five little-endian
 uint32 extents) followed by the float32 payload in row-major order."""
 
+import io
 import struct
 
 import numpy as np
@@ -36,8 +37,13 @@ def read_tensor(fh_or_path) -> np.ndarray:
     count = 1
     for e in extents:
         count *= e
+    here = fh.tell()
+    left = fh.seek(0, io.SEEK_END) - here
+    fh.seek(here)
+    if 4 * count > left:
+        raise ValueError(
+            f"truncated tensor payload: header extents {tuple(extents)} need "
+            f"{4 * count} bytes, {left} left in the file")
     payload = fh.read(4 * count)
-    if len(payload) != 4 * count:
-        raise ValueError("truncated tensor payload")
     arr = np.frombuffer(payload, dtype="<f4").reshape(extents)
     return np.ascontiguousarray(arr, dtype=np.float32)

@@ -16,7 +16,7 @@ import numpy as np
 from . import memtrack, tensorio
 from .tape import Tape, backprop, record
 from .tensor import ShapeError, Tensor
-from .unet import forward_full_volume
+from .unet import forward_full_volume, parse_fields
 
 log = logging.getLogger("revvolnet.training")
 
@@ -54,34 +54,8 @@ class TrainingConfig:
         return self
 
 
-_CONFIG_FIELDS = {
-    "initial_lr": float,
-    "lr_drop_epochs": lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
-    "lr_drop_factor": float,
-    "weight_decay": float,
-    "batch_size": int,
-    "moving_average_window": int,
-    "patience": int,
-    "seed": int,
-    "epsilon_dice": float,
-    "max_epochs": int,
-}
-
-
 def parse_config_text(text: str) -> TrainingConfig:
-    values = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _CONFIG_FIELDS:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        values[key] = _CONFIG_FIELDS[key](val.strip())
-    return TrainingConfig(**values).validate()
+    return parse_fields(TrainingConfig, text, "training config").validate()
 
 
 def load_config(path) -> TrainingConfig:
@@ -305,6 +279,25 @@ def adam_step(params, state: AdamState, lr: float, weight_decay: float = 0.0) ->
         p.value.data -= lr32 * update
 
 
+def train_step(network, params, state: AdamState, x: Tensor, target, lr: float,
+               weight_decay: float, epsilon: float = 1e-5,
+               stored_activations: bool = False):
+    """One optimizer step: forward, Dice loss, backprop, Adam.
+
+    Returns the loss value and the activation bytes the tape retained after
+    the forward pass.
+    """
+    for p in params:
+        p.zero_grad()
+    with Tape() as tape:
+        pred = network.forward(x, stored_activations=stored_activations)
+        retained = tape.retained_bytes
+        loss = dice_loss(pred, target, epsilon)
+        backprop(tape, loss)
+    adam_step(params, state, lr, weight_decay)
+    return loss.item(), retained
+
+
 def lr_at(epoch: int, config: TrainingConfig) -> float:
     lr = config.initial_lr
     for drop in config.lr_drop_epochs:
@@ -522,8 +515,7 @@ def train(network, config: TrainingConfig, dataset, stored_activations: bool = F
 
     for epoch in range(config.max_epochs):
         lr = lr_at(epoch, config)
-        entry_live = memtrack.GLOBAL.live_bytes
-        memtrack.GLOBAL.reset_peak()
+        entry_live = memtrack.GLOBAL.reset_peak()
         losses = []
         retained = 0
         for start in range(0, len(train_set), config.batch_size):
@@ -538,18 +530,10 @@ def train(network, config: TrainingConfig, dataset, stored_activations: bool = F
                 raise ShapeError(
                     f"batch_size={config.batch_size} needs equally shaped "
                     f"volumes, got {sorted(shapes)}")
-            x = Tensor(np.stack(images))
-            target = np.stack(targets)
-            for p in params:
-                p.zero_grad()
-            with Tape() as tape:
-                pred = network.forward(x, stored_activations=stored_activations)
-                retained = tape.retained_bytes
-                loss = dice_loss(pred, target, config.epsilon_dice)
-                backprop(tape, loss)
-            adam_step(params, state, lr, config.weight_decay)
-            losses.append(loss.item())
-            del tape, pred, loss, x
+            loss, retained = train_step(
+                network, params, state, Tensor(np.stack(images)), np.stack(targets),
+                lr, config.weight_decay, config.epsilon_dice, stored_activations)
+            losses.append(loss)
         peak = memtrack.GLOBAL.peak_bytes - entry_live
 
         val = evaluate(network, val_set)

@@ -12,7 +12,7 @@ executor (`Network.forward`) and the symbolic shape walk (`Network.trace`)
 used by the memory model, so the two cannot drift apart.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
@@ -73,23 +73,21 @@ class ArchitectureSpec:
         return replace(self, reversible=not self.reversible)
 
 
-_SPEC_FIELDS = {
-    "levels": lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
-    "encoder_blocks": int,
-    "decoder_blocks": int,
-    "reversible": lambda s: {"true": True, "false": False}[s.lower()],
-    "in_channels": int,
-    "out_regions": int,
-    "kernel_size": int,
-    "group_size": int,
-    "stem_kernel_size": int,
-    "head_kernel_size": int,
-    "leaky_slope": float,
-    "norm_epsilon": float,
+_CONVERTERS = {
+    tuple: lambda s: tuple(int(v) for v in s.split(",") if v.strip()),
+    bool: lambda s: {"true": True, "false": False}[s.lower()],
 }
 
 
-def parse_spec_text(text: str) -> ArchitectureSpec:
+def parse_fields(cls, text: str, what: str):
+    """Build dataclass ``cls`` from ``key=value`` lines; ``#`` starts a comment.
+
+    Each value is converted by its field's annotation: ``tuple`` takes
+    comma-separated ints, ``bool`` takes true/false, and any other type is
+    called on the text. Errors name the offending line, and every field without
+    a default must be set.
+    """
+    known = {f.name: f for f in fields(cls)}
     values = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -98,16 +96,22 @@ def parse_spec_text(text: str) -> ArchitectureSpec:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, val = line.partition("=")
-        key = key.strip()
-        if key not in _SPEC_FIELDS:
+        key, val = key.strip(), val.strip()
+        if key not in known:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        kind = known[key].type
         try:
-            values[key] = _SPEC_FIELDS[key](val.strip())
+            values[key] = _CONVERTERS.get(kind, kind)(val)
         except (ValueError, KeyError) as exc:
-            raise ValueError(f"line {lineno}: bad value for {key}: {val.strip()!r}") from exc
-    if "levels" not in values:
-        raise ValueError("architecture spec must set 'levels'")
-    return ArchitectureSpec(**values).validate()
+            raise ValueError(f"line {lineno}: bad value for {key}: {val!r}") from exc
+    for f in known.values():
+        if f.name not in values and f.default is MISSING and f.default_factory is MISSING:
+            raise ValueError(f"{what} must set {f.name!r}")
+    return cls(**values)
+
+
+def parse_spec_text(text: str) -> ArchitectureSpec:
+    return parse_fields(ArchitectureSpec, text, "architecture spec").validate()
 
 
 def load_spec(path) -> ArchitectureSpec:
@@ -116,14 +120,14 @@ def load_spec(path) -> ArchitectureSpec:
 
 
 def spec_to_text(spec: ArchitectureSpec) -> str:
-    lines = [f"levels={','.join(str(w) for w in spec.levels)}"]
-    for name in ("encoder_blocks", "decoder_blocks", "reversible", "in_channels",
-                 "out_regions", "kernel_size", "group_size", "stem_kernel_size",
-                 "head_kernel_size", "leaky_slope", "norm_epsilon"):
-        value = getattr(spec, name)
+    lines = []
+    for f in fields(spec):
+        value = getattr(spec, f.name)
         if isinstance(value, bool):
             value = "true" if value else "false"
-        lines.append(f"{name}={value}")
+        elif isinstance(value, tuple):
+            value = ",".join(str(v) for v in value)
+        lines.append(f"{f.name}={value}")
     return "\n".join(lines) + "\n"
 
 

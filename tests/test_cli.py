@@ -182,6 +182,30 @@ class TestTrainEval:
                        "--data", str(tmp_path / "data"), "--out", str(out))
         assert proc.returncode == 0, proc.stderr
 
+    def test_bad_config_value_names_its_line(self, tmp_path, tiny_spec):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("max_epochs=abc\n")
+        proc = run_cli("train", "--spec", tiny_spec, "--config", str(cfg),
+                       "--synthetic", "2", "--size", "8",
+                       "--out", str(tmp_path / "run"))
+        assert proc.returncode == 2
+        assert "line 1" in proc.stderr
+
+    def test_hostile_checkpoint_header_is_usage_error(self, tmp_path, tiny_spec):
+        import struct
+
+        from revvolnet.unet import build, load_spec, save_checkpoint
+
+        prefix = tmp_path / "ckpt"
+        save_checkpoint(build(load_spec(tiny_spec)), prefix)
+        (tmp_path / "ckpt.rvt").write_bytes(
+            struct.pack("<4s5I", b"RVT1", 2**31, 2**31, 1, 1, 1))
+        proc = run_cli("eval", "--checkpoint", str(prefix),
+                       "--synthetic", "1", "--size", "8")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "left in the file" in proc.stderr
+
 
 class TestBench:
     def test_reports_ratio(self, tiny_spec):

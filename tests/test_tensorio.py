@@ -51,6 +51,11 @@ class TestFormat:
         with pytest.raises(ValueError, match="truncated"):
             read_tensor(clipped)
 
+    def test_header_larger_than_file_rejected(self):
+        header = struct.pack("<4s5I", b"RVT1", 2**31, 2**31, 1, 1, 1)
+        with pytest.raises(ValueError, match=f"{2**64} bytes, 0 left"):
+            read_tensor(io.BytesIO(header))
+
     def test_non_five_axis_rejected(self):
         with pytest.raises(ValueError):
             write_tensor(io.BytesIO(), np.zeros((2, 2), np.float32))

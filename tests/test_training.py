@@ -316,6 +316,10 @@ class TestDatasetIO:
         assert cfg.max_epochs == 50
         with pytest.raises(ValueError, match="unknown key"):
             parse_config_text("nope=1\n")
+        with pytest.raises(ValueError, match="line 1"):
+            parse_config_text("max_epochs=abc\n")
+        with pytest.raises(ValueError, match="line 1"):
+            parse_config_text("lr_drop_epochs=10,x\n")
 
     def test_config_window_patience_invariant(self):
         with pytest.raises(ValueError, match="moving_average_window"):
@@ -424,6 +428,18 @@ class TestTrainLoop:
         net = build(TINY, seed=0)
         with pytest.raises(Exception, match="equally shaped"):
             train(net, self._config(batch_size=2, max_epochs=1), vols)
+
+    def test_pending_cyclic_garbage_does_not_lower_epoch_peak(self):
+        def first_epoch_peak():
+            vols = tiny_dataset(n=4, size=16)
+            net = build(ArchitectureSpec(levels=[8, 16], group_size=2), seed=0)
+            return train(net, self._config(max_epochs=1), vols).history[0].peak_bytes
+
+        clean = first_epoch_peak()
+        box = [Tensor.zeros((1, 1, 128, 128, 128))]  # 8 MB held by a cycle
+        box.append(box)
+        del box
+        assert first_epoch_peak() == clean
 
     def test_metrics_csv_round_trip(self, tmp_path):
         vols = tiny_dataset(n=4, size=8)

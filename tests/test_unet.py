@@ -167,8 +167,14 @@ class TestParameterCount:
 
 class TestSpecFiles:
     def test_round_trip(self, tmp_path):
-        spec = ArchitectureSpec(levels=[10, 20, 40], group_size=5,
-                                encoder_blocks=2, reversible=False)
+        # Every field differs from its default, so a field that the writer
+        # or the parser drops fails the comparison.
+        spec = ArchitectureSpec(levels=[10, 20, 40], encoder_blocks=2,
+                                decoder_blocks=3, reversible=False,
+                                in_channels=2, out_regions=1, kernel_size=5,
+                                group_size=5, stem_kernel_size=3,
+                                head_kernel_size=3, leaky_slope=0.2,
+                                norm_epsilon=1e-3)
         path = tmp_path / "arch.spec"
         path.write_text(spec_to_text(spec))
         loaded = load_spec(path)
