@@ -2,7 +2,8 @@
 
 Commands: gradcheck, invert, estimate-memory, train, eval, bench.
 Reports go to stdout as JSON (estimate-memory adds an aligned table), logs to
-stderr. Exit codes: 0 success, 1 verification failure, 2 usage error.
+stderr. Exit codes: 0 success, 1 verification failure or a non-finite training
+loss, 2 usage error.
 
 REVVOLNET_THREADS caps BLAS parallelism; unset means single-threaded
 deterministic mode. This must happen before numpy loads.
@@ -35,6 +36,13 @@ def _parse_shape(text):
         raise argparse.ArgumentTypeError(
             f"--input-shape wants three positive ints 'd,h,w', got {text!r}")
     return tuple(parts)
+
+
+def _positive_int(text):
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"want a positive int, got {text!r}")
+    return value
 
 
 def _emit(doc):
@@ -302,7 +310,7 @@ def build_parser():
     p = sub.add_parser("bench", help="reversible vs stored-activation step "
                                      "time and peak memory")
     p.add_argument("--spec", required=True)
-    p.add_argument("--steps", type=int, default=3)
+    p.add_argument("--steps", type=_positive_int, default=3)
     p.add_argument("--input-shape", type=_parse_shape, default=(16, 16, 16))
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_bench)
@@ -319,6 +327,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         log.error("%s", exc)
         return USAGE_ERROR
+    except FloatingPointError as exc:
+        log.error("%s", exc)
+        return VERIFY_ERROR
 
 
 if __name__ == "__main__":

@@ -6,12 +6,13 @@ and accumulates parameter gradients. Closures capture parameters and small
 saved statistics only; voxel-sized inputs are fetched from the producing
 node's retained output at backward time.
 
-Convolution is implemented as windowed tensordot (algebraically equivalent to
-the direct six-loop sum; the test suite checks it against that oracle).
+Convolution is a shift-GEMM over the flattened zero-padded grid: one matrix
+product per kernel offset, each reading a strided view of the input, so no
+im2col window matrix is materialised (algebraically equivalent to the direct
+six-loop sum; the test suite checks forward and backward against that oracle).
 """
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .tape import record
 from .tensor import Parameter, ShapeError, Tensor
@@ -103,41 +104,91 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
                   params=node_params)
 
 
+def _padded_grid(x, pads):
+    """``x`` zero-padded on its spatial axes; a contiguous unpadded ``x`` as is."""
+    if not any(pads):
+        return np.ascontiguousarray(x)
+    return np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in pads))
+
+
+def _shift_gemm_plan(w, hp, wp, out_spatial):
+    """Per-offset kernel matrices and column shifts on a flattened grid.
+
+    On a padded grid (Dp, Hp, Wp) flattened to one axis, the input read by
+    kernel offset (dz, dy, dx) for every output voxel is the contiguous column
+    range [s, s + n) with s = dz*Hp*Wp + dy*Wp + dx, where n spans the output
+    corner (od, oh, ow). Each offset is then one GEMM over a view of the grid,
+    and no C_in*k^3 window matrix is formed. Columns whose (y, x) lies outside
+    the output's oh x ow corner belong to no output voxel.
+
+    Returns the (k^3, C_out, C_in) offset matrices, the shifts and n.
+    """
+    out_ch, in_ch, kd, kh, kw = w.shape
+    od, oh, ow = out_spatial
+    mats = np.ascontiguousarray(np.moveaxis(w.reshape(out_ch, in_ch, -1), 2, 0))
+    shifts = [dz * hp * wp + dy * wp + dx
+              for dz, dy, dx in np.ndindex(kd, kh, kw)]
+    return mats, shifts, (od - 1) * hp * wp + (oh - 1) * wp + ow
+
+
 def _conv_forward(x, w, pads, bias):
-    kd, kh, kw = w.shape[2:]
-    xp = np.pad(x, ((0, 0), (0, 0), (pads[0], pads[0]), (pads[1], pads[1]),
-                    (pads[2], pads[2])))
-    win = sliding_window_view(xp, (kd, kh, kw), axis=(2, 3, 4))
-    # win: (B, C, D', H', W', kd, kh, kw); contract channel and kernel offsets
-    out = np.tensordot(win, w, axes=([1, 5, 6, 7], [1, 2, 3, 4]))
-    out = np.ascontiguousarray(np.moveaxis(out, -1, 1))
+    xp = _padded_grid(x, pads)
+    b, c, dp, hp, wp = xp.shape
+    out_ch, _, kd, kh, kw = w.shape
+    od, oh, ow = dp - kd + 1, hp - kh + 1, wp - kw + 1
+    mats, shifts, n = _shift_gemm_plan(w, hp, wp, (od, oh, ow))
+    out = np.empty((b, out_ch, od, oh, ow), dtype=np.float32)
+    # when output rows span whole grid rows the accumulator is the output
+    direct = (oh, ow) == (hp, wp)
+    acc = None if direct else np.empty((out_ch, od * hp * wp), dtype=np.float32)
+    for i in range(b):
+        xf = xp[i].reshape(c, -1)
+        buf = out[i].reshape(out_ch, -1) if direct else acc
+        np.matmul(mats[0], xf[:, shifts[0]:shifts[0] + n], out=buf[:, :n])
+        for k in range(1, len(shifts)):
+            buf[:, :n] += mats[k] @ xf[:, shifts[k]:shifts[k] + n]
+        if not direct:
+            out[i] = acc.reshape(out_ch, od, hp, wp)[:, :, :oh, :ow]
     if bias is not None:
         out += bias.value.data
     return out
 
 
 def _conv_backward(g, x, w, pads):
-    kd, kh, kw = w.shape[2:]
-    b, c, d, h, wdt = x.shape
-    xp = np.pad(x, ((0, 0), (0, 0), (pads[0], pads[0]), (pads[1], pads[1]),
-                    (pads[2], pads[2])))
-    win = sliding_window_view(xp, (kd, kh, kw), axis=(2, 3, 4))
-    gw = np.tensordot(g, win, axes=([0, 2, 3, 4], [0, 2, 3, 4]))
-    gb = g.sum(axis=(0, 2, 3, 4), keepdims=True).reshape(1, -1, 1, 1, 1)
-    # grad wrt input: one channel contraction, then scatter-add each kernel
-    # offset's contribution onto the padded input grid (col2im)
+    xp = _padded_grid(x, pads)
+    b, c, dp, hp, wp = xp.shape
+    _, _, d, h, wdt = x.shape
+    out_ch = w.shape[0]
     od, oh, ow = g.shape[2:]
-    cols = np.tensordot(w, g, axes=([0], [1]))  # (C, kd, kh, kw, B, od, oh, ow)
-    gxp = np.zeros((b, c) + xp.shape[2:], dtype=np.float32)
-    for dz in range(kd):
-        for dy in range(kh):
-            for dx in range(kw):
-                np.add(gxp[:, :, dz:dz + od, dy:dy + oh, dx:dx + ow],
-                       np.moveaxis(cols[:, dz, dy, dx], 1, 0),
-                       out=gxp[:, :, dz:dz + od, dy:dy + oh, dx:dx + ow])
-    gx = np.ascontiguousarray(
-        gxp[:, :, pads[0]:pads[0] + d, pads[1]:pads[1] + h,
-            pads[2]:pads[2] + wdt])
+    mats, shifts, n = _shift_gemm_plan(w, hp, wp, (od, oh, ow))
+    gmats = np.zeros_like(mats)
+    gb = g.sum(axis=(0, 2, 3, 4), keepdims=True).reshape(1, -1, 1, 1, 1)
+    # g laid out on the padded grid, zero in the columns no output voxel owns
+    embed = (oh, ow) != (hp, wp)
+    gpad = np.zeros((out_ch, od, hp, wp), dtype=np.float32) if embed else None
+    # without padding the grid is the input, so gx accumulates in place
+    direct = not any(pads)
+    gx = (np.zeros if direct else np.empty)(x.shape, dtype=np.float32)
+    gxf = None if direct else np.empty((c, dp * hp * wp), dtype=np.float32)
+    for i in range(b):
+        if embed:
+            gpad[:, :, :oh, :ow] = g[i]
+            gf = gpad.reshape(out_ch, -1)[:, :n]
+        else:
+            gf = g[i].reshape(out_ch, -1)
+        xf = xp[i].reshape(c, -1)
+        if direct:
+            gxf = gx[i].reshape(c, -1)
+        else:
+            gxf.fill(0.0)
+        for k, s in enumerate(shifts):
+            gmats[k] += gf @ xf[:, s:s + n].T
+            gxf[:, s:s + n] += mats[k].T @ gf
+        if not direct:
+            gx[i] = gxf.reshape(c, dp, hp, wp)[:, pads[0]:pads[0] + d,
+                                               pads[1]:pads[1] + h,
+                                               pads[2]:pads[2] + wdt]
+    gw = np.ascontiguousarray(np.moveaxis(gmats, 0, 2).reshape(w.shape))
     return gx, gw, gb
 
 

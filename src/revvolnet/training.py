@@ -497,7 +497,8 @@ def train(network, config: TrainingConfig, dataset, stored_activations: bool = F
 
     Tracks the best validation checkpoint, applies the stepped learning-rate
     schedule, and stops early once the moving-average validation Dice
-    plateaus. Deterministic for a fixed ``config.seed``.
+    plateaus. Deterministic for a fixed ``config.seed``. Raises
+    ``FloatingPointError`` naming the epoch and batch when a loss is not finite.
     """
     config.validate()
     if not dataset:
@@ -533,6 +534,10 @@ def train(network, config: TrainingConfig, dataset, stored_activations: bool = F
             loss, retained = train_step(
                 network, params, state, Tensor(np.stack(images)), np.stack(targets),
                 lr, config.weight_decay, config.epsilon_dice, stored_activations)
+            if not np.isfinite(loss):
+                raise FloatingPointError(
+                    f"non-finite training loss {loss} in epoch {epoch}, "
+                    f"batch starting at training volume {start}")
             losses.append(loss)
         peak = memtrack.GLOBAL.peak_bytes - entry_live
 

@@ -206,6 +206,25 @@ class TestTrainEval:
         assert "Traceback" not in proc.stderr
         assert "left in the file" in proc.stderr
 
+    def test_non_finite_loss_exits_one_naming_epoch(self, tmp_path, tiny_spec):
+        import numpy as np
+
+        from revvolnet.training import generate_synthetic, save_dataset
+
+        rng = np.random.default_rng(0)
+        volumes = [generate_synthetic(rng, size=8) for _ in range(3)]
+        for vol in volumes:
+            vol.image[:, 4, 4, 4] = np.nan
+        save_dataset(volumes, tmp_path / "data")
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(FAST_CONFIG)
+        proc = run_cli("train", "--spec", tiny_spec, "--config", str(cfg),
+                       "--data", str(tmp_path / "data"),
+                       "--out", str(tmp_path / "run"))
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert "non-finite training loss nan in epoch 0" in proc.stderr
+
 
 class TestBench:
     def test_reports_ratio(self, tiny_spec):
@@ -216,6 +235,14 @@ class TestBench:
         assert sorted(doc) == SCHEMA["bench"]
         assert doc["time_ratio"] > 0
         assert doc["reversible"]["peak_bytes"] > 0
+
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_step_count_below_one_is_usage_error(self, tiny_spec, steps):
+        proc = run_cli("bench", "--spec", tiny_spec, "--steps", steps,
+                       "--input-shape", "8,8,8")
+        assert proc.returncode == 2
+        assert "--steps" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestUsage:

@@ -1,5 +1,7 @@
 """Primitive op semantics against hand values and independent oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,80 @@ class TestConv3d:
         with no_record():
             y = ops.conv3d(x, k, None)
         assert y.shape == (1, 3, 0, 4, 4)
+
+
+def conv3d_direct_backward(g, x, w, pads):
+    """Six-loop adjoint of ``conv3d_direct``: the input, kernel and bias
+    gradients of sum(g * conv3d_direct(x, w, b, pads)), in float64."""
+    bs, ci, d, h, wd = x.shape
+    co, _, kd, kh, kw = w.shape
+    pd, ph, pw = pads
+    xp = np.zeros((bs, ci, d + 2 * pd, h + 2 * ph, wd + 2 * pw), np.float64)
+    xp[:, :, pd:pd + d, ph:ph + h, pw:pw + wd] = x
+    gxp = np.zeros_like(xp)
+    gw = np.zeros(w.shape, np.float64)
+    for n in range(bs):
+        for o in range(co):
+            for z in range(g.shape[2]):
+                for y in range(g.shape[3]):
+                    for q in range(g.shape[4]):
+                        go = float(g[n, o, z, y, q])
+                        for i in range(ci):
+                            for dz in range(kd):
+                                for dy in range(kh):
+                                    for dx in range(kw):
+                                        gxp[n, i, z + dz, y + dy, q + dx] += (
+                                            w[o, i, dz, dy, dx] * go)
+                                        gw[o, i, dz, dy, dx] += (
+                                            xp[n, i, z + dz, y + dy, q + dx] * go)
+    gx = gxp[:, :, pd:pd + d, ph:ph + h, pw:pw + wd]
+    gb = g.astype(np.float64).sum(axis=(0, 2, 3, 4)).reshape(1, co, 1, 1, 1)
+    return gx, gw, gb
+
+
+class TestConvBackward:
+    @pytest.mark.parametrize("x_shape, k_shape, padding", [
+        ((2, 3, 4, 5, 6), (4, 3, 3, 3, 3), "same"),
+        ((1, 3, 5, 4, 6), (2, 3, 3, 1, 3), (0, 0, 2)),
+        ((1, 2, 5, 4, 6), (2, 2, 3, 3, 3), (0, 0, 0)),
+        ((2, 3, 3, 4, 5), (4, 3, 1, 1, 1), (0, 0, 0)),
+    ], ids=["batched_non_cubic", "asymmetric_kernel", "unpadded", "conv1x1x1"])
+    def test_gradients_match_direct_adjoint(self, rng, x_shape, k_shape, padding):
+        x = randn5(rng, x_shape)
+        k = Parameter(randn5(rng, k_shape))
+        b = Parameter(randn5(rng, (1, k_shape[0], 1, 1, 1)))
+        xt = Tensor(x.copy())
+        with Tape() as tape:
+            if k_shape[2:] == (1, 1, 1):
+                y = ops.conv1x1x1(xt, k, b)
+            else:
+                y = ops.conv3d(xt, k, b, padding=padding)
+            probe = randn5(rng, y.shape, scale=1.0)
+            (gx,) = backprop(tape, ops.weighted_sum(y, probe), wrt=[xt])
+        pads = (1, 1, 1) if padding == "same" else padding
+        want_gx, want_gw, want_gb = conv3d_direct_backward(
+            probe, x, k.value.data, pads)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(k.grad.data, want_gw, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(b.grad.data, want_gb, rtol=1e-5, atol=1e-6)
+
+    def test_kernel_scratch_stays_below_half_the_window_matrix(self, rng):
+        # one forward and one backward at 1x5x32^3 with a 5x5x3^3 kernel; an
+        # im2col kernel materialises the C_in*27 x voxels window matrix
+        x = Tensor(randn5(rng, (1, 5, 32, 32, 32)))
+        k = Parameter(randn5(rng, (5, 5, 3, 3, 3)))
+        b = Parameter(randn5(rng, (1, 5, 1, 1, 1)))
+        probe = randn5(rng, (1, 5, 32, 32, 32))
+        window_bytes = 5 * 27 * 32 ** 3 * 4
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                y = ops.conv3d(x, k, b)
+                backprop(tape, ops.weighted_sum(y, probe), wrt=[x])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < window_bytes / 2, (peak, window_bytes)
 
 
 class TestConv1x1x1:
@@ -342,12 +418,13 @@ class TestFiniteDifferences:
             loss = ops.reduce_sum(ops.conv3d(xt, Parameter(k), Parameter(b)))
             (gx,) = backprop(tape, loss, wrt=[xt])
 
+        # float64 oracle: float32 rounding of the kernel's sums at h=1e-3
+        # would sit at the tolerance
         def value(arr):
-            with no_record():
-                y = ops.conv3d(Tensor(arr), Parameter(k), Parameter(b))
-            return float(y.data.sum(dtype=np.float64))
+            return float(conv3d_direct(arr, k, b, (1, 1, 1)).sum())
 
         h = 1e-3
+        x = x.astype(np.float64)
         flat = x.reshape(-1)
         fd = np.zeros(flat.size)
         for i in range(flat.size):

@@ -338,6 +338,15 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="empty"):
             train(net, self._config(), [])
 
+    def test_non_finite_loss_names_epoch_and_batch(self):
+        vols = tiny_dataset(n=4, size=8)
+        cfg = self._config()
+        train_set, _ = split_dataset(vols, np.random.default_rng(cfg.seed))
+        train_set[2].image[:, 4, 4, 4] = np.nan
+        with pytest.raises(FloatingPointError,
+                           match="in epoch 0, batch starting at training volume 2"):
+            train(build(TINY, seed=0), cfg, vols)
+
     def test_lr_log_matches_schedule(self):
         vols = tiny_dataset(n=4, size=8)
         cfg = self._config(max_epochs=5, lr_drop_epochs=(2, 4), lr_drop_factor=2.0,
