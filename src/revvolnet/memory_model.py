@@ -1,7 +1,8 @@
 """Analytic training-memory estimates and the runtime peak accountant.
 
-Two closed-form totals are computed from a network's symbolic trace, all in
-exact integer bytes:
+Two closed-form totals are computed from a network's trace (the activations
+its stored-activation execution records, see ``Network.trace``), all in exact
+integer bytes:
 
 * stored-activation training (every layer output retained)::
 
@@ -107,7 +108,7 @@ def estimate(network, input_shape, optimizer_multiplier: int = 4) -> MemoryRepor
         # activation nor does training materialize its gradient.
         act = 0 if e.kind == "input" else e.out_elems * BYTES
         if e.kind == "boundary":
-            transient = e.seq_half_elems * BYTES * BLOCK_BACKWARD_HALF_BUFFERS
+            transient = e.out_elems // 2 * BYTES * BLOCK_BACKWARD_HALF_BUFFERS
         elif e.kind == "nonrev":
             transient = act  # its derivative buffer
         else:

@@ -1,10 +1,10 @@
 """Operation tape and the reverse-mode backward engine.
 
-A tape is an ordered record of executed operations. Each node carries a
-retention policy: retained nodes keep their output tensor alive so that
-consumers can read it during the backward pass, non-retained nodes must
-provide a reconstruction callback instead. ``retained_bytes`` tracks the
-activation bytes currently held by the tape.
+A tape is an ordered record of executed operations. Each node keeps its
+output tensor alive so that consumers can read it during the backward pass;
+once released, a node can only serve its output through a ``reconstruct``
+callback. ``retained_bytes`` tracks the activation bytes currently held by
+the tape.
 
 The backward pass walks the node list in reverse. A node's gradient buffer is
 complete once all of its consumers (which appear later on the tape) have been
@@ -125,7 +125,7 @@ def no_record():
 
 
 def record(op, out, inputs, backward_fn, *, needs_inputs=None, needs_output=False,
-           retained=True, reconstruct=None, params=()):
+           params=()):
     """Register an executed op on the ambient tape, if one is active.
 
     ``backward_fn(grad_out, input_values, output_value)`` must return one
@@ -147,8 +147,8 @@ def record(op, out, inputs, backward_fn, *, needs_inputs=None, needs_output=Fals
         name=tape.next_name(op),
         op=op,
         input_slots=tuple(slots),
-        retained_out=out if retained else None,
-        reconstruct=reconstruct,
+        retained_out=out,
+        reconstruct=None,
         backward_fn=backward_fn,
         needs_inputs=tuple(needs_inputs),
         needs_output=needs_output,

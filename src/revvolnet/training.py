@@ -285,7 +285,8 @@ def train_step(network, params, state: AdamState, x: Tensor, target, lr: float,
     """One optimizer step: forward, Dice loss, backprop, Adam.
 
     Returns the loss value and the activation bytes the tape retained after
-    the forward pass.
+    the forward pass. A non-finite loss raises ``FloatingPointError`` before
+    the update, so the parameters keep their values.
     """
     for p in params:
         p.zero_grad()
@@ -293,6 +294,8 @@ def train_step(network, params, state: AdamState, x: Tensor, target, lr: float,
         pred = network.forward(x, stored_activations=stored_activations)
         retained = tape.retained_bytes
         loss = dice_loss(pred, target, epsilon)
+        if not np.isfinite(loss.item()):
+            raise FloatingPointError(f"non-finite training loss {loss.item()}")
         backprop(tape, loss)
     adam_step(params, state, lr, weight_decay)
     return loss.item(), retained
@@ -531,13 +534,15 @@ def train(network, config: TrainingConfig, dataset, stored_activations: bool = F
                 raise ShapeError(
                     f"batch_size={config.batch_size} needs equally shaped "
                     f"volumes, got {sorted(shapes)}")
-            loss, retained = train_step(
-                network, params, state, Tensor(np.stack(images)), np.stack(targets),
-                lr, config.weight_decay, config.epsilon_dice, stored_activations)
-            if not np.isfinite(loss):
+            try:
+                loss, retained = train_step(
+                    network, params, state, Tensor(np.stack(images)),
+                    np.stack(targets), lr, config.weight_decay,
+                    config.epsilon_dice, stored_activations)
+            except FloatingPointError as exc:
                 raise FloatingPointError(
-                    f"non-finite training loss {loss} in epoch {epoch}, "
-                    f"batch starting at training volume {start}")
+                    f"{exc} in epoch {epoch}, "
+                    f"batch starting at training volume {start}") from None
             losses.append(loss)
         peak = memtrack.GLOBAL.peak_bytes - entry_live
 

@@ -7,9 +7,11 @@ non-reversible twin replaces every sequence with a full-width
 GN-LeakyReLU-Conv-GN-LeakyReLU-Conv stack, drops the 1x1x1 transitions, and
 lets the first 3x3x3 convolution of each stack perform the channel change.
 
-A network is stored as a flat list of steps. The same list drives the
-executor (`Network.forward`) and the symbolic shape walk (`Network.trace`)
-used by the memory model, so the two cannot drift apart.
+A network is stored as a flat list of steps, and `_run_step` is the one
+function that interprets them. `Network.forward` loops over it; the memory
+model's `Network.trace` is a recorded stored-activation execution of the same
+steps on an empty batch, so the model lists exactly the activations the
+executor retains.
 """
 
 from dataclasses import MISSING, dataclass, fields, replace
@@ -156,14 +158,13 @@ class Stack(Module):
 
 @dataclass
 class TraceEntry:
-    """One activation-producing step of the symbolic shape walk."""
+    """One activation of the recorded stored-activation execution."""
 
     name: str
     kind: str  # input | nonrev | interior | boundary
     shape: tuple
     param_elems: int = 0
     inputs: tuple = ()
-    seq_half_elems: int = 0  # boundary entries: elements of one coupling half
 
     @property
     def out_elems(self) -> int:
@@ -171,6 +172,27 @@ class TraceEntry:
         for e in self.shape:
             n *= e
         return n
+
+
+def _run_step(step, x, skips, stored):
+    """Execute one step of the list; the single interpreter of step kinds."""
+    kind = step[0]
+    if kind in ("conv", "stack"):
+        return step[2](x)
+    if kind == "seq":
+        return step[2].forward_stored(x) if stored else step[2].forward(x)
+    if kind == "pool":
+        return ops.max_pool2(x)
+    if kind == "upsample":
+        return ops.upsample2(x)
+    if kind == "save_skip":
+        skips[step[1]] = x
+        return x
+    if kind == "concat_skip":
+        return ops.concat_channels(skips.pop(step[2]), x)
+    if kind == "sigmoid":
+        return ops.sigmoid(x)
+    raise RuntimeError(f"unknown step kind {kind!r}")  # pragma: no cover
 
 
 class Network(Module):
@@ -182,8 +204,6 @@ class Network(Module):
     def parameters(self):
         return iter(self.registry.values())
 
-    # -- execution ---------------------------------------------------------
-
     def forward(self, x: Tensor, stored_activations: bool = False) -> Tensor:
         if x.shape[1] != self.spec.in_channels:
             raise ShapeError(
@@ -192,123 +212,44 @@ class Network(Module):
             )
         skips = {}
         for step in self.steps:
-            kind = step[0]
-            if kind == "conv":
-                x = step[2](x)
-            elif kind == "seq":
-                seq = step[2]
-                x = seq.forward_stored(x) if stored_activations else seq.forward(x)
-            elif kind == "stack":
-                x = step[2](x)
-            elif kind == "pool":
-                x = ops.max_pool2(x)
-            elif kind == "upsample":
-                x = ops.upsample2(x)
-            elif kind == "save_skip":
-                skips[step[1]] = x
-            elif kind == "concat_skip":
-                x = ops.concat_channels(skips.pop(step[1]), x)
-            elif kind == "sigmoid":
-                x = ops.sigmoid(x)
-            else:  # pragma: no cover
-                raise RuntimeError(f"unknown step kind {kind!r}")
+            x = _run_step(step, x, skips, stored_activations)
         return x
 
-    # -- symbolic walk ------------------------------------------------------
-
     def trace(self, input_shape) -> list:
-        """Per-activation shape walk of the stored-activation execution.
+        """Every activation the stored-activation execution retains.
 
-        Sequence interiors are flagged so the memory model can collapse them
-        for the partially reversible estimate.
+        The steps run in stored mode on an empty batch under a tape, so no
+        activation is allocated; each recorded node becomes one entry with
+        the batch of ``input_shape``. Sequence interiors are flagged so the
+        memory model can collapse them for the partially reversible estimate.
         """
         input_shape = tuple(int(e) for e in input_shape)
         if len(input_shape) != 5:
             raise ShapeError(f"input shape must have 5 axes, got {input_shape}")
+        check_divisible(self.spec, input_shape)
         entries = [TraceEntry("input", "input", input_shape)]
-        cur = 0
+        index = {}  # tape node -> entry index
+        x = Tensor(np.zeros((0,) + input_shape[1:], dtype=np.float32))
         skips = {}
-
-        def emit(entry):
-            entries.append(entry)
-            return len(entries) - 1
-
-        def conv_shape(shape, layer):
-            out_ch = layer.kernel.value.shape[0]
-            if layer.padding == "same":
-                return shape[:1] + (out_ch,) + shape[2:]
-            pd, ph, pw = layer.padding
-            d, h, w = shape[2:]
-            kd, kh, kw = layer.kernel.value.shape[2:]
-            return shape[:1] + (out_ch, d + 2 * pd - kd + 1,
-                                h + 2 * ph - kh + 1, w + 2 * pw - kw + 1)
-
-        def unit_entries(prefix, unit, shape, src, kind):
-            gn_params = unit.gamma.element_count + unit.beta.element_count
-            i = emit(TraceEntry(f"{prefix}.gn", kind, shape, gn_params, (src,)))
-            i = emit(TraceEntry(f"{prefix}.lrelu", kind, shape, 0, (i,)))
-            out_ch = unit.kernel.value.shape[0]
-            out_shape = shape[:1] + (out_ch,) + shape[2:]
-            conv_params = unit.kernel.element_count + unit.bias.element_count
-            i = emit(TraceEntry(f"{prefix}.conv", kind, out_shape, conv_params, (i,)))
-            return i, out_shape
-
-        for step in self.steps:
-            kind = step[0]
-            name = step[1]
-            shape = entries[cur].shape
-            if kind == "conv":
-                layer = step[2]
-                out_shape = conv_shape(shape, layer)
-                params = layer.kernel.element_count + layer.bias.element_count
-                cur = emit(TraceEntry(name, "nonrev", out_shape, params, (cur,)))
-            elif kind == "seq":
-                seq = step[2]
-                half = shape[1] // 2
-                half_shape = shape[:1] + (half,) + shape[2:]
-                s1 = emit(TraceEntry(f"{name}.x1", "interior", half_shape, 0, (cur,)))
-                s2 = emit(TraceEntry(f"{name}.x2", "interior", half_shape, 0, (cur,)))
-                for bi, block in enumerate(seq.blocks):
-                    f, _ = unit_entries(f"{name}.b{bi}.f", block.f, half_shape, s2,
-                                        "interior")
-                    s1 = emit(TraceEntry(f"{name}.b{bi}.y1", "interior", half_shape,
-                                         0, (s1, f)))
-                    g, _ = unit_entries(f"{name}.b{bi}.g", block.g, half_shape, s1,
-                                        "interior")
-                    s2 = emit(TraceEntry(f"{name}.b{bi}.y2", "interior", half_shape,
-                                         0, (s2, g)))
-                half_elems = 1
-                for e in half_shape:
-                    half_elems *= e
-                cur = emit(TraceEntry(name, "boundary", shape, 0, (s1, s2),
-                                      seq_half_elems=half_elems))
-            elif kind == "stack":
-                for ui, unit in enumerate(step[2].units):
-                    cur, shape = unit_entries(f"{name}.u{ui}", unit, shape, cur,
-                                              "nonrev")
-            elif kind == "pool":
-                d, h, w = shape[2:]
-                if d % 2 or h % 2 or w % 2:
-                    raise ShapeError(
-                        f"{name}: spatial extents {shape[2:]} not divisible by 2")
-                out_shape = shape[:2] + (d // 2, h // 2, w // 2)
-                cur = emit(TraceEntry(name, "nonrev", out_shape, 0, (cur,)))
-            elif kind == "upsample":
-                d, h, w = shape[2:]
-                out_shape = shape[:2] + (2 * d, 2 * h, 2 * w)
-                cur = emit(TraceEntry(name, "nonrev", out_shape, 0, (cur,)))
-            elif kind == "save_skip":
-                skips[step[1]] = cur
-            elif kind == "concat_skip":
-                skip = skips.pop(step[1])
-                skip_shape = entries[skip].shape
-                out_shape = shape[:1] + (skip_shape[1] + shape[1],) + shape[2:]
-                cur = emit(TraceEntry(name, "nonrev", out_shape, 0, (skip, cur)))
-            elif kind == "sigmoid":
-                cur = emit(TraceEntry(name, "nonrev", shape, 0, (cur,)))
+        with tape_mod.Tape() as tape:
+            for step in self.steps:
+                first = len(tape.nodes)
+                x = _run_step(step, x, skips, stored=True)
+                nodes = tape.nodes[first:]
+                for j, node in enumerate(nodes):
+                    last = j == len(nodes) - 1
+                    if step[0] != "seq":
+                        kind = "nonrev"
+                    else:
+                        kind = "boundary" if last else "interior"
+                    index[node] = len(entries)
+                    entries.append(TraceEntry(
+                        step[1] if last else f"{step[1]}.{node.name}", kind,
+                        input_shape[:1] + node.retained_out.shape[1:],
+                        sum(p.element_count for p in node.params),
+                        tuple(index[s[1]] if s[0] == "node" else 0
+                              for s in node.input_slots)))
         return entries
-
-    # -- structure ----------------------------------------------------------
 
     def sequences(self):
         """(path, level, step object) for every sequence or baseline stack."""
@@ -317,9 +258,6 @@ class Network(Module):
             if step[0] in ("seq", "stack"):
                 out.append((step[3], step[4], step[2]))
         return out
-
-    def output_shape(self, input_shape):
-        return self.trace(input_shape)[-1].shape
 
 
 def build(spec: ArchitectureSpec, seed: int = 0) -> Network:
@@ -362,7 +300,7 @@ def build(spec: ArchitectureSpec, seed: int = 0) -> Network:
                               ConvLayer(widths[i], widths[i + 1], 1, rng, f"down{i}")))
         for i in range(nl - 2, -1, -1):
             steps.append(("upsample", f"up{i}"))
-            steps.append(("concat_skip", i))
+            steps.append(("concat_skip", f"cat{i}", i))
             steps.append(("conv", f"merge{i}",
                           ConvLayer(widths[i] + widths[i + 1], widths[i], 1, rng,
                                     f"merge{i}")))
@@ -378,7 +316,7 @@ def build(spec: ArchitectureSpec, seed: int = 0) -> Network:
                           "encoder", i))
         for i in range(nl - 2, -1, -1):
             steps.append(("upsample", f"up{i}"))
-            steps.append(("concat_skip", i))
+            steps.append(("concat_skip", f"cat{i}", i))
             steps.append(("stack", f"dec{i}",
                           stack_for(i, widths[i] + widths[i + 1], "dec"),
                           "decoder", i))
@@ -401,15 +339,19 @@ def parameter_count(network: Network) -> int:
     return sum(p.element_count for p in network.parameters())
 
 
-def forward_full_volume(network: Network, volume: Tensor) -> Tensor:
-    """Single-pass inference over a whole volume (no tape, no recording)."""
-    divisor = 2 ** (len(network.spec.levels) - 1)
-    bad = [e for e in volume.shape[2:] if e % divisor]
-    if bad:
+def check_divisible(spec: ArchitectureSpec, shape) -> None:
+    """Every spatial extent must survive the ``levels - 1`` halvings."""
+    divisor = 2 ** (len(spec.levels) - 1)
+    if any(e % divisor for e in shape[2:]):
         raise ShapeError(
-            f"volume spatial extents {volume.shape[2:]} must be divisible by "
+            f"volume spatial extents {tuple(shape[2:])} must be divisible by "
             f"{divisor} (2^(levels-1))"
         )
+
+
+def forward_full_volume(network: Network, volume: Tensor) -> Tensor:
+    """Single-pass inference over a whole volume (no tape, no recording)."""
+    check_divisible(network.spec, volume.shape)
     with tape_mod.no_record():
         return network.forward(volume)
 

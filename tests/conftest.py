@@ -1,18 +1,16 @@
 import os
 
-import numpy as np
-import pytest
+# Single-threaded BLAS by default: deterministic reduction order and stable
+# step timings, matching the CLI. This must happen before numpy loads.
+_threads = os.environ.get("REVVOLNET_THREADS", "1")
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, _threads)
 
-from revvolnet.unet import ArchitectureSpec
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
-try:
-    # Single-threaded BLAS: deterministic reduction order and stable step
-    # timings, matching the CLI's default deterministic mode.
-    from threadpoolctl import threadpool_limits
-
-    threadpool_limits(limits=int(os.environ.get("REVVOLNET_THREADS", "1")))
-except ImportError:  # pragma: no cover
-    pass
+from revvolnet.unet import ArchitectureSpec  # noqa: E402
 
 
 @pytest.fixture

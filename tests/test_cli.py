@@ -137,6 +137,14 @@ class TestEstimateMemory:
         assert proc.returncode == 2
         assert proc.stderr.strip()
 
+    def test_indivisible_input_shape_is_usage_error(self):
+        spec = Path(__file__).parents[1] / "specs" / "desk_reversible.spec"
+        proc = run_cli("estimate-memory", "--spec", str(spec),
+                       "--input-shape", "30,30,30")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "divisible by 4" in proc.stderr
+
     def test_missing_spec_file_is_usage_error(self):
         proc = run_cli("estimate-memory", "--spec", "/nonexistent/arch.spec")
         assert proc.returncode == 2

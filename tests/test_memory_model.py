@@ -204,6 +204,40 @@ class TestMeasurePeak:
         assert peaks[4] >= 1.4 * peaks[1], peaks
 
 
+ZERO_BLOCK = ArchitectureSpec(levels=[4, 8], group_size=2, encoder_blocks=0,
+                              decoder_blocks=0)
+
+
+class TestExecutorMatch:
+    """The model's activation terms are what the stored-mode tape retains."""
+
+    @pytest.mark.parametrize("spec", [
+        ArchitectureSpec(levels=[4, 8], group_size=2),
+        ArchitectureSpec(levels=[4, 8], group_size=2, reversible=False),
+        ZERO_BLOCK,
+        ArchitectureSpec(levels=[4, 8, 16], group_size=2, encoder_blocks=3,
+                         decoder_blocks=2),
+    ], ids=["reversible", "baseline", "zero_block", "deep"])
+    def test_sum_m_a_equals_stored_tape_retained_bytes(self, spec):
+        shape = (2, 4, 8, 8, 8)
+        net = build(spec, seed=0)
+        x = Tensor(np.random.default_rng(0).standard_normal(shape, dtype=np.float32))
+        with Tape() as tape:
+            net.forward(x, stored_activations=True)
+            retained = tape.retained_bytes
+        report = memory_model.estimate(net, shape)
+        assert report.breakdown["sum_m_a_bytes"] == retained
+
+    @pytest.mark.parametrize("spec", [DESK_REV, DESK_BASE, ZERO_BLOCK],
+                             ids=["reversible", "baseline", "zero_block"])
+    def test_layer_names_are_unique_strings(self, spec):
+        report = memory_model.estimate(build(spec, seed=0), SHAPE)
+        layers = [t.layer for t in report.terms]
+        assert all(isinstance(layer, str) for layer in layers), layers
+        assert len(set(layers)) == len(layers), layers
+        assert "cat0" in layers
+
+
 class TestReportFormats:
     def test_json_has_stable_field_names(self):
         report = estimate_partially_reversible(build(DESK_REV, 0), SHAPE, 4)

@@ -6,6 +6,7 @@ import csv
 import numpy as np
 import pytest
 
+from revvolnet import training
 from revvolnet.tape import Tape, backprop, no_record
 from revvolnet.tensor import ShapeError, Tensor
 from revvolnet.training import (AdamState, AugmentDraw, TrainingConfig,
@@ -346,6 +347,27 @@ class TestTrainLoop:
         with pytest.raises(FloatingPointError,
                            match="in epoch 0, batch starting at training volume 2"):
             train(build(TINY, seed=0), cfg, vols)
+
+    def test_non_finite_loss_leaves_parameters_untouched(self, monkeypatch):
+        vols = tiny_dataset(n=4, size=8)
+        cfg = self._config()
+        train_set, _ = split_dataset(vols, np.random.default_rng(cfg.seed))
+        train_set[2].image[:, 4, 4, 4] = np.nan
+        net = build(TINY, seed=0)
+        before = []
+        real_step = training.train_step
+
+        def spy(network, *args, **kwargs):
+            before.append(snapshot_params(network))
+            return real_step(network, *args, **kwargs)
+
+        monkeypatch.setattr(training, "train_step", spy)
+        with pytest.raises(FloatingPointError, match="in epoch 0"):
+            train(net, cfg, vols)
+        assert len(before) == 3  # two good steps, then the failing one
+        for got, want in zip(snapshot_params(net), before[-1]):
+            np.testing.assert_array_equal(got, want)
+            assert np.isfinite(got).all()
 
     def test_lr_log_matches_schedule(self):
         vols = tiny_dataset(n=4, size=8)
