@@ -272,8 +272,8 @@ def build_parser():
     p = sub.add_parser("estimate-memory", help="analytic training-memory report")
     p.add_argument("--spec", required=True)
     p.add_argument("--input-shape", type=_parse_shape, default=(32, 32, 32))
-    p.add_argument("--batch", type=int, default=1)
-    p.add_argument("--optimizer-multiplier", type=int, default=4)
+    p.add_argument("--batch", type=_positive_int, default=1)
+    p.add_argument("--optimizer-multiplier", type=_positive_int, default=4)
     p.add_argument("--compare", action="store_true",
                    help="also estimate the flipped-reversibility twin")
     p.add_argument("--measure", action="store_true",

@@ -88,12 +88,12 @@ class ReversibleBlock(Module):
 
 
 def make_block(channels, rng, kernel_size=3, group_size=10, slope=0.01,
-               name="block") -> ReversibleBlock:
+               epsilon=1e-5, name="block") -> ReversibleBlock:
     if channels % 2:
         raise ShapeError(f"{name}: reversible width must be even, got {channels}")
     half = channels // 2
-    f = ConvUnit(half, half, rng, kernel_size, group_size, slope, name=f"{name}.f")
-    g = ConvUnit(half, half, rng, kernel_size, group_size, slope, name=f"{name}.g")
+    f, g = (ConvUnit(half, half, rng, kernel_size, group_size, slope, epsilon,
+                     name=f"{name}.{sub}") for sub in "fg")
     return ReversibleBlock(f, g)
 
 

@@ -2,9 +2,8 @@
 
 A tape is an ordered record of executed operations. Each node keeps its
 output tensor alive so that consumers can read it during the backward pass;
-once released, a node can only serve its output through a ``reconstruct``
-callback. ``retained_bytes`` tracks the activation bytes currently held by
-the tape.
+once released, reading its output raises ``MissingActivationError``.
+``retained_bytes`` tracks the activation bytes currently held by the tape.
 
 The backward pass walks the node list in reverse. A node's gradient buffer is
 complete once all of its consumers (which appear later on the tape) have been
@@ -24,8 +23,7 @@ from .tensor import ShapeError, Tensor
 
 
 class MissingActivationError(RuntimeError):
-    """A backward step needed an activation that was neither retained nor
-    reconstructible."""
+    """A backward step needed an activation that was already released."""
 
 
 class TapeNode:
@@ -34,7 +32,6 @@ class TapeNode:
         "op",
         "input_slots",  # tuple of ("node", TapeNode) / ("leaf", Tensor) entries
         "retained_out",
-        "reconstruct",
         "backward_fn",
         "needs_inputs",
         "needs_output",
@@ -43,13 +40,12 @@ class TapeNode:
         "__weakref__",
     )
 
-    def __init__(self, name, op, input_slots, retained_out, reconstruct,
-                 backward_fn, needs_inputs, needs_output, params, tape):
+    def __init__(self, name, op, input_slots, retained_out, backward_fn,
+                 needs_inputs, needs_output, params, tape):
         self.name = name
         self.op = op
         self.input_slots = input_slots
         self.retained_out = retained_out
-        self.reconstruct = reconstruct
         self.backward_fn = backward_fn
         self.needs_inputs = needs_inputs
         self.needs_output = needs_output
@@ -60,14 +56,11 @@ class TapeNode:
         return self._tape_ref()
 
     def output_value(self) -> np.ndarray:
-        if self.retained_out is not None:
-            return self.retained_out.data
-        if self.reconstruct is not None:
-            return self.reconstruct()
-        raise MissingActivationError(
-            f"activation of node '{self.name}' was not retained and no "
-            f"reconstruction callback is set"
-        )
+        if self.retained_out is None:
+            raise MissingActivationError(
+                f"activation of node '{self.name}' was released before its "
+                f"backward step read it")
+        return self.retained_out.data
 
 
 class Tape:
@@ -148,7 +141,6 @@ def record(op, out, inputs, backward_fn, *, needs_inputs=None, needs_output=Fals
         op=op,
         input_slots=tuple(slots),
         retained_out=out,
-        reconstruct=None,
         backward_fn=backward_fn,
         needs_inputs=tuple(needs_inputs),
         needs_output=needs_output,

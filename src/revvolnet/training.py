@@ -9,7 +9,7 @@ whole >= core >= enhancing voxelwise.
 import csv
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -447,8 +447,7 @@ class EpochRow:
     peak_bytes: int
 
 
-CSV_COLUMNS = ("epoch", "lr", "train_loss", "val_dice_wt", "val_dice_tc",
-               "val_dice_et", "moving_avg", "stored_activation_bytes", "peak_bytes")
+CSV_COLUMNS = tuple(f.name for f in fields(EpochRow))
 
 
 def write_metrics_csv(history, path) -> None:

@@ -1,11 +1,12 @@
 """Builder for the partially reversible U-Net and its non-reversible twin.
 
-The reversible variant runs one reversible sequence per resolution level in
-the encoder and one per level in the decoder, with max-pool / trilinear
-resampling and channel-adjusting 1x1x1 convolutions in between. The
-non-reversible twin replaces every sequence with a full-width
-GN-LeakyReLU-Conv-GN-LeakyReLU-Conv stack, drops the 1x1x1 transitions, and
-lets the first 3x3x3 convolution of each stack perform the channel change.
+One level loop builds both variants: an encoder and a decoder body per
+resolution level, with max-pool / trilinear resampling in between. The
+reversible body is a sequence of ``n`` coupled blocks, and 1x1x1
+convolutions (``down*``, ``merge*``) change channels between levels. The
+twin's body is a stack of ``2n`` full-width GN-LeakyReLU-Conv units whose
+first unit changes the channel count. Every ``ConvUnit`` reads its kernel
+size, group size, slope and epsilon from the spec.
 
 A network is stored as a flat list of steps, and `_run_step` is the one
 function that interprets them. `Network.forward` loops over it; the memory
@@ -14,6 +15,7 @@ steps on an empty batch, so the model lists exactly the activations the
 executor retains.
 """
 
+import os
 from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
@@ -48,6 +50,9 @@ class ArchitectureSpec:
         for name in ("encoder_blocks", "decoder_blocks"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            if not self.reversible and getattr(self, name) == 0:
+                raise ValueError(f"{name} must be at least 1 when reversible=false: "
+                                 f"a level needs a unit to change its channels")
         for name in ("in_channels", "out_regions", "kernel_size", "group_size",
                      "stem_kernel_size", "head_kernel_size"):
             if getattr(self, name) <= 0:
@@ -145,7 +150,10 @@ class ConvLayer(Module):
 
 
 class Stack(Module):
-    """Baseline replacement for one reversible block: two ConvUnits."""
+    """Twin level body: ConvUnits in order, two per reversible block.
+
+    The first unit changes the channel count; the rest keep the level width.
+    """
 
     def __init__(self, units):
         self.units = list(units)
@@ -265,61 +273,41 @@ def build(spec: ArchitectureSpec, seed: int = 0) -> Network:
     spec.validate()
     rng = np.random.default_rng(seed)
     widths = spec.levels
-    nl = len(widths)
-    steps = []
+    unit_args = (rng, spec.kernel_size, spec.group_size, spec.leaky_slope,
+                 spec.norm_epsilon)
+    steps = [("conv", "stem", ConvLayer(spec.in_channels, widths[0],
+                                        spec.stem_kernel_size, rng, "stem"))]
 
-    def seq_for(level, n_blocks, path):
-        width = widths[level]
-        blocks = [
-            make_block(width, rng, spec.kernel_size, spec.group_size,
-                       spec.leaky_slope, name=f"{path}{level}.b{i}")
-            for i in range(n_blocks)
-        ]
-        return ReversibleSequence(blocks)
+    def level(name, path, i, n_blocks, in_ch):
+        width = widths[i]
+        if spec.reversible:
+            body = ReversibleSequence([make_block(width, *unit_args,
+                                                  name=f"{name}.b{b}")
+                                       for b in range(n_blocks)])
+        else:
+            body = Stack([ConvUnit(in_ch if u == 0 else width, width, *unit_args,
+                                   name=f"{name}.u{u}")
+                          for u in range(2 * n_blocks)])
+        steps.append(("seq" if spec.reversible else "stack", name, body, path, i))
+        return width
 
-    def stack_for(level, in_ch, path):
-        width = widths[level]
-        u1 = ConvUnit(in_ch, width, rng, spec.kernel_size, spec.group_size,
-                      spec.leaky_slope, spec.norm_epsilon, name=f"{path}{level}.u0")
-        u2 = ConvUnit(width, width, rng, spec.kernel_size, spec.group_size,
-                      spec.leaky_slope, spec.norm_epsilon, name=f"{path}{level}.u1")
-        return Stack([u1, u2])
+    def transition(name, in_ch, out_ch):
+        """1x1x1 channel change; the twin leaves it to the next level body."""
+        if not spec.reversible:
+            return in_ch
+        steps.append(("conv", name, ConvLayer(in_ch, out_ch, 1, rng, name)))
+        return out_ch
 
-    steps.append(("conv", "stem",
-                  ConvLayer(spec.in_channels, widths[0], spec.stem_kernel_size,
-                            rng, "stem")))
-
-    if spec.reversible:
-        for i in range(nl):
-            steps.append(("seq", f"enc{i}", seq_for(i, spec.encoder_blocks, "enc"),
-                          "encoder", i))
-            if i < nl - 1:
-                steps.append(("save_skip", i))
-                steps.append(("pool", f"pool{i}"))
-                steps.append(("conv", f"down{i}",
-                              ConvLayer(widths[i], widths[i + 1], 1, rng, f"down{i}")))
-        for i in range(nl - 2, -1, -1):
-            steps.append(("upsample", f"up{i}"))
-            steps.append(("concat_skip", f"cat{i}", i))
-            steps.append(("conv", f"merge{i}",
-                          ConvLayer(widths[i] + widths[i + 1], widths[i], 1, rng,
-                                    f"merge{i}")))
-            steps.append(("seq", f"dec{i}", seq_for(i, spec.decoder_blocks, "dec"),
-                          "decoder", i))
-    else:
-        for i in range(nl):
-            if i > 0:
-                steps.append(("save_skip", i - 1))
-                steps.append(("pool", f"pool{i - 1}"))
-            in_ch = widths[i] if i == 0 else widths[i - 1]
-            steps.append(("stack", f"enc{i}", stack_for(i, in_ch, "enc"),
-                          "encoder", i))
-        for i in range(nl - 2, -1, -1):
-            steps.append(("upsample", f"up{i}"))
-            steps.append(("concat_skip", f"cat{i}", i))
-            steps.append(("stack", f"dec{i}",
-                          stack_for(i, widths[i] + widths[i + 1], "dec"),
-                          "decoder", i))
+    ch = widths[0]
+    for i in range(len(widths)):
+        ch = level(f"enc{i}", "encoder", i, spec.encoder_blocks, ch)
+        if i < len(widths) - 1:
+            steps += [("save_skip", i), ("pool", f"pool{i}")]
+            ch = transition(f"down{i}", ch, widths[i + 1])
+    for i in range(len(widths) - 2, -1, -1):
+        steps += [("upsample", f"up{i}"), ("concat_skip", f"cat{i}", i)]
+        ch = transition(f"merge{i}", widths[i] + ch, widths[i])
+        ch = level(f"dec{i}", "decoder", i, spec.decoder_blocks, ch)
 
     steps.append(("conv", "head",
                   ConvLayer(widths[0], spec.out_regions, spec.head_kernel_size,
@@ -360,17 +348,36 @@ def forward_full_volume(network: Network, volume: Tensor) -> Tensor:
 
 
 def save_checkpoint(network: Network, prefix) -> None:
+    """Write ``prefix`` + ``.rvt``/``.manifest``/``.arch``.
+
+    Each file is first written to a ``.tmp`` file beside it; only once all
+    three are complete does ``os.replace`` move them into place. A save that
+    fails leaves any earlier checkpoint at ``prefix`` whole and removes its
+    temporary files.
+    """
     from . import tensorio
 
     prefix = str(prefix)
-    with open(prefix + ".rvt", "wb") as fh:
-        for p in network.parameters():
-            tensorio.write_tensor(fh, p.value.data)
-    with open(prefix + ".manifest", "w", encoding="utf-8") as fh:
-        for p in network.parameters():
-            fh.write(p.id + "\n")
-    with open(prefix + ".arch", "w", encoding="utf-8") as fh:
-        fh.write(spec_to_text(network.spec))
+    params = list(network.parameters())
+    texts = {".manifest": "".join(p.id + "\n" for p in params),
+             ".arch": spec_to_text(network.spec)}
+    temps = []
+    try:
+        for ext in (".rvt", ".manifest", ".arch"):
+            temps.append(prefix + ext + ".tmp")
+            with open(temps[-1], "wb") as fh:
+                if ext == ".rvt":
+                    for p in params:
+                        tensorio.write_tensor(fh, p.value.data)
+                else:
+                    fh.write(texts[ext].encode("utf-8"))
+        for tmp in temps:
+            os.replace(tmp, tmp[:-len(".tmp")])
+    except BaseException:
+        for tmp in temps:
+            if os.path.exists(tmp):
+                os.remove(tmp)
+        raise
 
 
 def load_checkpoint(prefix, seed: int = 0) -> Network:

@@ -48,11 +48,14 @@ def closed_form_count(spec: ArchitectureSpec) -> int:
             total += conv(L[i] + L[i + 1], L[i], 1)  # post-concat 1x1x1
             total += spec.decoder_blocks * block(L[i])
     else:
+        def stack(cin, width, n_blocks):
+            # two full-width units per block; only the first changes channels
+            return (gn(cin) + conv(cin, width)
+                    + (2 * n_blocks - 1) * (gn(width) + conv(width, width)))
+
         for i, width in enumerate(L):
-            cin = L[i - 1] if i else L[0]
-            total += gn(cin) + conv(cin, width) + gn(width) + conv(width, width)
+            total += stack(L[i - 1] if i else L[0], width, spec.encoder_blocks)
         for i in range(len(L) - 2, -1, -1):
-            cin = L[i] + L[i + 1]
-            total += gn(cin) + conv(cin, L[i]) + gn(L[i]) + conv(L[i], L[i])
+            total += stack(L[i] + L[i + 1], L[i], spec.decoder_blocks)
     total += L[0] * spec.out_regions * spec.head_kernel_size ** 3 + spec.out_regions
     return total

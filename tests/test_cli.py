@@ -149,6 +149,38 @@ class TestEstimateMemory:
         proc = run_cli("estimate-memory", "--spec", "/nonexistent/arch.spec")
         assert proc.returncode == 2
 
+    @pytest.mark.parametrize("flag", ["--batch", "--optimizer-multiplier"])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_below_one_is_usage_error(self, tiny_spec, flag, value):
+        proc = run_cli("estimate-memory", "--spec", tiny_spec,
+                       "--input-shape", "8,8,8", flag, value)
+        assert proc.returncode == 2
+        assert flag in proc.stderr
+        assert proc.stdout == ""
+
+    def test_twin_without_blocks_is_usage_error(self, tmp_path):
+        spec = tmp_path / "flat.spec"
+        spec.write_text(TINY_SPEC + "decoder_blocks=0\n")
+        proc = run_cli("estimate-memory", "--spec", str(spec),
+                       "--input-shape", "8,8,8", "--compare")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "decoder_blocks" in proc.stderr
+
+    @pytest.mark.parametrize("name,totals", [
+        ("desk_reversible", (21_752_720, 42_980_720)),
+        ("baseline_full", (153_226_320, 457_033_200)),
+        ("reversible_full", (483_534_960, 1_575_795_120)),
+    ])
+    def test_shipped_spec_compare_totals_pinned(self, name, totals):
+        # Every shipped spec has one block per level. At that depth both
+        # variants keep their parameters and steps, so these totals hold.
+        spec = Path(__file__).parents[1] / "specs" / f"{name}.spec"
+        proc = run_cli("estimate-memory", "--spec", str(spec), "--compare")
+        assert proc.returncode == 0, proc.stderr
+        cmp = first_json(proc.stdout)["compare"]
+        assert (cmp["reversible_total_bytes"], cmp["baseline_total_bytes"]) == totals
+
 
 class TestTrainEval:
     def test_synthetic_train_writes_outputs(self, tmp_path, tiny_spec):

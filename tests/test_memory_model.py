@@ -2,6 +2,8 @@
 direction, and agreement with the runtime allocation accountant."""
 
 import gc
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +15,12 @@ from revvolnet.memory_model import (estimate_nonreversible,
 from revvolnet.tape import Tape, backprop
 from revvolnet.tensor import Tensor
 from revvolnet.training import AdamState, adam_step, dice_loss
-from revvolnet.unet import ArchitectureSpec, ConvLayer, Network, build
+from revvolnet.unet import (ArchitectureSpec, ConvLayer, Network, build,
+                            load_spec, parameter_count)
 
+from conftest import closed_form_count
+
+DESK_SPEC = Path(__file__).resolve().parents[1] / "specs" / "desk_reversible.spec"
 DESK_BASE = ArchitectureSpec(levels=[10, 20, 40], group_size=5, reversible=False)
 DESK_REV = ArchitectureSpec(levels=[10, 20, 40], group_size=5, reversible=True)
 SHAPE = (1, 4, 32, 32, 32)
@@ -134,6 +140,19 @@ class TestComparativeDirection:
         delta = r4.total_prev_bytes - r1.total_prev_bytes
         assert delta == r4.breakdown["sum_m_p_bytes"] - r1.breakdown["sum_m_p_bytes"]
 
+    def test_twin_follows_depth_while_reversible_stays_flat(self):
+        # The paper's depth claim: extra reversible blocks cost parameters
+        # only, while the stored-activation twin keeps every new interior.
+        rev_total, twin_total = {}, {}
+        for n in (1, 4):
+            spec = replace(load_spec(DESK_SPEC), encoder_blocks=n, decoder_blocks=n)
+            rev_total[n] = estimate_partially_reversible(
+                build(spec, 0), SHAPE, 4).total_prev_bytes
+            twin_total[n] = estimate_nonreversible(
+                build(spec.paired(), 0), SHAPE, 4).total_nonrev_bytes
+        assert rev_total[4] < 1.10 * rev_total[1], rev_total
+        assert twin_total[4] > 2 * twin_total[1], twin_total
+
     def test_branching_delta_documented(self):
         report = estimate_nonreversible(build(DESK_BASE, 0), SHAPE, 4)
         assert report.breakdown["max_m_d_concurrent_bytes"] >= \
@@ -217,10 +236,13 @@ class TestExecutorMatch:
         ZERO_BLOCK,
         ArchitectureSpec(levels=[4, 8, 16], group_size=2, encoder_blocks=3,
                          decoder_blocks=2),
-    ], ids=["reversible", "baseline", "zero_block", "deep"])
+        ArchitectureSpec(levels=[4, 8, 16], group_size=2, encoder_blocks=3,
+                         decoder_blocks=2, reversible=False),
+    ], ids=["reversible", "baseline", "zero_block", "deep", "deep_baseline"])
     def test_sum_m_a_equals_stored_tape_retained_bytes(self, spec):
         shape = (2, 4, 8, 8, 8)
         net = build(spec, seed=0)
+        assert parameter_count(net) == closed_form_count(spec)  # the spec's depth
         x = Tensor(np.random.default_rng(0).standard_normal(shape, dtype=np.float32))
         with Tape() as tape:
             net.forward(x, stored_activations=True)

@@ -200,19 +200,6 @@ class TestBackprop:
                 backprop(tape, loss)
         assert "leaky_relu" in str(err.value)
 
-    def test_reconstruction_callback_is_used(self, rng):
-        data = randn5(rng, (1, 2, 4, 4, 4))
-        x = Tensor(data.copy())
-        with Tape() as tape:
-            h = ops.sigmoid(x)
-            node = h.node()
-            node.reconstruct = lambda: 1.0 / (1.0 + np.exp(-data))
-            loss = ops.reduce_sum(h)
-            tape.release_node(node)
-            (gx,) = backprop(tape, loss, wrt=[x])
-        expect = (1.0 / (1.0 + np.exp(-data))) * (1.0 - 1.0 / (1.0 + np.exp(-data)))
-        np.testing.assert_allclose(gx, expect, rtol=1e-5)
-
     def test_seed_from_foreign_tape_rejected(self, rng):
         x = Tensor(randn5(rng, (1, 2, 4, 4, 4)))
         with Tape() as tape:

@@ -4,6 +4,7 @@ spec files, and checkpoints."""
 import numpy as np
 import pytest
 
+from revvolnet.reversible import ConvUnit, Module
 from revvolnet.tensor import Parameter, ShapeError, Tensor
 from revvolnet.unet import (ArchitectureSpec, build, forward_full_volume,
                             load_checkpoint, load_spec, parameter_count,
@@ -28,6 +29,13 @@ class TestSpecValidation:
     def test_even_kernel_rejected(self):
         with pytest.raises(ValueError, match="kernel_size"):
             ArchitectureSpec(levels=[20, 40], group_size=10, kernel_size=4).validate()
+
+    @pytest.mark.parametrize("field", ["encoder_blocks", "decoder_blocks"])
+    def test_twin_without_blocks_rejected(self, field):
+        spec = ArchitectureSpec(levels=[10, 20], group_size=5, reversible=False,
+                                **{field: 0})
+        with pytest.raises(ValueError, match=field):
+            spec.validate()
 
     def test_paired_flips_reversibility(self):
         spec = ArchitectureSpec(levels=[10, 20], group_size=5)
@@ -110,6 +118,26 @@ class TestStructure:
         assert by_name["dec0"][2:] == (16, 16, 16)
         assert entries[-1].shape == (1, 3, 16, 16, 16)
 
+    @pytest.mark.parametrize("reversible", [True, False],
+                             ids=["reversible", "twin"])
+    def test_every_conv_unit_carries_spec_epsilon(self, reversible):
+        spec = ArchitectureSpec(levels=[4, 8], group_size=2, encoder_blocks=2,
+                                reversible=reversible, norm_epsilon=0.5)
+
+        def conv_units(obj):
+            if isinstance(obj, ConvUnit):
+                yield obj
+            elif isinstance(obj, Module):
+                for value in vars(obj).values():
+                    for item in value if isinstance(value, list) else [value]:
+                        yield from conv_units(item)
+
+        units = [u for step in build(spec, seed=0).steps if len(step) > 2
+                 for u in conv_units(step[2])]
+        # two units per block: 2 blocks at each of 2 encoder levels, 1 decoder
+        assert len(units) == 2 * (2 * 2 + 1)
+        assert all(u.epsilon == 0.5 for u in units)
+
     def test_trace_output_matches_real_forward(self, rng):
         for reversible in (True, False):
             spec = ArchitectureSpec(levels=[4, 8], group_size=2,
@@ -139,7 +167,10 @@ class TestParameterCount:
                          decoder_blocks=3),
         ArchitectureSpec(levels=[30, 60, 120, 240, 480], reversible=False),
         ArchitectureSpec(levels=[60, 120, 240, 480, 960]),
-    ], ids=["rev-desk", "base-desk", "rev-deep", "base-full", "rev-full"])
+        ArchitectureSpec(levels=[4, 8], group_size=2, encoder_blocks=2,
+                         decoder_blocks=3, reversible=False),
+    ], ids=["rev-desk", "base-desk", "rev-deep", "base-full", "rev-full",
+            "base-deep"])
     def test_builder_matches_closed_form_oracle(self, spec):
         net = build(spec, seed=0)
         assert parameter_count(net) == closed_form_count(spec)
@@ -205,6 +236,31 @@ class TestCheckpoints:
         restored = load_checkpoint(tmp_path / "ckpt")
         after = forward_full_volume(restored, x).data
         np.testing.assert_array_equal(before, after)
+
+    def test_failed_save_leaves_old_checkpoint_whole(self, tmp_path, monkeypatch):
+        from revvolnet import tensorio
+
+        spec = ArchitectureSpec(levels=[4, 8], group_size=2)
+        old = build(spec, seed=3)
+        save_checkpoint(old, tmp_path / "ckpt")
+        files = sorted(p.name for p in tmp_path.iterdir())
+        write_tensor, calls = tensorio.write_tensor, []
+
+        def failing_write(fh, data):
+            calls.append(1)
+            if len(calls) == 5:
+                raise OSError("disk full")
+            write_tensor(fh, data)
+
+        monkeypatch.setattr(tensorio, "write_tensor", failing_write)
+        with pytest.raises(OSError, match="disk full"):
+            save_checkpoint(build(spec, seed=4), tmp_path / "ckpt")
+        monkeypatch.undo()
+        assert sorted(p.name for p in tmp_path.iterdir()) == files
+        restored = load_checkpoint(tmp_path / "ckpt")
+        for a, b in zip(old.parameters(), restored.parameters()):
+            assert a.id == b.id
+            np.testing.assert_array_equal(a.value.data, b.value.data)
 
     def test_manifest_lists_ids_in_registry_order(self, tmp_path):
         net = build(ArchitectureSpec(levels=[4, 8], group_size=2), seed=0)
