@@ -162,11 +162,11 @@ def cmd_estimate_memory(args):
     return 0
 
 
-def _make_dataset(args, spec):
+def _make_dataset(args, spec, seed):
     from .training import generate_synthetic, load_dataset
 
     if args.synthetic:
-        rng = np.random.default_rng(args.seed)
+        rng = np.random.default_rng(seed)
         return [generate_synthetic(rng, size=args.size,
                                    modalities=spec.in_channels)
                 for _ in range(args.synthetic)]
@@ -184,7 +184,7 @@ def cmd_train(args):
         config.seed = args.seed
     if args.epochs is not None:
         config.max_epochs = args.epochs
-    dataset = _make_dataset(args, spec)
+    dataset = _make_dataset(args, spec, config.seed)
     network = build(spec, seed=config.seed)
 
     os.makedirs(args.out, exist_ok=True)
@@ -216,7 +216,7 @@ def cmd_eval(args):
     from .unet import load_checkpoint
 
     network = load_checkpoint(args.checkpoint)
-    dataset = _make_dataset(args, network.spec)
+    dataset = _make_dataset(args, network.spec, args.seed)
     scores = evaluate(network, dataset)
     _emit({"volumes": len(dataset), "mean_dice": scores})
     return 0
@@ -228,18 +228,24 @@ def cmd_bench(args):
     spec = load_spec(args.spec)
     network = build(spec, seed=args.seed)
     shape = (1, spec.in_channels) + args.input_shape
-    rev_times, rev_peak = _step_peak(network, shape, args.seed, stored=False,
-                                     timed_steps=args.steps)
-    ref_times, ref_peak = _step_peak(network, shape, args.seed, stored=True,
-                                     timed_steps=args.steps)
-    rev_time, ref_time = float(np.mean(rev_times)), float(np.mean(ref_times))
+
+    def mode(stored):
+        times, peak = _step_peak(network, shape, args.seed, stored=stored,
+                                 timed_steps=args.steps)
+        return {"mean_step_seconds": float(np.mean(times)),
+                "median_step_seconds": float(np.median(times)),
+                "spread_seconds": [min(times), max(times)],
+                "peak_bytes": peak}
+
+    rev, ref = mode(stored=False), mode(stored=True)
     doc = {
         "steps": args.steps,
         "input_shape": list(shape),
-        "reversible": {"mean_step_seconds": rev_time, "peak_bytes": rev_peak},
-        "reference": {"mean_step_seconds": ref_time, "peak_bytes": ref_peak},
-        "time_ratio": rev_time / ref_time,
-        "peak_ratio": rev_peak / ref_peak if ref_peak else None,
+        "reversible": rev,
+        "reference": ref,
+        "time_ratio": rev["mean_step_seconds"] / ref["mean_step_seconds"],
+        "peak_ratio": (rev["peak_bytes"] / ref["peak_bytes"]
+                       if ref["peak_bytes"] else None),
     }
     _emit(doc)
     return 0

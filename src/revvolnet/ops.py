@@ -10,6 +10,12 @@ Convolution is a shift-GEMM over the flattened zero-padded grid: one matrix
 product per kernel offset, each reading a strided view of the input, so no
 im2col window matrix is materialised (algebraically equivalent to the direct
 six-loop sum; the test suite checks forward and backward against that oracle).
+The products run over column tiles of the flattened output, about
+``_TILE_BYTES`` of accumulator each, and all kernel offsets are applied to
+one tile before the next: the tile and the input columns it reads stay in
+the L2 cache instead of streaming the whole accumulator once per offset
+(cache blocking after Goto and van de Geijn 2008). A grid that fits one
+tile runs a single iteration.
 """
 
 import numpy as np
@@ -21,6 +27,10 @@ from .tensor import Parameter, ShapeError, Tensor
 # its backward outputs. Used by the CLI's --inject-fault to prove the
 # gradient checker catches broken backward implementations.
 FAULTS = {}
+
+# Accumulator bytes per column tile of the shift-GEMM convolution: with the
+# input columns a tile reads, it fits a 2 MiB L2 cache.
+_TILE_BYTES = 256 * 1024
 
 
 def _fault_scale(op: str) -> float:
@@ -131,6 +141,14 @@ def _shift_gemm_plan(w, hp, wp, out_spatial):
     return mats, shifts, (od - 1) * hp * wp + (oh - 1) * wp + ow
 
 
+def _column_tiles(n, rows):
+    """Column ranges [t0, t1) covering [0, n), about ``_TILE_BYTES`` of a
+    ``rows``-row float32 matrix each; the last one may be shorter."""
+    step = max(1, _TILE_BYTES // (4 * rows))
+    for t0 in range(0, n, step):
+        yield t0, min(t0 + step, n)
+
+
 def _conv_forward(x, w, pads, bias):
     xp = _padded_grid(x, pads)
     b, c, dp, hp, wp = xp.shape
@@ -144,9 +162,13 @@ def _conv_forward(x, w, pads, bias):
     for i in range(b):
         xf = xp[i].reshape(c, -1)
         buf = out[i].reshape(out_ch, -1) if direct else acc
-        np.matmul(mats[0], xf[:, shifts[0]:shifts[0] + n], out=buf[:, :n])
-        for k in range(1, len(shifts)):
-            buf[:, :n] += mats[k] @ xf[:, shifts[k]:shifts[k] + n]
+        # every offset lands on one tile before the next tile starts; each
+        # output element still sums its offsets in order 0..k^3-1
+        for t0, t1 in _column_tiles(n, out_ch):
+            tile = buf[:, t0:t1]
+            np.matmul(mats[0], xf[:, shifts[0] + t0:shifts[0] + t1], out=tile)
+            for k in range(1, len(shifts)):
+                tile += mats[k] @ xf[:, shifts[k] + t0:shifts[k] + t1]
         if not direct:
             out[i] = acc.reshape(out_ch, od, hp, wp)[:, :, :oh, :ow]
     if bias is not None:
@@ -181,9 +203,13 @@ def _conv_backward(g, x, w, pads):
             gxf = gx[i].reshape(c, -1)
         else:
             gxf.fill(0.0)
-        for k, s in enumerate(shifts):
-            gmats[k] += gf @ xf[:, s:s + n].T
-            gxf[:, s:s + n] += mats[k].T @ gf
+        # tiled like the forward: the kernel gradient sums over tiles, and
+        # each tile scatters into the input-gradient columns it was read from
+        for t0, t1 in _column_tiles(n, out_ch):
+            gf_tile = gf[:, t0:t1]
+            for k, s in enumerate(shifts):
+                gmats[k] += gf_tile @ xf[:, s + t0:s + t1].T
+                gxf[:, s + t0:s + t1] += mats[k].T @ gf_tile
         if not direct:
             gx[i] = gxf.reshape(c, dp, hp, wp)[:, pads[0]:pads[0] + d,
                                                pads[1]:pads[1] + h,
@@ -311,7 +337,12 @@ def max_pool2(x: Tensor) -> Tensor:
                       lambda g, inputs, _o: (np.zeros((b, c, d, h, w), dtype=np.float32),),
                       needs_inputs=(False,))
 
-    out = Tensor(np.ascontiguousarray(blocks(x.data).max(axis=-1)))
+    # three pairwise maxima over strided views (z, then y, then x); no copy
+    # of the input is formed, and a NaN in a block still wins
+    v = x.data.reshape(b, c, d2, 2, h2, 2, w2, 2)
+    m = np.maximum(v[:, :, :, 0], v[:, :, :, 1])
+    m = np.maximum(m[:, :, :, :, 0], m[:, :, :, :, 1])
+    out = Tensor(np.ascontiguousarray(np.maximum(m[..., 0], m[..., 1])))
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs

@@ -207,6 +207,19 @@ class TestTrainEval:
         assert sorted(eval_doc) == SCHEMA["eval"]
         assert set(eval_doc["mean_dice"]) == {"wt", "tc", "et"}
 
+    def test_synthetic_data_follows_config_seed(self, tmp_path, tiny_spec):
+        # no --seed: the config's seed=0 must fix the generated volumes too
+        cfg = tmp_path / "train.cfg"
+        cfg.write_text(FAST_CONFIG)
+        csvs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            proc = run_cli("train", "--spec", tiny_spec, "--config", str(cfg),
+                           "--synthetic", "6", "--size", "12", "--out", str(out))
+            assert proc.returncode == 0, proc.stderr
+            csvs.append((out / "metrics.csv").read_bytes())
+        assert csvs[0] == csvs[1]
+
     def test_dataset_directory_round_trip(self, tmp_path, tiny_spec):
         import numpy as np
 
@@ -275,6 +288,10 @@ class TestBench:
         assert sorted(doc) == SCHEMA["bench"]
         assert doc["time_ratio"] > 0
         assert doc["reversible"]["peak_bytes"] > 0
+        for mode in ("reversible", "reference"):
+            lo, hi = doc[mode]["spread_seconds"]
+            assert 0 < lo <= doc[mode]["median_step_seconds"] <= hi
+            assert lo <= doc[mode]["mean_step_seconds"] <= hi
 
     @pytest.mark.parametrize("steps", ["0", "-1"])
     def test_step_count_below_one_is_usage_error(self, tiny_spec, steps):

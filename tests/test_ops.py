@@ -133,13 +133,17 @@ def conv3d_direct_backward(g, x, w, pads):
     return gx, gw, gb
 
 
+# (input shape, kernel shape, padding) of the backward oracle cases
+ADJOINT_CASES = pytest.mark.parametrize("x_shape, k_shape, padding", [
+    ((2, 3, 4, 5, 6), (4, 3, 3, 3, 3), "same"),
+    ((1, 3, 5, 4, 6), (2, 3, 3, 1, 3), (0, 0, 2)),
+    ((1, 2, 5, 4, 6), (2, 2, 3, 3, 3), (0, 0, 0)),
+    ((2, 3, 3, 4, 5), (4, 3, 1, 1, 1), (0, 0, 0)),
+], ids=["batched_non_cubic", "asymmetric_kernel", "unpadded", "conv1x1x1"])
+
+
 class TestConvBackward:
-    @pytest.mark.parametrize("x_shape, k_shape, padding", [
-        ((2, 3, 4, 5, 6), (4, 3, 3, 3, 3), "same"),
-        ((1, 3, 5, 4, 6), (2, 3, 3, 1, 3), (0, 0, 2)),
-        ((1, 2, 5, 4, 6), (2, 2, 3, 3, 3), (0, 0, 0)),
-        ((2, 3, 3, 4, 5), (4, 3, 1, 1, 1), (0, 0, 0)),
-    ], ids=["batched_non_cubic", "asymmetric_kernel", "unpadded", "conv1x1x1"])
+    @ADJOINT_CASES
     def test_gradients_match_direct_adjoint(self, rng, x_shape, k_shape, padding):
         x = randn5(rng, x_shape)
         k = Parameter(randn5(rng, k_shape))
@@ -153,6 +157,34 @@ class TestConvBackward:
             probe = randn5(rng, y.shape, scale=1.0)
             (gx,) = backprop(tape, ops.weighted_sum(y, probe), wrt=[xt])
         pads = (1, 1, 1) if padding == "same" else padding
+        want_gx, want_gw, want_gb = conv3d_direct_backward(
+            probe, x, k.value.data, pads)
+        np.testing.assert_allclose(gx, want_gx, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(k.grad.data, want_gw, rtol=1e-5, atol=1e-6)
+        np.testing.assert_allclose(b.grad.data, want_gb, rtol=1e-5, atol=1e-6)
+
+    @ADJOINT_CASES
+    def test_ragged_column_tiles_match_one_tile_and_adjoint(
+            self, rng, monkeypatch, x_shape, k_shape, padding):
+        x = randn5(rng, x_shape)
+        k = Parameter(randn5(rng, k_shape))
+        b = Parameter(randn5(rng, (1, k_shape[0], 1, 1, 1)))
+        pads = (1, 1, 1) if padding == "same" else padding
+        with no_record():
+            one_tile = ops.conv3d(Tensor(x), k, b, padding=pads).data
+        # 7 accumulator columns per tile; every case's column count is not
+        # a multiple of 7, so the last tile is ragged
+        cols = 7
+        monkeypatch.setattr(ops, "_TILE_BYTES", 4 * k_shape[0] * cols)
+        hp, wp = (e + 2 * p for e, p in zip(x_shape[3:], pads[1:]))
+        n = ops._shift_gemm_plan(k.value.data, hp, wp, one_tile.shape[2:])[2]
+        assert n > cols and n % cols
+        xt = Tensor(x.copy())
+        with Tape() as tape:
+            y = ops.conv3d(xt, k, b, padding=pads)
+            probe = randn5(rng, y.shape, scale=1.0)
+            (gx,) = backprop(tape, ops.weighted_sum(y, probe), wrt=[xt])
+        np.testing.assert_array_equal(y.data, one_tile)
         want_gx, want_gw, want_gb = conv3d_direct_backward(
             probe, x, k.value.data, pads)
         np.testing.assert_allclose(gx, want_gx, rtol=1e-5, atol=1e-6)
@@ -315,6 +347,37 @@ class TestMaxPool2:
     def test_odd_extent_rejected(self, rng):
         with pytest.raises(ShapeError):
             ops.max_pool2(Tensor(randn5(rng, (1, 1, 3, 4, 4))))
+
+    def test_many_blocks_match_per_block_loop(self, rng):
+        x = randn5(rng, (2, 3, 6, 4, 8), scale=1.0)
+        x[0, 0, 0:2, 0:2, 0:2] = 0.5                 # whole block tied
+        x[1, 2, 2:4, 2:4, 4:6] = -3.0
+        x[1, 2, 2, 3, 4] = x[1, 2, 3, 2, 5] = 9.0    # two maxima, scan 2 and 5
+        x[0, 1, 5, 1, 3] = np.nan                    # block (0, 1, 2, 0, 1)
+        xt = Tensor(x.copy())
+        with Tape() as tape:
+            y = ops.max_pool2(xt)
+            probe = randn5(rng, y.shape, scale=1.0)
+            (gx,) = backprop(tape, ops.weighted_sum(y, probe), wrt=[xt])
+
+        want = np.zeros(y.shape, np.float32)
+        want_gx = np.zeros(x.shape, np.float32)
+        for idx in np.ndindex(*y.shape):
+            n, c, z, r, q = idx
+            sl = (n, c, slice(2 * z, 2 * z + 2), slice(2 * r, 2 * r + 2),
+                  slice(2 * q, 2 * q + 2))
+            block = x[sl].ravel()  # (dz, dy, dx) scan order
+            want[idx] = block.max()
+            routed = np.zeros(8, np.float32)
+            routed[np.argmax(block)] = probe[idx]
+            want_gx[sl] = routed.reshape(2, 2, 2)
+        np.testing.assert_array_equal(y.data, want)
+        assert np.isnan(y.data[0, 1, 2, 0, 1])
+        assert np.isnan(y.data).sum() == 1
+        np.testing.assert_array_equal(gx, want_gx)
+        assert gx[0, 0, 0, 0, 0] == probe[0, 0, 0, 0, 0]
+        assert gx[1, 2, 2, 3, 4] == probe[1, 2, 1, 1, 2]
+        assert gx[1, 2, 3, 2, 5] == 0.0
 
 
 class TestUpsample2:
