@@ -50,7 +50,7 @@ def _emit(doc):
 
 
 def cmd_gradcheck(args):
-    from . import ops, verification
+    from . import tape, verification
     from .unet import load_spec
 
     width = args.width
@@ -59,14 +59,18 @@ def cmd_gradcheck(args):
         width = spec.levels[0] if spec.reversible else 2 * spec.levels[0]
     if args.inject_fault:
         name, _, scale = args.inject_fault.partition("=")
-        ops.FAULTS[name] = float(scale) if scale else 0.02
+        tape.FAULTS[name] = float(scale) if scale else 0.02
         log.warning("fault injection active on op %r", name)
     try:
         results = verification.run_op_gradchecks(seed=args.seed)
         seq = verification.sequence_equivalence(seed=args.seed, depth=args.depth,
                                                 width=width)
+        missed = set(tape.FAULTS) - tape.FAULTS_APPLIED
     finally:
-        ops.FAULTS.clear()
+        tape.FAULTS.clear()
+        tape.FAULTS_APPLIED.clear()
+    if missed:
+        raise ValueError(f"--inject-fault: no op records under {name!r}")
     seq_pass = args.depth == 0 or seq["worst"] <= 1e-4
     doc = {
         "seed": args.seed,
@@ -216,7 +220,9 @@ def cmd_eval(args):
     from .unet import load_checkpoint
 
     network = load_checkpoint(args.checkpoint)
-    dataset = _make_dataset(args, network.spec, args.seed)
+    # a stream apart from train's, which draws from the bare seed: eval
+    # --synthetic must not score a same-seed run on its own training volumes
+    dataset = _make_dataset(args, network.spec, [args.seed, 1])
     scores = evaluate(network, dataset)
     _emit({"volumes": len(dataset), "mean_dice": scores})
     return 0
@@ -265,7 +271,8 @@ def build_parser():
     p.add_argument("--depth", type=int, default=3)
     p.add_argument("--width", type=int, default=8)
     p.add_argument("--inject-fault", metavar="OP[=SCALE]",
-                   help="corrupt one op's backward (test hook)")
+                   help="corrupt the first input gradient of every node of "
+                        "this op (any recorded op name; test hook)")
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("invert", help="reversible block round-trip trials")

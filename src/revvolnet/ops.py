@@ -4,7 +4,8 @@ Every op validates shapes up front, computes the forward result with numpy,
 and registers a tape node whose backward closure produces the input gradients
 and accumulates parameter gradients. Closures capture parameters and small
 saved statistics only; voxel-sized inputs are fetched from the producing
-node's retained output at backward time.
+node's retained output at backward time. The closures carry no test hook:
+the gradient checker corrupts gradients by op name in ``tape.backward``.
 
 Convolution is a shift-GEMM over the flattened zero-padded grid: one matrix
 product per kernel offset, each reading a strided view of the input, so no
@@ -23,18 +24,9 @@ import numpy as np
 from .tape import record
 from .tensor import Parameter, ShapeError, Tensor
 
-# Test hook: mapping op name -> multiplicative corruption applied to one of
-# its backward outputs. Used by the CLI's --inject-fault to prove the
-# gradient checker catches broken backward implementations.
-FAULTS = {}
-
 # Accumulator bytes per column tile of the shift-GEMM convolution: with the
 # input columns a tile reads, it fits a 2 MiB L2 cache.
 _TILE_BYTES = 256 * 1024
-
-
-def _fault_scale(op: str) -> float:
-    return 1.0 + FAULTS.get(op, 0.0)
 
 
 def _check_axes(t, what: str):
@@ -107,7 +99,7 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
         kernel_ref.grad.data += gw
         if bias_ref is not None:
             bias_ref.grad.data += gb
-        return (gx * _fault_scale("conv3d"),)
+        return (gx,)
 
     node_params = (kernel,) if bias is None else (kernel, bias)
     return record("conv3d", out, [x], backward_fn, needs_inputs=(True,),
@@ -283,7 +275,7 @@ def group_norm(x: Tensor, gamma: Parameter, beta: Parameter, group_size: int,
         mean_gy = gy_gam.mean(axis=(2, 3, 4, 5), keepdims=True)
         mean_gy_xhat = (gy_gam * x_hat).mean(axis=(2, 3, 4, 5), keepdims=True)
         gx = saved_istd * (gy_gam - mean_gy - x_hat * mean_gy_xhat)
-        return (np.ascontiguousarray(gx.reshape(x_val.shape)) * _fault_scale("group_norm"),)
+        return (np.ascontiguousarray(gx.reshape(x_val.shape)),)
 
     return record("group_norm", out, [x], backward_fn, needs_inputs=(True,),
                   params=(gamma, beta))
@@ -297,7 +289,7 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
-        return (np.where(x_val >= 0, g, s * g) * _fault_scale("leaky_relu"),)
+        return (np.where(x_val >= 0, g, s * g),)
 
     return record("leaky_relu", out, [x], backward_fn, needs_inputs=(True,))
 
@@ -309,7 +301,7 @@ def sigmoid(x: Tensor) -> Tensor:
         out = Tensor(1.0 / (1.0 + np.exp(-x.data)))
 
     def backward_fn(g, _inputs, output):
-        return (g * output * (1.0 - output) * _fault_scale("sigmoid"),)
+        return (g * output * (1.0 - output),)
 
     return record("sigmoid", out, [x], backward_fn, needs_output=True)
 
@@ -352,7 +344,7 @@ def max_pool2(x: Tensor) -> Tensor:
         np.put_along_axis(scattered, winners[..., None], g[..., None], axis=-1)
         gx = scattered.reshape(b, c, d2, h2, w2, 2, 2, 2)
         gx = gx.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(b, c, d, h, w)
-        return (np.ascontiguousarray(gx) * _fault_scale("max_pool2"),)
+        return (np.ascontiguousarray(gx),)
 
     return record("max_pool2", out, [x], backward_fn, needs_inputs=(True,))
 
@@ -403,7 +395,7 @@ def upsample2(x: Tensor) -> Tensor:
         gx = g
         for axis, mat in zip((2, 3, 4), mats):
             gx = _apply_axis(gx, mat.T, axis)
-        return (np.ascontiguousarray(gx) * _fault_scale("upsample2"),)
+        return (np.ascontiguousarray(gx),)
 
     return record("upsample2", out, [x], backward_fn)
 

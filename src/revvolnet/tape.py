@@ -11,6 +11,12 @@ processed, so the buffer is consumed and released immediately when the node
 itself is visited; at completion no gradient buffer is live. Retained
 activations are released the same way, as soon as no remaining backward step
 can read them.
+
+``FAULTS`` is the gradient checker's fault hook (``gradcheck
+--inject-fault``): for a node whose op name is a key, ``backward``
+multiplies the first gradient the node's backward returns by ``1 + value``
+and adds the op name to ``FAULTS_APPLIED``. Any recorded op can be
+corrupted this way, by the name it records under.
 """
 
 import contextlib
@@ -20,6 +26,10 @@ import numpy as np
 
 from . import memtrack
 from .tensor import ShapeError, Tensor
+
+
+FAULTS = {}
+FAULTS_APPLIED = set()
 
 
 class MissingActivationError(RuntimeError):
@@ -171,8 +181,8 @@ def backward(tape: Tape, output: Tensor, seed: np.ndarray, wrt=()) -> list:
     live = seed.nbytes
     peak = live
     memtrack.on_alloc(seed.nbytes)
+    wrt = list(wrt)  # holds the identity keys alive; a generator is read once
     leaf_grads = {id(t): None for t in wrt}
-    leaf_keep = list(wrt)  # keep identity keys alive for the duration
 
     with no_record():
         for node in reversed(tape.nodes):
@@ -194,6 +204,9 @@ def backward(tape: Tape, output: Tensor, seed: np.ndarray, wrt=()) -> list:
                     f"backward of '{node.name}' returned {len(in_grads)} gradients "
                     f"for {len(node.input_slots)} inputs"
                 )
+            if node.op in FAULTS and in_grads[0] is not None:
+                in_grads = (in_grads[0] * (1.0 + FAULTS[node.op]), *in_grads[1:])
+                FAULTS_APPLIED.add(node.op)
             for slot, ig in zip(node.input_slots, in_grads):
                 if ig is None:
                     continue
@@ -221,7 +234,7 @@ def backward(tape: Tape, output: Tensor, seed: np.ndarray, wrt=()) -> list:
 
     assert not grads, "gradient buffers left over after backward"
     tape.last_backward_stats = {"peak_grad_bytes": peak, "final_grad_bytes": live}
-    return [leaf_grads[id(t)] for t in leaf_keep]
+    return [leaf_grads[id(t)] for t in wrt]
 
 
 def backprop(tape: Tape, loss: Tensor, wrt=()) -> list:

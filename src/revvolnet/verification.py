@@ -65,10 +65,6 @@ def _probe_weights(rng, shape):
     return (rng.standard_normal(shape) * 0.05).astype(np.float32)
 
 
-def _scalar_of(t):
-    return float(t.data.reshape(()))
-
-
 def _probe_value(y, w):
     """Oracle-side float64 inner product; avoids rounding the probe loss
     through the engine's float32 scalar."""
@@ -85,115 +81,36 @@ def _dice_value(pred, target, eps=1e-5):
     return float((1.0 - num / den).sum())
 
 
-def _case_conv(rng, name, op, in_shape, kernel_shape):
-    x = lattice(rng, in_shape)
-    k = (rng.standard_normal(kernel_shape) * 0.1).astype(np.float32)
-    b = (rng.standard_normal((1, kernel_shape[0], 1, 1, 1)) * 0.1).astype(np.float32)
+def _case(rng, name, fn, arrays, params=()):
+    """Probe-loss case for ``fn``, called on the named ``arrays`` in order,
+    wrapped as Parameters for the keys in ``params`` and as Tensors otherwise.
+
+    The probe weights are drawn for ``fn``'s output shape. The analytic side
+    reads the Tensor gradients from the tape and the Parameter gradients from
+    their buffers.
+    """
+
+    def wrap(a):
+        return {k: Parameter(v) if k in params else Tensor(v)
+                for k, v in a.items()}
+
     with no_record():
-        out_shape = op(Tensor(x), Parameter(k), Parameter(b)).shape
-    w = _probe_weights(rng, out_shape)
+        w = _probe_weights(rng, fn(*wrap(arrays).values()).shape)
 
     def forward(a):
         with no_record():
-            y = op(Tensor(a["input"]), Parameter(a["kernel"]), Parameter(a["bias"]))
-            return _probe_value(y, w)
+            return _probe_value(fn(*wrap(a).values()), w)
 
     def analytic(a):
-        kp, bp = Parameter(a["kernel"]), Parameter(a["bias"])
-        xt = Tensor(a["input"])
+        leaves = wrap(a)
+        tensors = [k for k in leaves if k not in params]
         with Tape() as tape:
-            loss = ops.weighted_sum(op(xt, kp, bp), w)
-            (gx,) = backprop(tape, loss, wrt=[xt])
-        return {"input": gx, "kernel": kp.grad.data, "bias": bp.grad.data}
+            loss = ops.weighted_sum(fn(*leaves.values()), w)
+            grads = backprop(tape, loss, wrt=[leaves[k] for k in tensors])
+        return {**dict(zip(tensors, grads)),
+                **{k: leaves[k].grad.data for k in params}}
 
-    return (name, {"input": x, "kernel": k, "bias": b}, forward, analytic)
-
-
-def _case_group_norm(rng):
-    # Conditioning: small inputs make 1/std amplify the input gradients, and
-    # a small gamma keeps the outputs (hence their float32 rounding, the
-    # noise floor of the difference quotient) well below the gradients.
-    x = lattice(rng, (2, 4, 3, 3, 3), lo=-0.25, hi=0.25)
-    gamma = (0.1 * (1.0 + rng.standard_normal((1, 4, 1, 1, 1)) * 0.1)
-             ).astype(np.float32)
-    beta = (rng.standard_normal((1, 4, 1, 1, 1)) * 0.01).astype(np.float32)
-    w = _probe_weights(rng, (2, 4, 3, 3, 3))
-
-    def forward(a):
-        with no_record():
-            y = ops.group_norm(Tensor(a["input"]), Parameter(a["gamma"]),
-                               Parameter(a["beta"]), group_size=2)
-            return _probe_value(y, w)
-
-    def analytic(a):
-        gp, bp = Parameter(a["gamma"]), Parameter(a["beta"])
-        xt = Tensor(a["input"])
-        with Tape() as tape:
-            loss = ops.weighted_sum(
-                ops.group_norm(xt, gp, bp, group_size=2), w)
-            (gx,) = backprop(tape, loss, wrt=[xt])
-        return {"input": gx, "gamma": gp.grad.data, "beta": bp.grad.data}
-
-    return ("group_norm", {"input": x, "gamma": gamma, "beta": beta},
-            forward, analytic)
-
-
-def _case_unary(rng, name, fn, shape):
-    x = lattice(rng, shape)
-    with no_record():
-        out_shape = fn(Tensor(x)).shape
-    w = _probe_weights(rng, out_shape)
-
-    def forward(a):
-        with no_record():
-            return _probe_value(fn(Tensor(a["input"])), w)
-
-    def analytic(a):
-        xt = Tensor(a["input"])
-        with Tape() as tape:
-            loss = ops.weighted_sum(fn(xt), w)
-            (gx,) = backprop(tape, loss, wrt=[xt])
-        return {"input": gx}
-
-    return (name, {"input": x}, forward, analytic)
-
-
-def _case_add_sub(rng):
-    xa = lattice(rng, (1, 2, 3, 3, 3))
-    xb = lattice(rng, (1, 2, 3, 3, 3))
-    w = _probe_weights(rng, (1, 2, 3, 3, 3))
-
-    def forward(a):
-        with no_record():
-            y = ops.sub(ops.add(Tensor(a["a"]), Tensor(a["b"])), Tensor(a["b"]))
-            return _probe_value(y, w)
-
-    def analytic(a):
-        ta, tb = Tensor(a["a"]), Tensor(a["b"])
-        with Tape() as tape:
-            loss = ops.weighted_sum(ops.sub(ops.add(ta, tb), tb), w)
-            ga, gb = backprop(tape, loss, wrt=[ta, tb])
-        return {"a": ga, "b": gb}
-
-    return ("add_sub", {"a": xa, "b": xb}, forward, analytic)
-
-
-def _case_weighted_sum(rng):
-    x = lattice(rng, (1, 2, 3, 3, 3))
-    w = _probe_weights(rng, (1, 2, 3, 3, 3))
-
-    def forward(a):
-        with no_record():
-            return _probe_value(Tensor(a["input"]), w)
-
-    def analytic(a):
-        xt = Tensor(a["input"])
-        with Tape() as tape:
-            loss = ops.weighted_sum(xt, w)
-            (gx,) = backprop(tape, loss, wrt=[xt])
-        return {"input": gx}
-
-    return ("weighted_sum", {"input": x}, forward, analytic)
+    return (name, arrays, forward, analytic)
 
 
 def _case_dice(rng):
@@ -216,26 +133,56 @@ def _case_dice(rng):
 
 
 def _op_cases(rng):
-    """Each case: (name, arrays, forward(arrays)->float, analytic(arrays)->dict)."""
+    """Each case: (name, arrays, forward(arrays)->float, analytic(arrays)->dict).
+
+    Cases are built in order, each drawing its arrays and then its probe
+    weights from ``rng``.
+    """
+
+    def conv_arrays(in_shape, kernel_shape):
+        return {"input": lattice(rng, in_shape),
+                "kernel": (rng.standard_normal(kernel_shape) * 0.1
+                           ).astype(np.float32),
+                "bias": (rng.standard_normal((1, kernel_shape[0], 1, 1, 1))
+                         * 0.1).astype(np.float32)}
 
     def split_then_concat(t):
         a, b = ops.split_channels(t, 2)
         return ops.concat_channels(ops.leaky_relu(a, 0.2), b)
 
+    def input_lattice(shape):
+        return {"input": lattice(rng, shape)}
+
+    conv_params = ("kernel", "bias")
     return [
-        _case_conv(rng, "conv3d", ops.conv3d, (1, 2, 4, 4, 4), (2, 2, 3, 3, 3)),
-        _case_conv(rng, "conv1x1x1", ops.conv1x1x1, (1, 3, 3, 3, 3),
-                   (2, 3, 1, 1, 1)),
-        _case_group_norm(rng),
-        _case_unary(rng, "leaky_relu", lambda t: ops.leaky_relu(t, 0.01),
-                    (1, 2, 4, 4, 4)),
-        _case_unary(rng, "sigmoid", ops.sigmoid, (1, 2, 3, 3, 3)),
-        _case_unary(rng, "max_pool2", ops.max_pool2, (1, 2, 4, 4, 4)),
-        _case_unary(rng, "upsample2", ops.upsample2, (1, 2, 3, 3, 3)),
-        _case_unary(rng, "reduce_sum", ops.reduce_sum, (1, 2, 3, 3, 3)),
-        _case_unary(rng, "split_concat", split_then_concat, (1, 4, 3, 3, 3)),
-        _case_add_sub(rng),
-        _case_weighted_sum(rng),
+        _case(rng, "conv3d", ops.conv3d,
+              conv_arrays((1, 2, 4, 4, 4), (2, 2, 3, 3, 3)), conv_params),
+        _case(rng, "conv1x1x1", ops.conv1x1x1,
+              conv_arrays((1, 3, 3, 3, 3), (2, 3, 1, 1, 1)), conv_params),
+        # Conditioning: small inputs make 1/std amplify the input gradients,
+        # and a small gamma keeps the outputs (hence their float32 rounding,
+        # the noise floor of the difference quotient) well below the
+        # gradients.
+        _case(rng, "group_norm",
+              lambda x, gamma, beta: ops.group_norm(x, gamma, beta, group_size=2),
+              {"input": lattice(rng, (2, 4, 3, 3, 3), lo=-0.25, hi=0.25),
+               "gamma": (0.1 * (1.0 + rng.standard_normal((1, 4, 1, 1, 1)) * 0.1)
+                         ).astype(np.float32),
+               "beta": (rng.standard_normal((1, 4, 1, 1, 1)) * 0.01
+                        ).astype(np.float32)},
+              ("gamma", "beta")),
+        _case(rng, "leaky_relu", lambda t: ops.leaky_relu(t, 0.01),
+              input_lattice((1, 2, 4, 4, 4))),
+        _case(rng, "sigmoid", ops.sigmoid, input_lattice((1, 2, 3, 3, 3))),
+        _case(rng, "max_pool2", ops.max_pool2, input_lattice((1, 2, 4, 4, 4))),
+        _case(rng, "upsample2", ops.upsample2, input_lattice((1, 2, 3, 3, 3))),
+        _case(rng, "reduce_sum", ops.reduce_sum, input_lattice((1, 2, 3, 3, 3))),
+        _case(rng, "split_concat", split_then_concat,
+              input_lattice((1, 4, 3, 3, 3))),
+        _case(rng, "add_sub", lambda a, b: ops.sub(ops.add(a, b), b),
+              {"a": lattice(rng, (1, 2, 3, 3, 3)),
+               "b": lattice(rng, (1, 2, 3, 3, 3))}),
+        _case(rng, "weighted_sum", lambda t: t, input_lattice((1, 2, 3, 3, 3))),
         _case_dice(rng),
     ]
 
@@ -248,9 +195,7 @@ def run_op_gradchecks(seed: int = 0):
         grads = analytic(arrays)
         worst = 0.0
         passed = True
-        for key in arrays:
-            if key not in grads:
-                continue
+        for key in arrays:  # every case returns a gradient per array
             fd = fd_gradient(forward, arrays, key)
             w, ok = _compare(grads[key], fd)
             worst = max(worst, w)

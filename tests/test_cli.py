@@ -32,6 +32,13 @@ seed=0
 """
 
 
+# op recorded under this name -> the gradcheck case its fault must fail
+FAULT_CASES = {"conv3d": "conv3d", "group_norm": "group_norm",
+               "leaky_relu": "leaky_relu", "sigmoid": "sigmoid",
+               "max_pool2": "max_pool2", "upsample2": "upsample2",
+               "add": "add_sub"}
+
+
 def run_cli(*args, timeout=600):
     proc = subprocess.run(
         [sys.executable, "-m", "revvolnet", *args],
@@ -69,13 +76,21 @@ class TestGradcheck:
         assert proc.returncode == 0
         assert first_json(proc.stdout)["sequence"]["worst_rel_error"] == 0.0
 
-    def test_injected_fault_detected_and_named(self):
-        proc = run_cli("gradcheck", "--inject-fault", "conv3d")
+    @pytest.mark.parametrize("op", FAULT_CASES)
+    def test_injected_fault_detected_and_named(self, op):
+        case = FAULT_CASES[op]
+        proc = run_cli("gradcheck", "--inject-fault", op)
         assert proc.returncode == 1
         doc = first_json(proc.stdout)
         assert doc["pass"] is False
-        assert doc["ops"]["conv3d"]["pass"] is False
-        assert "conv3d" in proc.stderr
+        assert doc["ops"][case]["pass"] is False
+        assert case in proc.stderr
+
+    def test_fault_on_unrecorded_op_is_usage_error(self):
+        proc = run_cli("gradcheck", "--inject-fault", "conv3dd")
+        assert proc.returncode == 2
+        assert "no op records under 'conv3dd'" in proc.stderr
+        assert proc.stdout == ""
 
 
 class TestInvert:
@@ -219,6 +234,43 @@ class TestTrainEval:
             assert proc.returncode == 0, proc.stderr
             csvs.append((out / "metrics.csv").read_bytes())
         assert csvs[0] == csvs[1]
+
+    def test_eval_synthetic_volumes_are_not_training_volumes(
+            self, tmp_path, tiny_spec, monkeypatch):
+        # the README workflow at its default seeds: train --synthetic 25
+        # (config seed 0), then eval --synthetic 5 (--seed 0)
+        import numpy as np
+
+        from revvolnet import cli, training, unet
+
+        made = []
+        make_dataset = cli._make_dataset
+
+        def spy(*args):
+            made.append(make_dataset(*args))
+            return made[-1]
+
+        class Stop(Exception):
+            pass
+
+        def stop(*_args, **_kwargs):
+            raise Stop
+
+        monkeypatch.setattr(cli, "_make_dataset", spy)
+        monkeypatch.setattr(training, "train", stop)
+        monkeypatch.setattr(training, "evaluate", stop)
+        monkeypatch.setattr(unet, "load_checkpoint",
+                            lambda _prefix: unet.build(unet.load_spec(tiny_spec)))
+        for argv in (["train", "--spec", tiny_spec, "--synthetic", "25",
+                      "--size", "12", "--out", str(tmp_path / "run")],
+                     ["eval", "--checkpoint", str(tmp_path / "run" / "ckpt"),
+                      "--synthetic", "5", "--size", "12"]):
+            with pytest.raises(Stop):
+                cli.main(argv)
+        train_set, eval_set = made
+        assert (len(train_set), len(eval_set)) == (25, 5)
+        assert not any(np.array_equal(a.image, b.image)
+                       for a in train_set for b in eval_set)
 
     def test_dataset_directory_round_trip(self, tmp_path, tiny_spec):
         import numpy as np

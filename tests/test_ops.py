@@ -470,6 +470,13 @@ class TestFiniteDifferences:
         failed = [r.name for r in results if not r.passed]
         assert not failed, f"finite-difference failures: {failed}"
 
+    def test_case_table_is_pinned(self):
+        # a case silently dropped from the table would still pass
+        assert [r.name for r in run_op_gradchecks(seed=0)] == [
+            "conv3d", "conv1x1x1", "group_norm", "leaky_relu", "sigmoid",
+            "max_pool2", "upsample2", "reduce_sum", "split_concat", "add_sub",
+            "weighted_sum", "dice_loss"]
+
     def test_sum_of_conv_gradient_on_batched_input(self, rng):
         # loss = sum(conv3d(x)) on a 2x2x4x4x4 input, input gradient against
         # central differences at relative 1e-3

@@ -208,6 +208,16 @@ class TestBackprop:
             with pytest.raises(ValueError):
                 backward(other, y, np.ones(y.shape, np.float32))
 
+    def test_wrt_may_be_a_generator(self, rng):
+        x = Tensor(randn5(rng, (1, 2, 4, 4, 4)))
+        with Tape() as tape:
+            y = ops.leaky_relu(x)
+        grads = backward(tape, y, np.ones(y.shape, np.float32),
+                         wrt=(v for v in [x]))
+        assert len(grads) == 1
+        np.testing.assert_array_equal(
+            grads[0], np.where(x.data >= 0, 1.0, 0.01).astype(np.float32))
+
     def test_zero_extent_flows_through_backward(self):
         x = Tensor(np.zeros((0, 2, 4, 4, 4), np.float32))
         k = Parameter(np.zeros((2, 2, 3, 3, 3), np.float32))
