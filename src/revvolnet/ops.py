@@ -2,10 +2,12 @@
 
 Every op validates shapes up front, computes the forward result with numpy,
 and registers a tape node whose backward closure produces the input gradients
-and accumulates parameter gradients. Closures capture parameters and small
-saved statistics only; voxel-sized inputs are fetched from the producing
-node's retained output at backward time. The closures carry no test hook:
-the gradient checker corrupts gradients by op name in ``tape.backward``.
+and accumulates parameter gradients. The tape hands each closure its input
+values and its output, so closures capture parameters and small saved
+statistics only. The closures carry no test hook: the gradient checker
+corrupts gradients by op name in ``tape.backward``. Empty tensors (batch 0 or
+a zero spatial extent) run through the general kernels; only ``group_norm``,
+whose statistics are undefined there, keeps a branch for them.
 
 Convolution is a shift-GEMM over the flattened zero-padded grid: one matrix
 product per kernel offset, each reading a strided view of the input, so no
@@ -55,7 +57,7 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
     _check_axes(x, "conv3d input")
     w = kernel.value.data
     out_ch, in_ch, kd, kh, kw = w.shape
-    b, c, d, h, wdt = x.shape
+    _, c, d, h, wdt = x.shape
     if c != in_ch:
         raise ShapeError(
             f"conv3d channel mismatch: input has shape {x.shape} "
@@ -79,22 +81,11 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
             f"input spatial extents {x.shape[2:]}"
         )
 
-    if x.element_count == 0 or out_ch == 0 or any(e == 0 for e in out_spatial):
-        out_data = np.zeros((b, out_ch) + out_spatial, dtype=np.float32)
-        if bias is not None and out_data.size:
-            out_data += bias.value.data
-        out = Tensor(out_data)
-    else:
-        out = Tensor(_conv_forward(x.data, w, pads, bias))
-
+    out = Tensor(_conv_forward(x.data, w, pads, bias))
     kernel_ref, bias_ref = kernel, bias
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
-        if g.size == 0 or x_val.size == 0:
-            if bias_ref is not None and g.size:
-                bias_ref.grad.data += g.sum(axis=(0, 2, 3, 4), keepdims=True)
-            return (np.zeros_like(x_val),)
         gx, gw, gb = _conv_backward(g, x_val, w, pads)
         kernel_ref.grad.data += gw
         if bias_ref is not None:
@@ -102,8 +93,7 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
         return (gx,)
 
     node_params = (kernel,) if bias is None else (kernel, bias)
-    return record("conv3d", out, [x], backward_fn, needs_inputs=(True,),
-                  params=node_params)
+    return record("conv3d", out, [x], backward_fn, params=node_params)
 
 
 def _padded_grid(x, pads):
@@ -246,8 +236,7 @@ def group_norm(x: Tensor, gamma: Parameter, beta: Parameter, group_size: int,
     if x.element_count == 0:
         out = Tensor(np.zeros_like(x.data))
         return record("group_norm", out, [x],
-                      lambda g, inputs, _o: (np.zeros_like(g),),
-                      needs_inputs=(False,), params=(gamma, beta))
+                      lambda g, _i, _o: (np.zeros_like(g),), params=(gamma, beta))
 
     xg = x.data.reshape(b, groups, group_size, d, h, w)
     mu = xg.mean(axis=(2, 3, 4, 5), keepdims=True)
@@ -277,8 +266,7 @@ def group_norm(x: Tensor, gamma: Parameter, beta: Parameter, group_size: int,
         gx = saved_istd * (gy_gam - mean_gy - x_hat * mean_gy_xhat)
         return (np.ascontiguousarray(gx.reshape(x_val.shape)),)
 
-    return record("group_norm", out, [x], backward_fn, needs_inputs=(True,),
-                  params=(gamma, beta))
+    return record("group_norm", out, [x], backward_fn, params=(gamma, beta))
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
@@ -291,7 +279,7 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
         (x_val,) = inputs
         return (np.where(x_val >= 0, g, s * g),)
 
-    return record("leaky_relu", out, [x], backward_fn, needs_inputs=(True,))
+    return record("leaky_relu", out, [x], backward_fn)
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -303,7 +291,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def backward_fn(g, _inputs, output):
         return (g * output * (1.0 - output),)
 
-    return record("sigmoid", out, [x], backward_fn, needs_output=True)
+    return record("sigmoid", out, [x], backward_fn)
 
 
 # ---------------------------------------------------------------------------
@@ -323,12 +311,6 @@ def max_pool2(x: Tensor) -> Tensor:
         v = arr.reshape(b, c, d2, 2, h2, 2, w2, 2)
         return v.transpose(0, 1, 2, 4, 6, 3, 5, 7).reshape(b, c, d2, h2, w2, 8)
 
-    if x.element_count == 0:
-        out = Tensor(np.zeros((b, c, d2, h2, w2), dtype=np.float32))
-        return record("max_pool2", out, [x],
-                      lambda g, inputs, _o: (np.zeros((b, c, d, h, w), dtype=np.float32),),
-                      needs_inputs=(False,))
-
     # three pairwise maxima over strided views (z, then y, then x); no copy
     # of the input is formed, and a NaN in a block still wins
     v = x.data.reshape(b, c, d2, 2, h2, 2, w2, 2)
@@ -346,7 +328,7 @@ def max_pool2(x: Tensor) -> Tensor:
         gx = gx.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(b, c, d, h, w)
         return (np.ascontiguousarray(gx),)
 
-    return record("max_pool2", out, [x], backward_fn, needs_inputs=(True,))
+    return record("max_pool2", out, [x], backward_fn)
 
 
 _interp_cache = {}

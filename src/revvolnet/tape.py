@@ -3,14 +3,16 @@
 A tape is an ordered record of executed operations. Each node keeps its
 output tensor alive so that consumers can read it during the backward pass;
 once released, reading its output raises ``MissingActivationError``.
-``retained_bytes`` tracks the activation bytes currently held by the tape.
+``retained_bytes`` is the sum of the outputs the tape still holds.
 
 The backward pass walks the node list in reverse. A node's gradient buffer is
 complete once all of its consumers (which appear later on the tape) have been
 processed, so the buffer is consumed and released immediately when the node
-itself is visited; at completion no gradient buffer is live. Retained
-activations are released the same way, as soon as no remaining backward step
-can read them.
+itself is visited; at completion no gradient buffer is live. Each node's
+backward receives every input value (a leaf's data or the producer's retained
+output) and its own output. Both are still held when it runs: a node releases
+its output only after its own backward, and a producer's backward runs after
+its consumers'.
 
 ``FAULTS`` is the gradient checker's fault hook (``gradcheck
 --inject-fault``): for a node whose op name is a key, ``backward``
@@ -43,22 +45,18 @@ class TapeNode:
         "input_slots",  # tuple of ("node", TapeNode) / ("leaf", Tensor) entries
         "retained_out",
         "backward_fn",
-        "needs_inputs",
-        "needs_output",
         "params",  # parameters whose gradients this node's backward writes
         "_tape_ref",
         "__weakref__",
     )
 
     def __init__(self, name, op, input_slots, retained_out, backward_fn,
-                 needs_inputs, needs_output, params, tape):
+                 params, tape):
         self.name = name
         self.op = op
         self.input_slots = input_slots
         self.retained_out = retained_out
         self.backward_fn = backward_fn
-        self.needs_inputs = needs_inputs
-        self.needs_output = needs_output
         self.params = params
         self._tape_ref = weakref.ref(tape)
 
@@ -78,14 +76,13 @@ class Tape:
 
     def __init__(self):
         self.nodes = []
-        self.retained_bytes = 0
         self._counter = 0
         self.last_backward_stats = None
 
-    def add(self, node: TapeNode) -> None:
-        self.nodes.append(node)
-        if node.retained_out is not None:
-            self.retained_bytes += node.retained_out.nbytes
+    @property
+    def retained_bytes(self) -> int:
+        return sum(n.retained_out.nbytes for n in self.nodes
+                   if n.retained_out is not None)
 
     def next_name(self, op: str) -> str:
         name = f"{op}#{self._counter}"
@@ -93,9 +90,7 @@ class Tape:
         return name
 
     def release_node(self, node: TapeNode) -> None:
-        if node.retained_out is not None:
-            self.retained_bytes -= node.retained_out.nbytes
-            node.retained_out = None
+        node.retained_out = None
 
     def release(self) -> None:
         for node in self.nodes:
@@ -127,12 +122,13 @@ def no_record():
         _TAPE_STACK.pop()
 
 
-def record(op, out, inputs, backward_fn, *, needs_inputs=None, needs_output=False,
-           params=()):
+def record(op, out, inputs, backward_fn, *, params=()):
     """Register an executed op on the ambient tape, if one is active.
 
-    ``backward_fn(grad_out, input_values, output_value)`` must return one
+    ``backward_fn(grad_out, input_values, output_value)`` receives the value
+    of every input, in order, and the op's own output. It must return one
     gradient array (or None) per input and must not mutate ``grad_out``.
+    ``params`` are the parameters whose gradients it accumulates.
     """
     tape = current_tape()
     if tape is None:
@@ -144,20 +140,16 @@ def record(op, out, inputs, backward_fn, *, needs_inputs=None, needs_output=Fals
             slots.append(("node", node))
         else:
             slots.append(("leaf", t))
-    if needs_inputs is None:
-        needs_inputs = (False,) * len(inputs)
     node = TapeNode(
         name=tape.next_name(op),
         op=op,
         input_slots=tuple(slots),
         retained_out=out,
         backward_fn=backward_fn,
-        needs_inputs=tuple(needs_inputs),
-        needs_output=needs_output,
         params=tuple(params),
         tape=tape,
     )
-    tape.add(node)
+    tape.nodes.append(node)
     out._node_ref = weakref.ref(node)
     return out
 
@@ -177,7 +169,6 @@ def backward(tape: Tape, output: Tensor, seed: np.ndarray, wrt=()) -> list:
         raise ShapeError(f"gradient seed shape {seed.shape} does not match output shape {output.shape}")
 
     grads = {root: seed}
-    grad_bytes = {root: seed.nbytes}
     live = seed.nbytes
     peak = live
     memtrack.on_alloc(seed.nbytes)
@@ -189,16 +180,9 @@ def backward(tape: Tape, output: Tensor, seed: np.ndarray, wrt=()) -> list:
             g = grads.pop(node, None)
             if g is None:
                 continue
-            input_values = []
-            for needed, slot in zip(node.needs_inputs, node.input_slots):
-                if not needed:
-                    input_values.append(None)
-                elif slot[0] == "leaf":
-                    input_values.append(slot[1].data)
-                else:
-                    input_values.append(slot[1].output_value())
-            out_value = node.output_value() if node.needs_output else None
-            in_grads = node.backward_fn(g, tuple(input_values), out_value)
+            input_values = tuple(src.data if kind == "leaf" else src.output_value()
+                                 for kind, src in node.input_slots)
+            in_grads = node.backward_fn(g, input_values, node.output_value())
             if len(in_grads) != len(node.input_slots):
                 raise RuntimeError(
                     f"backward of '{node.name}' returned {len(in_grads)} gradients "
@@ -220,16 +204,14 @@ def backward(tape: Tape, output: Tensor, seed: np.ndarray, wrt=()) -> list:
                 prev = grads.get(src)
                 if prev is None:
                     grads[src] = ig
-                    grad_bytes[src] = ig.nbytes
                     live += ig.nbytes
                     memtrack.on_alloc(ig.nbytes)
                     if live > peak:
                         peak = live
                 else:
                     grads[src] = prev + ig  # fresh buffer: refs may be shared
-            nbytes = grad_bytes.pop(node)
-            live -= nbytes
-            memtrack.on_free(nbytes)
+            live -= g.nbytes
+            memtrack.on_free(g.nbytes)
             tape.release_node(node)
 
     assert not grads, "gradient buffers left over after backward"

@@ -9,6 +9,7 @@ whole >= core >= enhancing voxelwise.
 import csv
 import logging
 import math
+import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -95,13 +96,12 @@ def dice_loss(pred: Tensor, target, epsilon: float = 1e-5) -> Tensor:
     num32 = num.astype(np.float32).reshape(1, -1, 1, 1, 1)
     den32 = den.astype(np.float32).reshape(1, -1, 1, 1, 1)
 
-    def backward_fn(g, inputs, _output):
-        (_p,) = inputs
+    def backward_fn(g, _inputs, _output):
         scale = g.reshape(())
         grad = -(2.0 * tgt * den32 - num32) / (den32 * den32)
         return (grad * scale,)
 
-    return record("dice_loss", out, [pred], backward_fn, needs_inputs=(True,))
+    return record("dice_loss", out, [pred], backward_fn)
 
 
 def dice_score(pred_binary: np.ndarray, target_binary: np.ndarray) -> np.ndarray:
@@ -397,8 +397,6 @@ def split_dataset(volumes, rng, train_fraction: float = 0.8):
 
 
 def save_dataset(volumes, directory) -> None:
-    import os
-
     os.makedirs(directory, exist_ok=True)
     lines = []
     for i, vol in enumerate(volumes):
@@ -411,20 +409,41 @@ def save_dataset(volumes, directory) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def load_dataset(directory):
-    import os
+def _read_record(path) -> np.ndarray:
+    try:
+        return tensorio.read_tensor(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
+
+def load_dataset(directory):
+    """Volumes listed in ``manifest.txt``, one ``IMAGE MASKS`` pair of file
+    names per line. An image record is (1, M, D, H, W) and its masks record
+    (1, 3, D, H, W); anything else raises ``ValueError`` naming the file or
+    the manifest line."""
     manifest = os.path.join(directory, "manifest.txt")
     volumes = []
     with open(manifest, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for lineno, line in enumerate(fh, 1):
+            names = line.split()
+            if not names:
                 continue
-            img_name, msk_name = line.split()
-            image = tensorio.read_tensor(os.path.join(directory, img_name))[0]
-            masks = tensorio.read_tensor(os.path.join(directory, msk_name))[0]
-            volumes.append(LabeledVolume(image=image, masks=masks))
+            if len(names) != 2:
+                raise ValueError(
+                    f"{manifest} line {lineno}: want two file names "
+                    f"(image, masks), got {len(names)}")
+            img_path, msk_path = (os.path.join(directory, n) for n in names)
+            image, masks = _read_record(img_path), _read_record(msk_path)
+            if image.shape[0] != 1:
+                raise ValueError(
+                    f"{img_path}: image record must be (1, M, D, H, W), "
+                    f"got {image.shape}")
+            want = (1, len(REGIONS)) + image.shape[2:]
+            if masks.shape != want:
+                raise ValueError(
+                    f"{msk_path}: masks record must be {want} to match its "
+                    f"image, got {masks.shape}")
+            volumes.append(LabeledVolume(image=image[0], masks=masks[0]))
     if not volumes:
         raise ValueError(f"dataset manifest {manifest} lists no volumes")
     return volumes
@@ -503,10 +522,12 @@ def train(network, config: TrainingConfig, dataset, stored_activations: bool = F
     ``FloatingPointError`` naming the epoch and batch when a loss is not finite.
     """
     config.validate()
-    if not dataset:
-        raise ValueError("dataset is empty")
     rng = np.random.default_rng(config.seed)
     train_set, val_set = split_dataset(dataset, rng)
+    if not val_set:
+        raise ValueError(
+            f"validation split is empty: training needs at least 2 volumes, "
+            f"got {len(dataset)}")
     params = list(network.parameters())
     state = AdamState()
     history = []

@@ -20,7 +20,7 @@ from dataclasses import MISSING, dataclass, fields, replace
 
 import numpy as np
 
-from . import ops
+from . import ops, tensorio
 from .reversible import ConvUnit, Module, ReversibleSequence, he_kernel, make_block
 from .tensor import Parameter, ShapeError, Tensor
 from . import tape as tape_mod
@@ -355,8 +355,6 @@ def save_checkpoint(network: Network, prefix) -> None:
     fails leaves any earlier checkpoint at ``prefix`` whole and removes its
     temporary files.
     """
-    from . import tensorio
-
     prefix = str(prefix)
     params = list(network.parameters())
     texts = {".manifest": "".join(p.id + "\n" for p in params),
@@ -380,12 +378,12 @@ def save_checkpoint(network: Network, prefix) -> None:
         raise
 
 
-def load_checkpoint(prefix, seed: int = 0) -> Network:
-    from . import tensorio
-
+def load_checkpoint(prefix) -> Network:
+    """The network saved at ``prefix``; its ``.rvt`` must hold exactly one
+    record per manifest entry, in order, and nothing after the last."""
     prefix = str(prefix)
     spec = load_spec(prefix + ".arch")
-    network = build(spec, seed=seed)
+    network = build(spec)
     with open(prefix + ".manifest", "r", encoding="utf-8") as fh:
         ids = [line.strip() for line in fh if line.strip()]
     params = list(network.parameters())
@@ -399,4 +397,7 @@ def load_checkpoint(prefix, seed: int = 0) -> Network:
                     f"checkpoint tensor for {p.id} has shape {data.shape}, "
                     f"expected {p.value.shape}")
             p.value.data[...] = data
+        if fh.read(1):
+            raise ValueError(
+                f"{prefix}.rvt: bytes after the last parameter record")
     return network

@@ -311,6 +311,45 @@ class TestTrainEval:
         assert "Traceback" not in proc.stderr
         assert "left in the file" in proc.stderr
 
+    def test_eval_on_empty_batch_record_is_usage_error(self, tmp_path, tiny_spec):
+        import numpy as np
+
+        from revvolnet import tensorio
+        from revvolnet.unet import build, load_spec, save_checkpoint
+
+        save_checkpoint(build(load_spec(tiny_spec)), tmp_path / "ckpt")
+        data = tmp_path / "data"
+        data.mkdir()
+        tensorio.write_tensor(data / "img.rvt", np.zeros((0, 4, 8, 8, 8)))
+        tensorio.write_tensor(data / "msk.rvt", np.zeros((1, 3, 8, 8, 8)))
+        (data / "manifest.txt").write_text("img.rvt msk.rvt\n")
+        proc = run_cli("eval", "--checkpoint", str(tmp_path / "ckpt"),
+                       "--data", str(data))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "img.rvt: image record must be (1, M, D, H, W)" in proc.stderr
+
+    def test_eval_refuses_appended_checkpoint_record(self, tmp_path, tiny_spec):
+        import numpy as np
+
+        from revvolnet import tensorio
+        from revvolnet.unet import build, load_spec, save_checkpoint
+
+        save_checkpoint(build(load_spec(tiny_spec)), tmp_path / "ckpt")
+        with open(tmp_path / "ckpt.rvt", "ab") as fh:
+            tensorio.write_tensor(fh, np.zeros((1, 1, 1, 1, 1)))
+        proc = run_cli("eval", "--checkpoint", str(tmp_path / "ckpt"),
+                       "--synthetic", "1", "--size", "8")
+        assert proc.returncode == 2
+        assert "ckpt.rvt: bytes after the last parameter record" in proc.stderr
+
+    def test_train_on_one_volume_fails_before_training(self, tmp_path, tiny_spec):
+        proc = run_cli("train", "--spec", tiny_spec, "--synthetic", "1",
+                       "--size", "8", "--out", str(tmp_path / "run"))
+        assert proc.returncode == 2
+        assert "at least 2 volumes" in proc.stderr
+        assert "epoch 0" not in proc.stderr
+
     def test_non_finite_loss_exits_one_naming_epoch(self, tmp_path, tiny_spec):
         import numpy as np
 

@@ -463,6 +463,24 @@ class TestZeroExtentEverywhere:
             assert ops.add(x, x).element_count == 0
             assert ops.reduce_sum(x).item() == 0.0
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(0, 2, 4, 4, 4), (1, 2, 0, 4, 4),
+                                       (1, 2, 4, 4, 0)])
+    def test_conv3d_and_max_pool2_backward_on_empty_tensors(self, rng, shape):
+        x = Tensor(np.zeros(shape, np.float32))
+        k = Parameter(randn5(rng, (3, 2, 3, 3, 3)))
+        b = Parameter(randn5(rng, (1, 3, 1, 1, 1)))
+        with Tape() as tape:
+            y = ops.conv3d(x, k, b)
+            p = ops.max_pool2(y)
+            (gx,) = backprop(tape, ops.reduce_sum(p), wrt=[x])
+        d, h, w = shape[2:]
+        assert y.shape == (shape[0], 3, d, h, w)
+        assert p.shape == (shape[0], 3, d // 2, h // 2, w // 2)
+        assert gx.shape == shape
+        assert not k.grad.data.any()
+        assert not b.grad.data.any()
+
 
 class TestFiniteDifferences:
     def test_every_primitive_op_passes(self):

@@ -218,6 +218,23 @@ class TestBackprop:
         np.testing.assert_array_equal(
             grads[0], np.where(x.data >= 0, 1.0, 0.01).astype(np.float32))
 
+    def test_backward_receives_every_input_and_its_output(self, rng):
+        x = Tensor(randn5(rng, (1, 2, 4, 4, 4)))
+        seen = {}
+
+        def backward_fn(g, inputs, output):
+            seen["inputs"], seen["output"] = inputs, output
+            return (g * inputs[1], g * inputs[0])
+
+        with Tape() as tape:
+            y = ops.leaky_relu(x)
+            z = record("mul", Tensor(x.data * y.data), [x, y], backward_fn)
+            backprop(tape, ops.reduce_sum(z))
+        leaf, node = seen["inputs"]
+        np.testing.assert_array_equal(leaf, x.data)
+        np.testing.assert_array_equal(node, y.data)
+        np.testing.assert_array_equal(seen["output"], z.data)
+
     def test_zero_extent_flows_through_backward(self):
         x = Tensor(np.zeros((0, 2, 4, 4, 4), np.float32))
         k = Parameter(np.zeros((2, 2, 3, 3, 3), np.float32))

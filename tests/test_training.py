@@ -309,6 +309,39 @@ class TestDatasetIO:
             np.testing.assert_array_equal(a.image, b.image)
             np.testing.assert_array_equal(a.masks, b.masks)
 
+    @pytest.mark.parametrize("image_shape, masks_shape, bad", [
+        ((0, 4, 8, 8, 8), (1, 3, 8, 8, 8), "image"),
+        ((2, 4, 8, 8, 8), (1, 3, 8, 8, 8), "image"),
+        ((1, 4, 8, 8, 8), (1, 2, 8, 8, 8), "masks"),
+        ((1, 4, 8, 8, 8), (1, 3, 8, 8, 4), "masks"),
+        ((1, 4, 8, 8, 8), (2, 3, 8, 8, 8), "masks"),
+    ])
+    def test_malformed_record_names_its_file(self, tmp_path, image_shape,
+                                             masks_shape, bad):
+        from revvolnet import tensorio
+
+        tensorio.write_tensor(tmp_path / "image.rvt", np.zeros(image_shape))
+        tensorio.write_tensor(tmp_path / "masks.rvt", np.zeros(masks_shape))
+        (tmp_path / "manifest.txt").write_text("image.rvt masks.rvt\n")
+        with pytest.raises(ValueError, match=f"{bad}.rvt"):
+            load_dataset(tmp_path)
+
+    @pytest.mark.parametrize("line", ["case000_image.rvt",
+                                      "case000_image.rvt case000_masks.rvt x"])
+    def test_manifest_line_needs_two_names(self, tmp_path, line):
+        save_dataset(tiny_dataset(n=1, size=8), tmp_path)
+        (tmp_path / "manifest.txt").write_text(
+            "case000_image.rvt case000_masks.rvt\n\n" + line + "\n")
+        with pytest.raises(ValueError, match="manifest.txt line 3: want two"):
+            load_dataset(tmp_path)
+
+    def test_truncated_record_names_its_file(self, tmp_path):
+        save_dataset(tiny_dataset(n=1, size=8), tmp_path)
+        path = tmp_path / "case000_masks.rvt"
+        path.write_bytes(path.read_bytes()[:-4])
+        with pytest.raises(ValueError, match="case000_masks.rvt: truncated"):
+            load_dataset(tmp_path)
+
     def test_config_file_parsing(self):
         cfg = parse_config_text(
             "initial_lr=0.001\nlr_drop_epochs=10,20\nmax_epochs=50\n")
@@ -338,6 +371,14 @@ class TestTrainLoop:
         net = build(TINY, seed=0)
         with pytest.raises(ValueError, match="empty"):
             train(net, self._config(), [])
+
+    def test_single_volume_fails_before_the_first_step(self, monkeypatch):
+        steps = []
+        monkeypatch.setattr(training, "train_step",
+                            lambda *args, **kwargs: steps.append(1))
+        with pytest.raises(ValueError, match="at least 2 volumes, got 1"):
+            train(build(TINY, seed=0), self._config(), tiny_dataset(n=1, size=8))
+        assert steps == []
 
     def test_non_finite_loss_names_epoch_and_batch(self):
         vols = tiny_dataset(n=4, size=8)

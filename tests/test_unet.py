@@ -262,6 +262,16 @@ class TestCheckpoints:
             assert a.id == b.id
             np.testing.assert_array_equal(a.value.data, b.value.data)
 
+    def test_bytes_after_last_record_rejected(self, tmp_path):
+        from revvolnet import tensorio
+
+        save_checkpoint(build(ArchitectureSpec(levels=[4, 8], group_size=2)),
+                        tmp_path / "ckpt")
+        with open(tmp_path / "ckpt.rvt", "ab") as fh:
+            tensorio.write_tensor(fh, np.zeros((1, 1, 1, 1, 1)))
+        with pytest.raises(ValueError, match="ckpt.rvt: bytes after the last"):
+            load_checkpoint(tmp_path / "ckpt")
+
     def test_manifest_lists_ids_in_registry_order(self, tmp_path):
         net = build(ArchitectureSpec(levels=[4, 8], group_size=2), seed=0)
         save_checkpoint(net, tmp_path / "ckpt")
