@@ -18,7 +18,29 @@ The products run over column tiles of the flattened output, about
 one tile before the next: the tile and the input columns it reads stay in
 the L2 cache instead of streaming the whole accumulator once per offset
 (cache blocking after Goto and van de Geijn 2008). A grid that fits one
-tile runs a single iteration.
+tile runs a single iteration. The padded grid is a zeroed array with the
+input assigned to its interior.
+
+The pointwise and resampling kernels make as few full-size passes as they
+can, since each pass streams the whole activation:
+
+- ``group_norm`` forward: the group means, one centred copy ``x - mu``, the
+  sum of its squares by one BLAS dot per group (no product array, and no
+  cancellation of E[x^2] - E[x]^2 at a large mean), then a per-channel
+  scale and shift in place on the centred copy, which becomes the output.
+  Backward: the centred copy again, per-channel sums of ``g`` and of
+  ``g * (x - mu)``, and ``gx = a*g + k*(x - mu) + c`` with a per channel
+  and k, c per group.
+- ``leaky_relu`` forward: one product ``s*x`` and one elementwise maximum
+  (minimum for s > 1) in place, with no boolean select; a slope <= 0 adds
+  one masked copy to stay exact at signed zeros and infinities.
+- ``max_pool2``: the forward takes pairwise maxima over strided views. The
+  backward walks the eight block positions in scan order with a mask of
+  blocks not yet routed, and writes ``g`` into a strided view of a zeroed
+  gradient.
+- ``upsample2``: one contiguous batched matmul per axis (W, H, then D, each
+  reading a reshaped view of the previous result, so nothing is transposed
+  or copied); the backward applies the transposed matrices in reverse.
 """
 
 import numpy as np
@@ -100,7 +122,11 @@ def _padded_grid(x, pads):
     """``x`` zero-padded on its spatial axes; a contiguous unpadded ``x`` as is."""
     if not any(pads):
         return np.ascontiguousarray(x)
-    return np.pad(x, ((0, 0), (0, 0)) + tuple((p, p) for p in pads))
+    b, c, d, h, w = x.shape
+    pd, ph, pw = pads
+    xp = np.zeros((b, c, d + 2 * pd, h + 2 * ph, w + 2 * pw), dtype=np.float32)
+    xp[:, :, pd:pd + d, ph:ph + h, pw:pw + w] = x
+    return xp
 
 
 def _shift_gemm_plan(w, hp, wp, out_spatial):
@@ -238,42 +264,66 @@ def group_norm(x: Tensor, gamma: Parameter, beta: Parameter, group_size: int,
         return record("group_norm", out, [x],
                       lambda g, _i, _o: (np.zeros_like(g),), params=(gamma, beta))
 
-    xg = x.data.reshape(b, groups, group_size, d, h, w)
-    mu = xg.mean(axis=(2, 3, 4, 5), keepdims=True)
-    var = xg.var(axis=(2, 3, 4, 5), keepdims=True)
-    istd = 1.0 / np.sqrt(var + np.float32(epsilon))
-    x_hat = (xg - mu) * istd
-    out_data = x_hat.reshape(x.shape) * gamma.value.data + beta.value.data
-    out = Tensor(np.ascontiguousarray(out_data))
+    gshape = (b, groups, group_size, d * h * w)
+    xg = x.data.reshape(gshape)
+    mu = xg.reshape(b, groups, -1).mean(axis=2)[:, :, None, None]
+    # the centred copy gives the variance without the cancellation of
+    # E[x^2] - E[x]^2, and then becomes the output in place
+    xc = xg - mu
+    n = group_size * d * h * w
+    var = _row_dots(xc.reshape(b, groups, n), xc.reshape(b, groups, n)) / n
+    istd = (1.0 / np.sqrt(var + np.float32(epsilon)))[:, :, None]
+    gam = gamma.value.data.reshape(groups, group_size)
+    xc *= (gam * istd)[..., None]
+    xc += beta.value.data.reshape(groups, group_size, 1)
+    out = Tensor(xc.reshape(x.shape))
 
     gamma_ref, beta_ref = gamma, beta
-    saved_mu, saved_istd = mu, istd  # (B, G, 1, 1, 1, 1) each: negligible bytes
+    saved_mu, saved_istd = mu, istd  # (B, G, 1, 1) and (B, G, 1): negligible bytes
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
-        xg = x_val.reshape(b, groups, group_size, d, h, w)
-        x_hat = (xg - saved_mu) * saved_istd
-        gg = g.reshape(b, groups, group_size, d, h, w)
-        gam = gamma_ref.value.data.reshape(1, groups, group_size, 1, 1, 1)
-
-        beta_ref.grad.data += g.sum(axis=(0, 2, 3, 4), keepdims=True)
-        gamma_ref.grad.data += (gg * x_hat).reshape(x_val.shape).sum(
-            axis=(0, 2, 3, 4), keepdims=True)
-
-        gy_gam = gg * gam
-        mean_gy = gy_gam.mean(axis=(2, 3, 4, 5), keepdims=True)
-        mean_gy_xhat = (gy_gam * x_hat).mean(axis=(2, 3, 4, 5), keepdims=True)
-        gx = saved_istd * (gy_gam - mean_gy - x_hat * mean_gy_xhat)
-        return (np.ascontiguousarray(gx.reshape(x_val.shape)),)
+        gg = g.reshape(gshape)
+        xc = x_val.reshape(gshape) - saved_mu
+        # per (sample, channel) sums of g and of g * (x - mu)
+        sg = gg.sum(axis=3)
+        sgx = _row_dots(gg, xc)
+        gam = gamma_ref.value.data.reshape(groups, group_size)
+        beta_ref.grad.data += sg.sum(axis=0).reshape(beta_ref.grad.shape)
+        gamma_ref.grad.data += (sgx * saved_istd).sum(axis=0).reshape(
+            gamma_ref.grad.shape)
+        # istd * (gamma*g - mean(gamma*g) - x_hat * mean(gamma*g*x_hat))
+        # = a*g + k*(x - mu) + c: a per channel, k and c per group
+        m1 = (gam * sg).sum(axis=2, keepdims=True) / n
+        m2 = (gam * sgx).sum(axis=2, keepdims=True) / n
+        gx = gg * (gam * saved_istd)[..., None]
+        xc *= (-saved_istd ** 3 * m2)[..., None]
+        gx += xc
+        gx += (-saved_istd * m1)[..., None]
+        return (gx.reshape(x_val.shape),)
 
     return record("group_norm", out, [x], backward_fn, params=(gamma, beta))
+
+
+def _row_dots(a, b):
+    """Sum over the last axis of ``a * b``: one BLAS dot per row, with no
+    product array formed."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     """x for x >= 0, slope * x otherwise."""
     _check_axes(x, "leaky_relu input")
     s = np.float32(slope)
-    out = Tensor(np.where(x.data >= 0, x.data, s * x.data))
+    # for s <= 1 the branch taken is the larger of x and s*x (the smaller for
+    # s > 1), so one product and one elementwise max replace the select
+    out_data = s * x.data
+    (np.minimum if s > 1 else np.maximum)(x.data, out_data, out=out_data)
+    if s <= 0:
+        # here x = +-0 ties s*x = -+0 (numpy leaves the winner open) and
+        # 0 * inf is NaN, so x >= 0 takes x itself
+        np.copyto(out_data, x.data, where=x.data >= 0)
+    out = Tensor(out_data)
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
@@ -307,10 +357,6 @@ def max_pool2(x: Tensor) -> Tensor:
         raise ShapeError(f"max_pool2 requires even spatial extents, got {x.shape[2:]}")
     d2, h2, w2 = d // 2, h // 2, w // 2
 
-    def blocks(arr):
-        v = arr.reshape(b, c, d2, 2, h2, 2, w2, 2)
-        return v.transpose(0, 1, 2, 4, 6, 3, 5, 7).reshape(b, c, d2, h2, w2, 8)
-
     # three pairwise maxima over strided views (z, then y, then x); no copy
     # of the input is formed, and a NaN in a block still wins
     v = x.data.reshape(b, c, d2, 2, h2, 2, w2, 2)
@@ -318,15 +364,22 @@ def max_pool2(x: Tensor) -> Tensor:
     m = np.maximum(m[:, :, :, :, 0], m[:, :, :, :, 1])
     out = Tensor(np.ascontiguousarray(np.maximum(m[..., 0], m[..., 1])))
 
-    def backward_fn(g, inputs, _output):
+    def backward_fn(g, inputs, output):
         (x_val,) = inputs
-        v = blocks(x_val)
-        winners = v.argmax(axis=-1)  # first maximum in (dz, dy, dx) scan order
-        scattered = np.zeros_like(v)
-        np.put_along_axis(scattered, winners[..., None], g[..., None], axis=-1)
-        gx = scattered.reshape(b, c, d2, h2, w2, 2, 2, 2)
-        gx = gx.transpose(0, 1, 2, 5, 3, 6, 4, 7).reshape(b, c, d, h, w)
-        return (np.ascontiguousarray(gx),)
+        v = x_val.reshape(b, c, d2, 2, h2, 2, w2, 2)
+        gx = np.zeros(x_val.shape, dtype=np.float32)
+        gv = gx.reshape(v.shape)
+        # the eight block positions in (dz, dy, dx) scan order: each block's
+        # gradient goes to the first voxel equal to its maximum, or to its
+        # first NaN, and the block is then no longer free
+        free = np.ones(output.shape, dtype=bool)
+        for dz, dy, dx in np.ndindex(2, 2, 2):
+            xk = v[:, :, :, dz, :, dy, :, dx]
+            hit = (xk == output) | np.isnan(xk)
+            hit &= free
+            np.copyto(gv[:, :, :, dz, :, dy, :, dx], g, where=hit)
+            free ^= hit
+        return (gx,)
 
     return record("max_pool2", out, [x], backward_fn)
 
@@ -356,28 +409,25 @@ def _interp_matrix(n_in: int) -> np.ndarray:
     return m
 
 
-def _apply_axis(arr, mat, axis):
-    moved = np.tensordot(arr, mat, axes=([axis], [1]))
-    return np.moveaxis(moved, -1, axis)
-
-
 def upsample2(x: Tensor) -> Tensor:
     """Trilinear upsampling that doubles every spatial extent; the backward
     pass is the exact transpose scatter."""
     _check_axes(x, "upsample2 input")
     b, c, d, h, w = x.shape
-    mats = (_interp_matrix(d), _interp_matrix(h), _interp_matrix(w))
+    md, mh, mw = _interp_matrix(d), _interp_matrix(h), _interp_matrix(w)
 
-    data = x.data
-    for axis, mat in zip((2, 3, 4), mats):
-        data = _apply_axis(data, mat, axis)
-    out = Tensor(np.ascontiguousarray(data))
+    # one contiguous batched matmul per axis, W then H then D; each result is
+    # already in the layout the next one reads, so nothing is transposed
+    y = x.data.reshape(b * c * d * h, w) @ mw.T
+    y = np.matmul(mh, y.reshape(b * c * d, h, 2 * w))
+    y = np.matmul(md, y.reshape(b * c, d, 4 * h * w))
+    out = Tensor(y.reshape(b, c, 2 * d, 2 * h, 2 * w))
 
     def backward_fn(g, _inputs, _output):
-        gx = g
-        for axis, mat in zip((2, 3, 4), mats):
-            gx = _apply_axis(gx, mat.T, axis)
-        return (np.ascontiguousarray(gx),)
+        gx = np.matmul(md.T, g.reshape(b * c, 2 * d, 4 * h * w))
+        gx = np.matmul(mh.T, gx.reshape(b * c * d, 2 * h, 2 * w))
+        gx = gx.reshape(b * c * d * h, 2 * w) @ mw
+        return (gx.reshape(b, c, d, h, w),)
 
     return record("upsample2", out, [x], backward_fn)
 

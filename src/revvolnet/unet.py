@@ -15,6 +15,7 @@ steps on an empty batch, so the model lists exactly the activations the
 executor retains.
 """
 
+import math
 import os
 from dataclasses import MISSING, dataclass, fields, replace
 
@@ -59,6 +60,12 @@ class ArchitectureSpec:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.kernel_size % 2 == 0:
             raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
+        # a zero or negative epsilon divides by zero on a constant group
+        if not (math.isfinite(self.norm_epsilon) and self.norm_epsilon > 0):
+            raise ValueError(
+                f"norm_epsilon must be finite and > 0, got {self.norm_epsilon}")
+        if not math.isfinite(self.leaky_slope):
+            raise ValueError(f"leaky_slope must be finite, got {self.leaky_slope}")
         for w in self.levels:
             if w <= 0:
                 raise ValueError(f"levels entries must be positive, got {self.levels}")

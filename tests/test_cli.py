@@ -152,6 +152,16 @@ class TestEstimateMemory:
         assert proc.returncode == 2
         assert proc.stderr.strip()
 
+    @pytest.mark.parametrize("line", ["norm_epsilon=0", "norm_epsilon=-1",
+                                      "leaky_slope=nan"])
+    def test_unusable_scalar_field_is_usage_error(self, tmp_path, line):
+        spec = tmp_path / "bad.spec"
+        spec.write_text(TINY_SPEC + line + "\n")
+        proc = run_cli("estimate-memory", "--spec", str(spec))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert line.split("=")[0] in proc.stderr
+
     def test_indivisible_input_shape_is_usage_error(self):
         spec = Path(__file__).parents[1] / "specs" / "desk_reversible.spec"
         proc = run_cli("estimate-memory", "--spec", str(spec),

@@ -283,6 +283,40 @@ class TestGroupNorm:
             y = ops.group_norm(x, g, b, group_size=2)
         assert y.shape == x.shape
 
+    def test_forward_and_gradients_match_float64_oracle_at_mean_100(self, rng):
+        # B=2, 2 groups of 3 channels, inputs offset by 100: E[x^2] - E[x]^2
+        # in float32 would lose the variance to cancellation here
+        x = (rng.standard_normal((2, 6, 3, 4, 5)) + 100.0).astype(np.float32)
+        gam = rng.uniform(0.5, 1.5, (1, 6, 1, 1, 1)).astype(np.float32)
+        bet = randn5(rng, (1, 6, 1, 1, 1), scale=1.0)
+        probe = randn5(rng, x.shape, scale=1.0)
+        eps = 1e-5
+        g, b = Parameter(gam.copy()), Parameter(bet.copy())
+        xt = Tensor(x.copy())
+        with Tape() as tape:
+            y = ops.group_norm(xt, g, b, group_size=3, epsilon=eps)
+            (gx,) = backprop(tape, ops.weighted_sum(y, probe), wrt=[xt])
+
+        x64 = x.astype(np.float64).reshape(2, 2, -1)
+        x_hat = ((x64 - x64.mean(axis=2, keepdims=True))
+                 / np.sqrt(x64.var(axis=2, keepdims=True) + eps)).reshape(x.shape)
+        want_y = x_hat * gam + bet
+        gy = probe.astype(np.float64)
+        want_gb = gy.sum(axis=(0, 2, 3, 4), keepdims=True)
+        want_gg = (gy * x_hat).sum(axis=(0, 2, 3, 4), keepdims=True)
+        gh = (gy * gam).reshape(2, 2, -1)
+        xh = x_hat.reshape(2, 2, -1)
+        istd = 1.0 / np.sqrt(x64.var(axis=2, keepdims=True) + eps)
+        want_gx = (istd * (gh - gh.mean(axis=2, keepdims=True)
+                           - xh * (gh * xh).mean(axis=2, keepdims=True))
+                   ).reshape(x.shape)
+        # errors relative to the largest magnitude; float32 rounding of the
+        # mean near 100 alone costs about 5e-6 in y and 3e-5 in d_gamma
+        for got, want, tol in ((y.data, want_y, 2e-5), (gx, want_gx, 1e-5),
+                               (g.grad.data, want_gg, 1e-4),
+                               (b.grad.data, want_gb, 1e-6)):
+            assert np.abs(got - want).max() <= tol * np.abs(want).max()
+
 
 class TestLeakyRelu:
     def test_positive_passthrough(self):
@@ -304,6 +338,18 @@ class TestLeakyRelu:
         # central finite difference oracle
         fd = (((-2.0 + 1e-3) * 0.01) - ((-2.0 - 1e-3) * 0.01)) / 2e-3
         assert gx.reshape(()) == pytest.approx(fd, abs=1e-4)
+
+    @pytest.mark.parametrize("slope", [0.01, 0.2, 1.0, 2.0, -0.5, 0.0])
+    def test_matches_where_bit_for_bit(self, rng, slope):
+        # 105 elements: the specials sit in vector lanes and in the tail
+        x = randn5(rng, (1, 1, 3, 5, 7), scale=3.0)
+        specials = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45]
+        x.flat[:7] = x.flat[-7:] = specials
+        s = np.float32(slope)
+        with no_record(), np.errstate(invalid="ignore"):  # 0 * inf
+            y = ops.leaky_relu(Tensor(x.copy()), slope).data
+            want = np.where(x >= 0, x, s * x)
+        np.testing.assert_array_equal(y.view(np.uint32), want.view(np.uint32))
 
 
 class TestSigmoid:
@@ -380,6 +426,29 @@ class TestMaxPool2:
         assert gx[1, 2, 3, 2, 5] == 0.0
 
 
+def trilinear_oracle(x):
+    """Per-voxel float64 trilinear upsampling by 2 (align-corners-false,
+    source coordinates clamped into the input)."""
+    b, c = x.shape[:2]
+    ext = x.shape[2:]
+
+    def taps(o, n):
+        src = min(max((o + 0.5) / 2.0 - 0.5, 0.0), n - 1)
+        i0 = int(np.floor(src))
+        i1 = min(i0 + 1, n - 1)
+        return ((i0, 1.0 - (src - i0)), (i1, src - i0))
+
+    out = np.zeros((b, c) + tuple(2 * n for n in ext), np.float64)
+    for oz, oy, ox in np.ndindex(*out.shape[2:]):
+        acc = np.zeros((b, c), np.float64)
+        for iz, wz in taps(oz, ext[0]):
+            for iy, wy in taps(oy, ext[1]):
+                for ix, wx in taps(ox, ext[2]):
+                    acc += wz * wy * wx * x[:, :, iz, iy, ix]
+        out[:, :, oz, oy, ox] = acc
+    return out
+
+
 class TestUpsample2:
     def test_constant_preserved(self):
         x = Tensor(np.full((1, 2, 2, 2, 2), -1.25, np.float32))
@@ -408,6 +477,74 @@ class TestUpsample2:
                                    [0.0, 0.25, 0.75, 1.0], atol=1e-6)
         np.testing.assert_allclose(y.data[0, 0, :, 1, 1],
                                    [0.0, 0.25, 0.75, 1.0], atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 1, 2, 3), (2, 2, 5, 3, 1),
+                                       (2, 1, 3, 5, 2), (2, 2, 2, 1, 5)])
+    def test_forward_matches_trilinear_formula(self, rng, shape):
+        x = randn5(rng, shape, scale=1.0)
+        with no_record():
+            y = ops.upsample2(Tensor(x.copy()))
+        want = trilinear_oracle(x.astype(np.float64))
+        np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("shape", [(2, 3, 1, 2, 3), (2, 2, 5, 3, 1),
+                                       (2, 1, 3, 5, 2)])
+    def test_backward_is_the_adjoint(self, rng, shape):
+        # <up(x), g> = <x, up^T(g)>, both sides in float64 from the oracle
+        x = randn5(rng, shape, scale=1.0)
+        xt = Tensor(x.copy())
+        with Tape() as tape:
+            y = ops.upsample2(xt)
+            probe = randn5(rng, y.shape, scale=1.0)
+            (gx,) = backprop(tape, ops.weighted_sum(y, probe), wrt=[xt])
+        lhs = (trilinear_oracle(x.astype(np.float64)) * probe).sum()
+        rhs = (x.astype(np.float64) * gx).sum()
+        assert rhs == pytest.approx(lhs, rel=1e-6, abs=1e-6)
+        # and voxel by voxel: the gradient is the oracle's transpose
+        basis = np.zeros(shape, np.float64)
+        for idx in np.ndindex(*shape):
+            basis[idx] = 1.0
+            want = (trilinear_oracle(basis) * probe).sum()
+            basis[idx] = 0.0
+            assert gx[idx] == pytest.approx(want, rel=1e-5, abs=1e-6)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("shape", [(2, 2, 0, 3, 5), (2, 2, 3, 5, 0)])
+    def test_zero_depth_and_width(self, shape):
+        xt = Tensor(np.zeros(shape, np.float32))
+        with Tape() as tape:
+            y = ops.upsample2(xt)
+            (gx,) = backprop(tape, ops.reduce_sum(y), wrt=[xt])
+        assert y.shape == shape[:2] + tuple(2 * n for n in shape[2:])
+        assert gx.shape == shape
+
+
+class TestKernelScratch:
+    """tracemalloc peak of one forward plus backward at 1x10x32^3, as a
+    multiple of the input bytes: the kernels' full-size temporaries."""
+
+    @staticmethod
+    def _peak_ratio(fn, rng):
+        x = Tensor(randn5(rng, (1, 10, 32, 32, 32), scale=1.0))
+        tracemalloc.start()
+        try:
+            with Tape() as tape:
+                backprop(tape, ops.reduce_sum(fn(x)), wrt=[x])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / x.nbytes
+
+    def test_group_norm(self, rng):
+        g = Parameter(np.ones((1, 10, 1, 1, 1), np.float32))
+        b = Parameter(np.zeros((1, 10, 1, 1, 1), np.float32))
+        assert self._peak_ratio(lambda t: ops.group_norm(t, g, b, 5), rng) < 4.5
+
+    def test_max_pool2(self, rng):
+        assert self._peak_ratio(ops.max_pool2, rng) < 2.0
+
+    def test_upsample2(self, rng):
+        assert self._peak_ratio(ops.upsample2, rng) < 24.0
 
 
 class TestConcatSplit:

@@ -37,6 +37,16 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             spec.validate()
 
+    @pytest.mark.parametrize("field, value", [
+        ("norm_epsilon", 0.0), ("norm_epsilon", -1.0),
+        ("norm_epsilon", float("nan")), ("norm_epsilon", float("inf")),
+        ("leaky_slope", float("nan")), ("leaky_slope", float("inf")),
+        ("leaky_slope", float("-inf"))])
+    def test_epsilon_and_slope_must_be_usable(self, field, value):
+        spec = ArchitectureSpec(levels=[10, 20], group_size=5, **{field: value})
+        with pytest.raises(ValueError, match=field):
+            spec.validate()
+
     def test_paired_flips_reversibility(self):
         spec = ArchitectureSpec(levels=[10, 20], group_size=5)
         assert spec.paired().reversible is False
