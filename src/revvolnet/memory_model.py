@@ -4,7 +4,7 @@ Two closed-form totals are computed from a network's trace (the activations
 its stored-activation execution records, see ``Network.trace``), all in exact
 integer bytes:
 
-* stored-activation training (every layer output retained)::
+* stored-activation training (every saved layer output retained)::
 
       total_nonrev = sum(M_A + M_P over layers) + max(M_D over layers)
 
@@ -18,6 +18,14 @@ integer bytes:
 where M_A/M_N/M_S are activation bytes, M_P is parameter-related bytes
 (value, gradient and optimizer state, ``optimizer_multiplier`` copies of the
 raw parameter bytes) and M_D is one activation-gradient buffer.
+
+The tape retains only the outputs some backward reads, and the model mirrors
+it: each term carries the trace's ``saved`` flag, and M_A and M_N sum the
+activation bytes of saved terms only. M_S sums every boundary, saved in the
+stored trace or not, because a reversible sequence's node always keeps its
+output for its backward. So ``sum(M_A)`` is what the stored-mode tape retains
+after the forward pass, and ``sum(M_N) + sum(M_S)`` what the reversible-mode
+tape retains.
 
 M_B models this engine's per-block backward strategy: while one block is
 processed, at most BLOCK_BACKWARD_HALF_BUFFERS half-width tensors are live at
@@ -48,6 +56,7 @@ class LayerCost:
     param_bytes: int
     derivative_bytes: int
     backward_transient_bytes: int = 0
+    saved: bool = False  # the stored-mode tape retains this activation
 
 
 @dataclass
@@ -72,6 +81,7 @@ class MemoryReport:
                     "param_bytes": t.param_bytes,
                     "derivative_bytes": t.derivative_bytes,
                     "backward_transient_bytes": t.backward_transient_bytes,
+                    "saved": t.saved,
                 }
                 for t in self.terms
             ],
@@ -79,12 +89,13 @@ class MemoryReport:
         return json.dumps(doc, indent=2)
 
     def to_table(self) -> str:
-        header = f"{'layer':<28}{'kind':<10}{'M_A bytes':>14}{'M_P bytes':>14}" \
-                 f"{'M_D bytes':>14}{'M_B bytes':>14}"
+        header = f"{'layer':<28}{'kind':<10}{'M_A bytes':>14}{'saved':>7}" \
+                 f"{'M_P bytes':>14}{'M_D bytes':>14}{'M_B bytes':>14}"
         lines = [header, "-" * len(header)]
         for t in self.terms:
             lines.append(
                 f"{t.layer:<28}{t.kind:<10}{t.activation_bytes:>14}"
+                f"{'yes' if t.saved else 'no':>7}"
                 f"{t.param_bytes:>14}{t.derivative_bytes:>14}"
                 f"{t.backward_transient_bytes:>14}"
             )
@@ -121,15 +132,17 @@ def estimate(network, input_shape, optimizer_multiplier: int = 4) -> MemoryRepor
                 param_bytes=e.param_elems * BYTES * optimizer_multiplier,
                 derivative_bytes=act,
                 backward_transient_bytes=transient,
+                saved=e.saved,
             )
         )
 
-    sum_m_a = sum(t.activation_bytes for t in terms)
+    sum_m_a = sum(t.activation_bytes for t in terms if t.saved)
     sum_m_p = sum(t.param_bytes for t in terms)
     max_m_d = max((t.derivative_bytes for t in terms), default=0)
     total_nonrev = sum_m_a + sum_m_p + max_m_d
 
-    sum_m_n = sum(t.activation_bytes for t in terms if t.kind in ("input", "nonrev"))
+    sum_m_n = sum(t.activation_bytes for t in terms
+                  if t.saved and t.kind in ("input", "nonrev"))
     sum_m_s = sum(t.activation_bytes for t in terms if t.kind == "boundary")
     max_m_b = max((t.backward_transient_bytes for t in terms), default=0)
     total_prev = sum_m_n + sum_m_s + sum_m_p + max_m_b

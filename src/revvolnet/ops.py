@@ -2,9 +2,12 @@
 
 Every op validates shapes up front, computes the forward result with numpy,
 and registers a tape node whose backward closure produces the input gradients
-and accumulates parameter gradients. The tape hands each closure its input
-values and its output, so closures capture parameters and small saved
-statistics only. The closures carry no test hook: the gradient checker
+and accumulates parameter gradients. Each op declares what its closure reads
+(``saves``): ``conv3d``, ``group_norm`` and ``leaky_relu`` their input,
+``sigmoid`` its output, ``max_pool2`` both, and the resampling, channel
+plumbing, arithmetic and reductions nothing. The tape retains and hands over
+only those values, so closures capture parameters and small saved statistics
+only. The closures carry no test hook: the gradient checker
 corrupts gradients by op name in ``tape.backward``. Empty tensors (batch 0 or
 a zero spatial extent) run through the general kernels; only ``group_norm``,
 whose statistics are undefined there, keeps a branch for them.
@@ -33,7 +36,8 @@ can, since each pass streams the whole activation:
   and k, c per group.
 - ``leaky_relu`` forward: one product ``s*x`` and one elementwise maximum
   (minimum for s > 1) in place, with no boolean select; a slope <= 0 adds
-  one masked copy to stay exact at signed zeros and infinities.
+  one masked copy to stay exact at signed zeros and infinities. Backward:
+  the factor ``[s, 1][x >= 0]`` by one ``take``, then ``*= g`` in place.
 - ``max_pool2``: the forward takes pairwise maxima over strided views. The
   backward walks the eight block positions in scan order with a mask of
   blocks not yet routed, and writes ``g`` into a strided view of a zeroed
@@ -115,7 +119,8 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
         return (gx,)
 
     node_params = (kernel,) if bias is None else (kernel, bias)
-    return record("conv3d", out, [x], backward_fn, params=node_params)
+    return record("conv3d", out, [x], backward_fn, params=node_params,
+                  saves=("inputs",))
 
 
 def _padded_grid(x, pads):
@@ -261,8 +266,11 @@ def group_norm(x: Tensor, gamma: Parameter, beta: Parameter, group_size: int,
 
     if x.element_count == 0:
         out = Tensor(np.zeros_like(x.data))
+        # declares what the general path does, so an empty-batch trace
+        # retains what a real step does
         return record("group_norm", out, [x],
-                      lambda g, _i, _o: (np.zeros_like(g),), params=(gamma, beta))
+                      lambda g, _i, _o: (np.zeros_like(g),), params=(gamma, beta),
+                      saves=("inputs",))
 
     gshape = (b, groups, group_size, d * h * w)
     xg = x.data.reshape(gshape)
@@ -302,7 +310,8 @@ def group_norm(x: Tensor, gamma: Parameter, beta: Parameter, group_size: int,
         gx += (-saved_istd * m1)[..., None]
         return (gx.reshape(x_val.shape),)
 
-    return record("group_norm", out, [x], backward_fn, params=(gamma, beta))
+    return record("group_norm", out, [x], backward_fn, params=(gamma, beta),
+                  saves=("inputs",))
 
 
 def _row_dots(a, b):
@@ -325,11 +334,17 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
         np.copyto(out_data, x.data, where=x.data >= 0)
     out = Tensor(out_data)
 
+    # the branch's factor, picked by indexing [s, 1] with the sign test, then
+    # scaled by g in place: no select over three full-size arrays
+    factors = np.array([s, 1], dtype=np.float32)
+
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
-        return (np.where(x_val >= 0, g, s * g),)
+        gx = factors.take((x_val >= 0).view(np.uint8))
+        gx *= g
+        return (gx,)
 
-    return record("leaky_relu", out, [x], backward_fn)
+    return record("leaky_relu", out, [x], backward_fn, saves=("inputs",))
 
 
 def sigmoid(x: Tensor) -> Tensor:
@@ -341,7 +356,7 @@ def sigmoid(x: Tensor) -> Tensor:
     def backward_fn(g, _inputs, output):
         return (g * output * (1.0 - output),)
 
-    return record("sigmoid", out, [x], backward_fn)
+    return record("sigmoid", out, [x], backward_fn, saves=("output",))
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +396,8 @@ def max_pool2(x: Tensor) -> Tensor:
             free ^= hit
         return (gx,)
 
-    return record("max_pool2", out, [x], backward_fn)
+    return record("max_pool2", out, [x], backward_fn,
+                  saves=("inputs", "output"))
 
 
 _interp_cache = {}
@@ -509,7 +525,9 @@ def weighted_sum(x: Tensor, weights: np.ndarray) -> Tensor:
     w = np.ascontiguousarray(weights, dtype=np.float32)
     if w.shape != x.shape:
         raise ShapeError(f"weights shape {w.shape} does not match input {x.shape}")
-    out = Tensor.scalar(float((x.data.astype(np.float64) * w).sum()))
+    # einsum casts to float64 through small buffers, not a whole-input copy
+    out = Tensor.scalar(float(np.einsum("i,i->", x.data.ravel(), w.ravel(),
+                                        dtype=np.float64, casting="safe")))
 
     def backward_fn(g, _inputs, _output):
         return (w * g.reshape(()),)

@@ -140,7 +140,7 @@ class ReversibleSequence(Module):
             return (sequence_backward(seq, grad_out, output),)
 
         return record("reversible_sequence", y, [x], backward_fn,
-                      params=tuple(self.parameters()))
+                      params=tuple(self.parameters()), saves=("output",))
 
     def forward_stored(self, x: Tensor) -> Tensor:
         c = x.shape[1]

@@ -1,18 +1,27 @@
 """Operation tape and the reverse-mode backward engine.
 
-A tape is an ordered record of executed operations. Each node keeps its
-output tensor alive so that consumers can read it during the backward pass;
-once released, reading its output raises ``MissingActivationError``.
+A tape is an ordered record of executed operations. Each op declares once,
+in ``record``, what its backward reads: the values of its inputs
+(``saves=("inputs",)``), its own output (``("output",)``), both, or nothing
+(the default). The tape keeps only what some backward reads:
+
+* a node keeps its own output only if it saves ``"output"``;
+* a consumer that saves ``"inputs"`` makes each producer node it reads keep
+  its output (``retained_out``) from the moment the consumer is recorded;
+* a leaf input (a tensor from outside the tape) stays referenced by its slot.
+
+Every node also keeps its output shape, which ``Network.trace`` reads.
 ``retained_bytes`` is the sum of the outputs the tape still holds.
 
 The backward pass walks the node list in reverse. A node's gradient buffer is
 complete once all of its consumers (which appear later on the tape) have been
 processed, so the buffer is consumed and released immediately when the node
-itself is visited; at completion no gradient buffer is live. Each node's
-backward receives every input value (a leaf's data or the producer's retained
-output) and its own output. Both are still held when it runs: a node releases
-its output only after its own backward, and a producer's backward runs after
-its consumers'.
+itself is visited; at completion no gradient buffer is live. A node's backward
+receives its input values and its output if it declared them, and ``None`` in
+their place otherwise, so a declaration that leaves out a value the backward
+reads fails loudly. A retained output is released after its node's own
+backward, which runs after every consumer's; reading a released output raises
+``MissingActivationError``.
 
 ``FAULTS`` is the gradient checker's fault hook (``gradcheck
 --inject-fault``): for a node whose op name is a key, ``backward``
@@ -32,6 +41,7 @@ from .tensor import ShapeError, Tensor
 
 FAULTS = {}
 FAULTS_APPLIED = set()
+SAVES = ("inputs", "output")  # what a backward may declare that it reads
 
 
 class MissingActivationError(RuntimeError):
@@ -43,19 +53,23 @@ class TapeNode:
         "name",
         "op",
         "input_slots",  # tuple of ("node", TapeNode) / ("leaf", Tensor) entries
-        "retained_out",
+        "saves",  # the subset of SAVES its backward reads
+        "retained_out",  # its output while some backward may read it, else None
+        "out_shape",
         "backward_fn",
         "params",  # parameters whose gradients this node's backward writes
         "_tape_ref",
         "__weakref__",
     )
 
-    def __init__(self, name, op, input_slots, retained_out, backward_fn,
-                 params, tape):
+    def __init__(self, name, op, input_slots, saves, retained_out, out_shape,
+                 backward_fn, params, tape):
         self.name = name
         self.op = op
         self.input_slots = input_slots
+        self.saves = saves
         self.retained_out = retained_out
+        self.out_shape = out_shape
         self.backward_fn = backward_fn
         self.params = params
         self._tape_ref = weakref.ref(tape)
@@ -122,14 +136,20 @@ def no_record():
         _TAPE_STACK.pop()
 
 
-def record(op, out, inputs, backward_fn, *, params=()):
+def record(op, out, inputs, backward_fn, *, params=(), saves=()):
     """Register an executed op on the ambient tape, if one is active.
 
-    ``backward_fn(grad_out, input_values, output_value)`` receives the value
-    of every input, in order, and the op's own output. It must return one
+    ``backward_fn(grad_out, input_values, output_value)`` must return one
     gradient array (or None) per input and must not mutate ``grad_out``.
+    ``saves`` declares what it reads: with ``"inputs"`` it receives the value
+    of every input, in order, and with ``"output"`` the op's own output; an
+    undeclared value arrives as None (one None per input for the inputs).
     ``params`` are the parameters whose gradients it accumulates.
     """
+    saves = tuple(saves)
+    for entry in saves:
+        if entry not in SAVES:
+            raise ValueError(f"record({op!r}): saves entry {entry!r} is not one of {SAVES}")
     tape = current_tape()
     if tape is None:
         return out
@@ -138,13 +158,17 @@ def record(op, out, inputs, backward_fn, *, params=()):
         node = t.node()
         if node is not None and node.tape() is tape:
             slots.append(("node", node))
+            if "inputs" in saves:
+                node.retained_out = t
         else:
             slots.append(("leaf", t))
     node = TapeNode(
         name=tape.next_name(op),
         op=op,
         input_slots=tuple(slots),
-        retained_out=out,
+        saves=saves,
+        retained_out=out if "output" in saves else None,
+        out_shape=out.shape,
         backward_fn=backward_fn,
         params=tuple(params),
         tape=tape,
@@ -180,9 +204,13 @@ def backward(tape: Tape, output: Tensor, seed: np.ndarray, wrt=()) -> list:
             g = grads.pop(node, None)
             if g is None:
                 continue
-            input_values = tuple(src.data if kind == "leaf" else src.output_value()
-                                 for kind, src in node.input_slots)
-            in_grads = node.backward_fn(g, input_values, node.output_value())
+            if "inputs" in node.saves:
+                input_values = tuple(src.data if kind == "leaf" else src.output_value()
+                                     for kind, src in node.input_slots)
+            else:
+                input_values = (None,) * len(node.input_slots)
+            output_value = node.output_value() if "output" in node.saves else None
+            in_grads = node.backward_fn(g, input_values, output_value)
             if len(in_grads) != len(node.input_slots):
                 raise RuntimeError(
                     f"backward of '{node.name}' returned {len(in_grads)} gradients "

@@ -12,7 +12,7 @@ A network is stored as a flat list of steps, and `_run_step` is the one
 function that interprets them. `Network.forward` loops over it; the memory
 model's `Network.trace` is a recorded stored-activation execution of the same
 steps on an empty batch, so the model lists exactly the activations the
-executor retains.
+executor records and marks the ones its tape retains.
 """
 
 import math
@@ -180,6 +180,7 @@ class TraceEntry:
     shape: tuple
     param_elems: int = 0
     inputs: tuple = ()
+    saved: bool = False  # the tape retains it for some backward
 
     @property
     def out_elems(self) -> int:
@@ -231,12 +232,16 @@ class Network(Module):
         return x
 
     def trace(self, input_shape) -> list:
-        """Every activation the stored-activation execution retains.
+        """Every activation the stored-activation execution records.
 
         The steps run in stored mode on an empty batch under a tape, so no
         activation is allocated; each recorded node becomes one entry with
-        the batch of ``input_shape``. Sequence interiors are flagged so the
-        memory model can collapse them for the partially reversible estimate.
+        the batch of ``input_shape``. Once the whole run is recorded, an
+        entry is ``saved`` if the tape retains its node's output, that is if
+        its own backward or a consumer's reads it. Sequence interiors are
+        flagged so the memory model can collapse them for the partially
+        reversible estimate. The input volume is never saved: the tape holds
+        it as a leaf, outside its retained bytes.
         """
         input_shape = tuple(int(e) for e in input_shape)
         if len(input_shape) != 5:
@@ -260,10 +265,12 @@ class Network(Module):
                     index[node] = len(entries)
                     entries.append(TraceEntry(
                         step[1] if last else f"{step[1]}.{node.name}", kind,
-                        input_shape[:1] + node.retained_out.shape[1:],
+                        input_shape[:1] + node.out_shape[1:],
                         sum(p.element_count for p in node.params),
                         tuple(index[s[1]] if s[0] == "node" else 0
                               for s in node.input_slots)))
+        for node, i in index.items():
+            entries[i].saved = node.retained_out is not None
         return entries
 
     def sequences(self):

@@ -193,9 +193,9 @@ class TestEstimateMemory:
         assert "decoder_blocks" in proc.stderr
 
     @pytest.mark.parametrize("name,totals", [
-        ("desk_reversible", (21_752_720, 42_980_720)),
-        ("baseline_full", (153_226_320, 457_033_200)),
-        ("reversible_full", (483_534_960, 1_575_795_120)),
+        ("desk_reversible", (14_723_984, 38_901_104)),
+        ("baseline_full", (131_928_144, 444_889_584)),
+        ("reversible_full", (441_331_824, 1_551_901_104)),
     ])
     def test_shipped_spec_compare_totals_pinned(self, name, totals):
         # Every shipped spec has one block per level. At that depth both

@@ -55,11 +55,14 @@ def training_step_closure(net, shape, stored, seed=0):
 
 class TestHandAccounting:
     def test_single_conv_layer_totals(self):
-        # 512-voxel output: M_A = 2048, M_P = 28*4*4 = 448, M_D = 2048
+        # 512-voxel output: M_A = 2048, M_P = 28*4*4 = 448, M_D = 2048. No
+        # backward reads a lone conv's output, so the tape does not retain
+        # it and the total leaves its M_A out.
         report = estimate_nonreversible(single_conv_network(), (1, 1, 8, 8, 8), 4)
-        assert report.total_nonrev_bytes == 4544
+        assert report.total_nonrev_bytes == 448 + 2048
         conv = [t for t in report.terms if t.kind == "nonrev"][0]
         assert conv.activation_bytes == 2048
+        assert conv.saved is False
         assert conv.param_bytes == 448
         assert conv.derivative_bytes == 2048
 
@@ -86,12 +89,12 @@ class TestInternalConsistency:
     def test_totals_recompute_exactly_from_terms(self, spec):
         net = build(spec, seed=0)
         report = estimate_partially_reversible(net, SHAPE, 4)
-        sum_m_a = sum(t.activation_bytes for t in report.terms)
+        sum_m_a = sum(t.activation_bytes for t in report.terms if t.saved)
         sum_m_p = sum(t.param_bytes for t in report.terms)
         max_m_d = max(t.derivative_bytes for t in report.terms)
         assert report.total_nonrev_bytes == sum_m_a + sum_m_p + max_m_d
         sum_m_n = sum(t.activation_bytes for t in report.terms
-                      if t.kind in ("input", "nonrev"))
+                      if t.saved and t.kind in ("input", "nonrev"))
         sum_m_s = sum(t.activation_bytes for t in report.terms
                       if t.kind == "boundary")
         max_m_b = max(t.backward_transient_bytes for t in report.terms)
@@ -143,14 +146,15 @@ class TestComparativeDirection:
     def test_twin_follows_depth_while_reversible_stays_flat(self):
         # The paper's depth claim: extra reversible blocks cost parameters
         # only, while the stored-activation twin keeps every new interior.
-        rev_total, twin_total = {}, {}
+        rev, twin_total = {}, {}
         for n in (1, 4):
             spec = replace(load_spec(DESK_SPEC), encoder_blocks=n, decoder_blocks=n)
-            rev_total[n] = estimate_partially_reversible(
-                build(spec, 0), SHAPE, 4).total_prev_bytes
+            rev[n] = estimate_partially_reversible(build(spec, 0), SHAPE, 4)
             twin_total[n] = estimate_nonreversible(
                 build(spec.paired(), 0), SHAPE, 4).total_nonrev_bytes
-        assert rev_total[4] < 1.10 * rev_total[1], rev_total
+        growth = {n: r.total_prev_bytes - r.breakdown["sum_m_p_bytes"]
+                  for n, r in rev.items()}
+        assert growth[4] == growth[1], growth
         assert twin_total[4] > 2 * twin_total[1], twin_total
 
     def test_branching_delta_documented(self):
@@ -211,6 +215,18 @@ class TestMeasurePeak:
             peaks[depth] = measure_peak(run)
         assert peaks[4] <= 1.05 * peaks[1], peaks
 
+    @pytest.mark.parametrize("stored,bound", [(False, 18_000_000),
+                                              (True, 24_000_000)],
+                             ids=["reversible", "stored"])
+    def test_desk_step_peak_keeps_only_what_backward_reads(self, stored, bound):
+        # A tape that kept every recorded output measured 23,371,780 B
+        # (reversible) and 34,922,500 B (stored) for this step.
+        net = build(load_spec(DESK_SPEC), seed=0)
+        run = training_step_closure(net, SHAPE, stored)
+        run()
+        measured = measure_peak(run)
+        assert measured < bound, measured
+
     def test_stored_reference_grows_markedly_with_depth(self):
         peaks = {}
         for depth in (1, 4):
@@ -227,28 +243,54 @@ ZERO_BLOCK = ArchitectureSpec(levels=[4, 8], group_size=2, encoder_blocks=0,
                               decoder_blocks=0)
 
 
-class TestExecutorMatch:
-    """The model's activation terms are what the stored-mode tape retains."""
+EXECUTOR_SPECS = pytest.mark.parametrize("spec", [
+    ArchitectureSpec(levels=[4, 8], group_size=2),
+    ArchitectureSpec(levels=[4, 8], group_size=2, reversible=False),
+    ZERO_BLOCK,
+    ArchitectureSpec(levels=[4, 8, 16], group_size=2, encoder_blocks=3,
+                     decoder_blocks=2),
+    ArchitectureSpec(levels=[4, 8, 16], group_size=2, encoder_blocks=3,
+                     decoder_blocks=2, reversible=False),
+], ids=["reversible", "baseline", "zero_block", "deep", "deep_baseline"])
 
-    @pytest.mark.parametrize("spec", [
-        ArchitectureSpec(levels=[4, 8], group_size=2),
-        ArchitectureSpec(levels=[4, 8], group_size=2, reversible=False),
-        ZERO_BLOCK,
-        ArchitectureSpec(levels=[4, 8, 16], group_size=2, encoder_blocks=3,
-                         decoder_blocks=2),
-        ArchitectureSpec(levels=[4, 8, 16], group_size=2, encoder_blocks=3,
-                         decoder_blocks=2, reversible=False),
-    ], ids=["reversible", "baseline", "zero_block", "deep", "deep_baseline"])
+
+def forward_retained_bytes(net, shape, stored):
+    x = Tensor(np.random.default_rng(0).standard_normal(shape, dtype=np.float32))
+    with Tape() as tape:
+        net.forward(x, stored_activations=stored)
+        return tape.retained_bytes
+
+
+class TestExecutorMatch:
+    """The model's activation terms are what the tape retains in each mode."""
+
+    @EXECUTOR_SPECS
     def test_sum_m_a_equals_stored_tape_retained_bytes(self, spec):
         shape = (2, 4, 8, 8, 8)
         net = build(spec, seed=0)
         assert parameter_count(net) == closed_form_count(spec)  # the spec's depth
-        x = Tensor(np.random.default_rng(0).standard_normal(shape, dtype=np.float32))
-        with Tape() as tape:
-            net.forward(x, stored_activations=True)
-            retained = tape.retained_bytes
+        retained = forward_retained_bytes(net, shape, stored=True)
         report = memory_model.estimate(net, shape)
         assert report.breakdown["sum_m_a_bytes"] == retained
+
+    @EXECUTOR_SPECS
+    def test_sum_m_n_plus_m_s_equals_reversible_tape_retained_bytes(self, spec):
+        shape = (2, 4, 8, 8, 8)
+        net = build(spec, seed=0)
+        retained = forward_retained_bytes(net, shape, stored=False)
+        b = memory_model.estimate(net, shape).breakdown
+        assert b["sum_m_n_bytes"] + b["sum_m_s_bytes"] == retained
+
+    def test_desk_trace_marks_what_some_backward_reads(self):
+        report = memory_model.estimate(build(DESK_REV, seed=0), SHAPE)
+        saved = {t.layer: t.saved for t in report.terms}
+        # read by a max-pool or a conv, or by their own backward
+        assert all(saved[n] for n in ("enc0", "enc1", "dec0", "pool0", "cat0",
+                                      "output"))
+        # read only by backwards that read no input: a reversible sequence,
+        # a concat, an upsampling or the sigmoid
+        assert not any(saved[n] for n in ("stem", "down0", "merge0", "up0",
+                                          "enc2", "dec1", "head"))
 
     @pytest.mark.parametrize("spec", [DESK_REV, DESK_BASE, ZERO_BLOCK],
                              ids=["reversible", "baseline", "zero_block"])
@@ -270,7 +312,7 @@ class TestReportFormats:
                             "measured_peak_bytes", "breakdown", "terms"}
         assert set(doc["terms"][0]) == {"layer", "kind", "activation_bytes",
                                         "param_bytes", "derivative_bytes",
-                                        "backward_transient_bytes"}
+                                        "backward_transient_bytes", "saved"}
 
     def test_table_is_aligned_text(self):
         report = estimate_nonreversible(single_conv_network(), (1, 1, 8, 8, 8), 4)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from revvolnet import ops
-from revvolnet.tape import Tape, backprop, no_record
+from revvolnet.tape import Tape, backprop, backward, no_record
 from revvolnet.tensor import Parameter, ShapeError, Tensor
 from revvolnet.verification import run_op_gradchecks
 
@@ -351,6 +351,24 @@ class TestLeakyRelu:
             want = np.where(x >= 0, x, s * x)
         np.testing.assert_array_equal(y.view(np.uint32), want.view(np.uint32))
 
+    @pytest.mark.parametrize("slope", [0.01, 0.2, 1.0, 2.0, -0.5])
+    def test_backward_matches_where_bit_for_bit(self, rng, slope):
+        x = randn5(rng, (1, 1, 3, 5, 7), scale=3.0)
+        g = randn5(rng, x.shape, scale=3.0)
+        specials = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45]
+        # every special input meets every special gradient, in the vector
+        # lanes and in the tail
+        x.flat[:49] = np.repeat(specials, 7)
+        g.flat[:49] = np.tile(specials, 7)
+        x.flat[-7:] = g.flat[-7:] = specials
+        s = np.float32(slope)
+        xt = Tensor(x.copy())
+        with Tape() as tape, np.errstate(invalid="ignore"):
+            y = ops.leaky_relu(xt, slope)
+            (gx,) = backward(tape, y, g, wrt=[xt])
+            want = np.where(x >= 0, g, s * g)
+        np.testing.assert_array_equal(gx.view(np.uint32), want.view(np.uint32))
+
 
 class TestSigmoid:
     def test_zero_maps_to_half(self):
@@ -545,6 +563,21 @@ class TestKernelScratch:
 
     def test_upsample2(self, rng):
         assert self._peak_ratio(ops.upsample2, rng) < 24.0
+
+    def test_weighted_sum_forms_no_float64_copy(self, rng):
+        # a float64 copy of the input alone would be 2x its bytes
+        x = Tensor(randn5(rng, (1, 10, 32, 32, 32), scale=1.0))
+        w = randn5(rng, x.shape, scale=1.0)
+        tracemalloc.start()
+        try:
+            with no_record():
+                value = ops.weighted_sum(x, w).item()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / x.nbytes < 0.5
+        oracle = float((x.data.astype(np.float64) * w).sum())
+        assert value == pytest.approx(oracle, rel=1e-6)
 
 
 class TestConcatSplit:

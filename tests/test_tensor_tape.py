@@ -1,5 +1,7 @@
 """Tensor invariants, tape retention accounting, and the backward engine."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,8 +9,11 @@ from revvolnet import memtrack, ops
 from revvolnet.tape import (MissingActivationError, Tape, backprop, backward,
                             no_record, record)
 from revvolnet.tensor import Parameter, ShapeError, Tensor
+from revvolnet.unet import build, load_spec
 
 from conftest import randn5
+
+DESK_SPEC = Path(__file__).resolve().parents[1] / "specs" / "desk_reversible.spec"
 
 
 class TestTensor:
@@ -84,6 +89,23 @@ class TestTapeAccounting:
         # independent recompute from the node records
         assert tape.retained_bytes == sum(
             n.retained_out.nbytes for n in tape.nodes if n.retained_out is not None)
+
+    def test_stored_desk_forward_retains_only_what_a_backward_reads(self, rng):
+        net = build(load_spec(DESK_SPEC), seed=0)
+        x = Tensor(randn5(rng, (1, 4, 16, 16, 16)))
+        with Tape() as tape:
+            net.forward(x, stored_activations=True)
+        read = set()  # producers whose output some saving consumer reads
+        for node in tape.nodes:
+            if "inputs" in node.saves:
+                read.update(src for kind, src in node.input_slots if kind == "node")
+        plumbing = [n for n in tape.nodes if n.op in (
+            "upsample2", "concat_channels", "slice_channels", "add", "sub")]
+        assert {n.op for n in plumbing} == {"upsample2", "concat_channels",
+                                            "slice_channels", "add"}
+        for node in plumbing:
+            assert (node.retained_out is not None) == (node in read), node.name
+        assert any(node.retained_out is None for node in plumbing)
 
     def test_release_clears_accounting(self, rng):
         x = Tensor(randn5(rng, (1, 2, 4, 4, 4)))
@@ -228,12 +250,41 @@ class TestBackprop:
 
         with Tape() as tape:
             y = ops.leaky_relu(x)
-            z = record("mul", Tensor(x.data * y.data), [x, y], backward_fn)
+            z = record("mul", Tensor(x.data * y.data), [x, y], backward_fn,
+                       saves=("inputs", "output"))
             backprop(tape, ops.reduce_sum(z))
         leaf, node = seen["inputs"]
         np.testing.assert_array_equal(leaf, x.data)
         np.testing.assert_array_equal(node, y.data)
         np.testing.assert_array_equal(seen["output"], z.data)
+
+    def test_undeclared_values_reach_backward_as_none(self, rng):
+        x = Tensor(randn5(rng, (1, 2, 4, 4, 4)))
+        seen = {}
+
+        def backward_fn(g, inputs, output):
+            seen["inputs"], seen["output"] = inputs, output
+            return (g, g)
+
+        with Tape() as tape:
+            y = ops.leaky_relu(x)
+            z = record("plus", Tensor(x.data + y.data), [x, y], backward_fn)
+            assert tape.nodes[-1].retained_out is None
+            # leaky_relu's own backward reads only its input, a leaf
+            assert y.node().retained_out is None
+            backprop(tape, ops.reduce_sum(z))
+        assert seen["inputs"] == (None, None)
+        assert seen["output"] is None
+
+    @pytest.mark.parametrize("saves", [("input",), ("outputs",), ("grad",),
+                                       ("inputs", "weights")])
+    def test_unknown_saves_entry_raises(self, rng, saves):
+        x = Tensor(randn5(rng, (1, 2, 4, 4, 4)))
+        with Tape() as tape:
+            with pytest.raises(ValueError, match="saves entry"):
+                record("bad", Tensor(x.data.copy()), [x],
+                       lambda g, _i, _o: (g,), saves=saves)
+        assert tape.nodes == []
 
     def test_zero_extent_flows_through_backward(self):
         x = Tensor(np.zeros((0, 2, 4, 4, 4), np.float32))
