@@ -27,11 +27,12 @@ output for its backward. So ``sum(M_A)`` is what the stored-mode tape retains
 after the forward pass, and ``sum(M_N) + sum(M_S)`` what the reversible-mode
 tape retains.
 
-M_B models this engine's per-block backward strategy: while one block is
-processed, at most BLOCK_BACKWARD_HALF_BUFFERS half-width tensors are live at
-once (the boundary pair and its gradients, one sub-network's re-recorded
-GN/LeakyReLU/conv interiors, the freshly reconstructed half, and two engine
-gradient buffers). A non-reversible layer's backward transient is simply its
+M_B models this engine's per-block backward strategy as
+BLOCK_BACKWARD_HALF_BUFFERS half-width tensors. The measured peak inside one
+block's backward holds nine: the half of the boundary pair not yet
+consumed, both gradient halves, one sub-network's three re-recorded
+GN/LeakyReLU/conv outputs, the freshly reconstructed half and two engine
+gradient buffers. The constant is one below that count. A non-reversible layer's backward transient is simply its
 activation-derivative buffer, so the max-term of the second formula runs over
 both kinds; with no sequences present it degenerates to max(M_D) and the two
 totals coincide. Both formulas assume a non-branching chain; the report

@@ -3,14 +3,15 @@
 Every op validates shapes up front, computes the forward result with numpy,
 and registers a tape node whose backward closure produces the input gradients
 and accumulates parameter gradients. Each op declares what its closure reads
-(``saves``): ``conv3d``, ``group_norm`` and ``leaky_relu`` their input,
-``sigmoid`` its output, ``max_pool2`` both, and the resampling, channel
-plumbing, arithmetic and reductions nothing. The tape retains and hands over
-only those values, so closures capture parameters and small saved statistics
-only. The closures carry no test hook: the gradient checker
-corrupts gradients by op name in ``tape.backward``. Empty tensors (batch 0 or
-a zero spatial extent) run through the general kernels; only ``group_norm``,
-whose statistics are undefined there, keeps a branch for them.
+(``saves``): ``conv3d``, ``upsample_merge``, ``group_norm`` and
+``leaky_relu`` their inputs, ``sigmoid`` its output, ``max_pool2`` both, and
+the upsampling, channel plumbing, arithmetic and reductions nothing. The
+tape retains and hands over only those values, so closures capture
+parameters and small saved statistics only. The closures carry no test hook:
+the gradient checker corrupts gradients by op name in ``tape.backward``.
+Empty tensors (batch 0 or a zero spatial extent) run through the general
+kernels; only ``group_norm``, whose statistics are undefined there, keeps a
+branch for them.
 
 Convolution is a shift-GEMM over the flattened zero-padded grid: one matrix
 product per kernel offset, each reading a strided view of the input, so no
@@ -45,6 +46,15 @@ can, since each pass streams the whole activation:
 - ``upsample2``: one contiguous batched matmul per axis (W, H, then D, each
   reading a reshaped view of the previous result, so nothing is transposed
   or copied); the backward applies the transposed matrices in reverse.
+- ``upsample_merge``: the 1x1x1 conv of ``concat(skip, upsample2(d))``
+  without the concatenation, as ``W_s @ skip + upsample2(W_u @ d) + b``.
+  Forward: one channel GEMM at low resolution, the three upsampling
+  matmuls on its ``C_out`` channels, one GEMM over the skip, two in-place
+  adds. Backward: the upsampling adjoint once, on ``g``; one GEMM per input
+  gradient and one per kernel slice, the kernel slice for ``d`` at low
+  resolution; one sum for the bias. It saves its inputs, the skip and
+  ``d``, which in a reversible U-Net are sequence outputs the tape keeps
+  anyway.
 """
 
 import numpy as np
@@ -425,27 +435,101 @@ def _interp_matrix(n_in: int) -> np.ndarray:
     return m
 
 
+def _upsample_data(x: np.ndarray) -> np.ndarray:
+    """Trilinear 2x upsampling of a (B, C, D, H, W) array.
+
+    One contiguous batched matmul per axis, W then H then D; each result is
+    already in the layout the next one reads, so nothing is transposed.
+    """
+    b, c, d, h, w = x.shape
+    md, mh, mw = _interp_matrix(d), _interp_matrix(h), _interp_matrix(w)
+    y = x.reshape(b * c * d * h, w) @ mw.T
+    y = np.matmul(mh, y.reshape(b * c * d, h, 2 * w))
+    y = np.matmul(md, y.reshape(b * c, d, 4 * h * w))
+    return y.reshape(b, c, 2 * d, 2 * h, 2 * w)
+
+
+def _upsample_adjoint(g: np.ndarray) -> np.ndarray:
+    """The transpose of ``_upsample_data``: a (B, C, 2D, 2H, 2W) gradient
+    summed back onto the (B, C, D, H, W) grid, the axes in reverse order."""
+    b, c, d2, h2, w2 = g.shape
+    d, h, w = d2 // 2, h2 // 2, w2 // 2
+    md, mh, mw = _interp_matrix(d), _interp_matrix(h), _interp_matrix(w)
+    gx = np.matmul(md.T, g.reshape(b * c, d2, 4 * h * w))
+    gx = np.matmul(mh.T, gx.reshape(b * c * d, h2, w2))
+    gx = gx.reshape(b * c * d * h, w2) @ mw
+    return gx.reshape(b, c, d, h, w)
+
+
 def upsample2(x: Tensor) -> Tensor:
     """Trilinear upsampling that doubles every spatial extent; the backward
     pass is the exact transpose scatter."""
     _check_axes(x, "upsample2 input")
-    b, c, d, h, w = x.shape
-    md, mh, mw = _interp_matrix(d), _interp_matrix(h), _interp_matrix(w)
-
-    # one contiguous batched matmul per axis, W then H then D; each result is
-    # already in the layout the next one reads, so nothing is transposed
-    y = x.data.reshape(b * c * d * h, w) @ mw.T
-    y = np.matmul(mh, y.reshape(b * c * d, h, 2 * w))
-    y = np.matmul(md, y.reshape(b * c, d, 4 * h * w))
-    out = Tensor(y.reshape(b, c, 2 * d, 2 * h, 2 * w))
+    out = Tensor(_upsample_data(x.data))
 
     def backward_fn(g, _inputs, _output):
-        gx = np.matmul(md.T, g.reshape(b * c, 2 * d, 4 * h * w))
-        gx = np.matmul(mh.T, gx.reshape(b * c * d, 2 * h, 2 * w))
-        gx = gx.reshape(b * c * d * h, 2 * w) @ mw
-        return (gx.reshape(b, c, d, h, w),)
+        return (_upsample_adjoint(g),)
 
     return record("upsample2", out, [x], backward_fn)
+
+
+def upsample_merge(skip: Tensor, d: Tensor, kernel: Parameter,
+                   bias: Parameter) -> Tensor:
+    """``conv1x1x1(concat_channels(skip, upsample2(d)), kernel, bias)`` without
+    the concatenation: ``W_s @ skip + upsample2(W_u @ d) + bias``.
+
+    ``W_s`` and ``W_u`` are the kernel's first ``C_skip`` and last ``C_d``
+    input columns. A 1x1x1 conv mixes channels and the upsampling mixes
+    voxels, so they commute, and the interpolation rows sum to one, so the
+    bias passes through. ``d`` is mixed down to the output width at low
+    resolution, and only that is upsampled; the backward applies the
+    upsampling adjoint once, to ``g``, and writes the two kernel gradients
+    into their column slices of ``kernel.grad``.
+    """
+    _check_axes(skip, "upsample_merge skip")
+    _check_axes(d, "upsample_merge input")
+    b, cs, sd, sh, sw = skip.shape
+    _, cd, dd, dh, dw = d.shape
+    if d.shape[0] != b or (sd, sh, sw) != (2 * dd, 2 * dh, 2 * dw):
+        raise ShapeError(
+            f"upsample_merge needs a skip of the input's batch and twice its "
+            f"spatial extents, got skip {skip.shape} and input {d.shape}")
+    w = kernel.value.data
+    out_ch = w.shape[0]
+    if w.shape != (out_ch, cs + cd, 1, 1, 1):
+        raise ShapeError(
+            f"upsample_merge kernel must have shape ({out_ch}, {cs + cd}, 1, 1, 1) "
+            f"for {cs} skip and {cd} input channels, got {w.shape}")
+    if bias.value.shape != (1, out_ch, 1, 1, 1):
+        raise ShapeError(
+            f"upsample_merge bias shape {bias.value.shape} does not match "
+            f"out_channels={out_ch}")
+    w2 = w.reshape(out_ch, cs + cd)
+    w_s, w_u = w2[:, :cs], w2[:, cs:]
+    n_hi, n_lo = sd * sh * sw, dd * dh * dw
+
+    u = np.matmul(w_u, d.data.reshape(b, cd, n_lo))
+    y = _upsample_data(u.reshape(b, out_ch, dd, dh, dw))
+    y += np.matmul(w_s, skip.data.reshape(b, cs, n_hi)).reshape(y.shape)
+    y += bias.value.data
+    out = Tensor(y)
+    kernel_ref, bias_ref = kernel, bias
+
+    def backward_fn(g, inputs, _output):
+        skip_val, d_val = inputs
+        gf = g.reshape(b, out_ch, n_hi)
+        gu = _upsample_adjoint(g).reshape(b, out_ch, n_lo)
+        sf = skip_val.reshape(b, cs, n_hi)
+        df = d_val.reshape(b, cd, n_lo)
+        gw = kernel_ref.grad.data.reshape(out_ch, cs + cd)
+        gw[:, :cs] += (gf @ sf.transpose(0, 2, 1)).sum(axis=0)
+        gw[:, cs:] += (gu @ df.transpose(0, 2, 1)).sum(axis=0)
+        bias_ref.grad.data += g.sum(axis=(0, 2, 3, 4)).reshape(bias_ref.grad.shape)
+        return (np.matmul(w_s.T, gf).reshape(skip_val.shape),
+                np.matmul(w_u.T, gu).reshape(d_val.shape))
+
+    return record("upsample_merge", out, [skip, d], backward_fn,
+                  params=(kernel, bias), saves=("inputs",))
 
 
 # ---------------------------------------------------------------------------

@@ -166,7 +166,9 @@ def sequence_backward(seq: ReversibleSequence, grad_out: np.ndarray, y) -> np.nd
     re-executed exactly once on short-lived local tapes: G's recording both
     yields the reconstruction term y2 - G(y1) and, seeded with the incoming
     gradient of y2, the gradient flowing into y1; F's recording then yields
-    x1 = y1 - F(x2) and the gradient flowing into x2. The reconstructed pair
+    x1 = y1 - F(x2) and the gradient flowing into x2. The tapes record only
+    the sub-network, and the subtraction runs unrecorded, so no tape slot
+    holds the consumed half once its name is dropped. The reconstructed pair
     becomes the "output" of the preceding block, so no whole-sequence buffer
     ever exists.
     """
@@ -191,6 +193,7 @@ def sequence_backward(seq: ReversibleSequence, grad_out: np.ndarray, y) -> np.nd
     for block in reversed(seq.blocks):
         with Tape() as tg:
             gy1 = block.g(y1)
+        with no_record():
             x2 = ops.sub(y2, gy1)
         y2 = None
         (dy1_g,) = backward(tg, gy1, g2.data, wrt=[y1])
@@ -201,6 +204,7 @@ def sequence_backward(seq: ReversibleSequence, grad_out: np.ndarray, y) -> np.nd
 
         with Tape() as tf:
             fx2 = block.f(x2)
+        with no_record():
             x1 = ops.sub(y1, fx2)
         y1 = None
         (dx2_f,) = backward(tf, fx2, dy1.data, wrt=[x2])

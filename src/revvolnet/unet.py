@@ -8,6 +8,14 @@ twin's body is a stack of ``2n`` full-width GN-LeakyReLU-Conv units whose
 first unit changes the channel count. Every ``ConvUnit`` reads its kernel
 size, group size, slope and epsilon from the spec.
 
+Each reversible decoder level starts with one ``merge`` step,
+``ops.upsample_merge``: the ``merge*`` conv of the skip concatenated with
+the upsampled coarser output, computed as ``W_s @ skip + up(W_u @ d) + b``.
+It reads only the two sequence outputs, which the tape keeps anyway, so no
+full-resolution concatenation is formed or retained. The twin keeps its
+``up*`` and ``cat*`` steps: its first GroupNorm normalises the
+concatenated tensor, so that tensor must exist.
+
 A network is stored as a flat list of steps, and `_run_step` is the one
 function that interprets them. `Network.forward` loops over it; the memory
 model's `Network.trace` is a recorded stored-activation execution of the same
@@ -206,6 +214,9 @@ def _run_step(step, x, skips, stored):
         return x
     if kind == "concat_skip":
         return ops.concat_channels(skips.pop(step[2]), x)
+    if kind == "merge":
+        layer = step[2]
+        return ops.upsample_merge(skips.pop(step[3]), x, layer.kernel, layer.bias)
     if kind == "sigmoid":
         return ops.sigmoid(x)
     raise RuntimeError(f"unknown step kind {kind!r}")  # pragma: no cover
@@ -319,8 +330,15 @@ def build(spec: ArchitectureSpec, seed: int = 0) -> Network:
             steps += [("save_skip", i), ("pool", f"pool{i}")]
             ch = transition(f"down{i}", ch, widths[i + 1])
     for i in range(len(widths) - 2, -1, -1):
-        steps += [("upsample", f"up{i}"), ("concat_skip", f"cat{i}", i)]
-        ch = transition(f"merge{i}", widths[i] + ch, widths[i])
+        if spec.reversible:
+            # the 1x1x1 merge conv of cat(skip, up(x)), in one op
+            steps.append(("merge", f"merge{i}",
+                          ConvLayer(widths[i] + ch, widths[i], 1, rng, f"merge{i}"),
+                          i))
+            ch = widths[i]
+        else:
+            steps += [("upsample", f"up{i}"), ("concat_skip", f"cat{i}", i)]
+            ch += widths[i]
         ch = level(f"dec{i}", "decoder", i, spec.decoder_blocks, ch)
 
     steps.append(("conv", "head",

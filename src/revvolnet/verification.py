@@ -176,6 +176,9 @@ def _op_cases(rng):
         _case(rng, "sigmoid", ops.sigmoid, input_lattice((1, 2, 3, 3, 3))),
         _case(rng, "max_pool2", ops.max_pool2, input_lattice((1, 2, 4, 4, 4))),
         _case(rng, "upsample2", ops.upsample2, input_lattice((1, 2, 3, 3, 3))),
+        _case(rng, "upsample_merge", ops.upsample_merge,
+              {"skip": lattice(rng, (1, 2, 4, 2, 6)),
+               **conv_arrays((1, 3, 2, 1, 3), (2, 5, 1, 1, 1))}, conv_params),
         _case(rng, "reduce_sum", ops.reduce_sum, input_lattice((1, 2, 3, 3, 3))),
         _case(rng, "split_concat", split_then_concat,
               input_lattice((1, 4, 3, 3, 3))),

@@ -537,6 +537,97 @@ class TestUpsample2:
         assert gx.shape == shape
 
 
+def merge_oracle(skip, d, w, b):
+    """Float64 ``conv1x1x1(concat_channels(skip, upsample2(d)), w, b)``."""
+    cat = np.concatenate([skip, trilinear_oracle(d)], axis=1)
+    return np.einsum("oc,bc...->bo...", w[:, :, 0, 0, 0], cat) + b
+
+
+class TestUpsampleMerge:
+    @staticmethod
+    def _arrays(rng, batch, cs=3, cd=4, co=2, low=(2, 3, 1)):
+        skip = randn5(rng, (batch, cs) + tuple(2 * n for n in low), scale=1.0)
+        d = randn5(rng, (batch, cd) + low, scale=1.0)
+        w = randn5(rng, (co, cs + cd, 1, 1, 1), scale=1.0)
+        b = randn5(rng, (1, co, 1, 1, 1), scale=1.0)
+        return skip, d, w, b
+
+    @pytest.mark.parametrize("batch", [1, 2, 0])
+    def test_forward_matches_float64_composition(self, rng, batch):
+        skip, d, w, b = self._arrays(rng, batch)
+        with no_record():
+            y = ops.upsample_merge(Tensor(skip), Tensor(d), Parameter(w),
+                                   Parameter(b))
+        want = merge_oracle(*(a.astype(np.float64) for a in (skip, d, w, b)))
+        assert y.shape == want.shape
+        np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("batch", [1, 2, 0])
+    def test_backward_is_the_adjoint(self, rng, batch):
+        # <L(s, d), g> = <s, gs> + <d, gd> for the linear part L (no bias),
+        # and the parameter gradients are the oracle's, all in float64
+        skip, d, w, b = self._arrays(rng, batch)
+        st, dt, k, bias = Tensor(skip), Tensor(d), Parameter(w), Parameter(b)
+        with Tape() as tape:
+            y = ops.upsample_merge(st, dt, k, bias)
+            probe = randn5(rng, y.shape, scale=1.0)
+            gs, gd = backprop(tape, ops.weighted_sum(y, probe), wrt=[st, dt])
+        s64, d64, w64, p64 = (a.astype(np.float64) for a in (skip, d, w, probe))
+        lhs = (merge_oracle(s64, d64, w64, 0.0) * p64).sum()
+        rhs = (s64 * gs).sum() + (d64 * gd).sum()
+        assert rhs == pytest.approx(lhs, rel=1e-5, abs=1e-5)
+        cat = np.concatenate([s64, trilinear_oracle(d64)], axis=1)
+        gw = np.einsum("bozyx,bczyx->oc", p64, cat)
+        np.testing.assert_allclose(k.grad.data[:, :, 0, 0, 0], gw,
+                                   rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(bias.grad.data.reshape(-1),
+                                   p64.sum(axis=(0, 2, 3, 4)), rtol=1e-5, atol=1e-5)
+        # and element by element against the composed ops' gradients
+        st2, dt2 = Tensor(skip), Tensor(d)
+        with Tape() as tape:
+            y2 = ops.conv1x1x1(ops.concat_channels(st2, ops.upsample2(dt2)),
+                               Parameter(w), Parameter(b))
+            gs2, gd2 = backprop(tape, ops.weighted_sum(y2, probe), wrt=[st2, dt2])
+        np.testing.assert_allclose(gs, gs2, rtol=1e-5, atol=1e-5)
+        np.testing.assert_allclose(gd, gd2, rtol=1e-5, atol=1e-5)
+
+    @pytest.mark.filterwarnings("error")
+    def test_empty_batch_records_and_leaves_parameters(self, rng):
+        skip, d, w, b = self._arrays(rng, 0)
+        st, dt, k, bias = Tensor(skip), Tensor(d), Parameter(w), Parameter(b)
+        with Tape() as tape:
+            y = ops.upsample_merge(st, dt, k, bias)
+            gs, gd = backprop(tape, ops.reduce_sum(y), wrt=[st, dt])
+        assert y.shape == (0, 2, 4, 6, 2)
+        assert (gs.shape, gd.shape) == (skip.shape, d.shape)
+        assert not k.grad.data.any() and not bias.grad.data.any()
+
+    def test_saves_its_inputs(self, rng):
+        skip, d, w, b = self._arrays(rng, 1)
+        st, dt = Tensor(skip), Tensor(d)
+        with Tape() as tape:
+            a = ops.leaky_relu(st)
+            c = ops.leaky_relu(dt)
+            ops.upsample_merge(a, c, Parameter(w), Parameter(b))
+        node = tape.nodes[-1]
+        assert node.op == "upsample_merge" and node.saves == ("inputs",)
+        assert node.retained_out is None
+        assert tape.retained_bytes == a.nbytes + c.nbytes
+
+    @pytest.mark.parametrize("skip_shape,d_shape,k_shape", [
+        ((1, 3, 4, 6, 2), (1, 4, 2, 3, 2), (2, 7, 1, 1, 1)),  # not 2x the input
+        ((2, 3, 4, 6, 2), (1, 4, 2, 3, 1), (2, 7, 1, 1, 1)),  # batch mismatch
+        ((1, 3, 4, 6, 2), (1, 4, 2, 3, 1), (2, 6, 1, 1, 1)),  # kernel columns
+        ((1, 3, 4, 6, 2), (1, 4, 2, 3, 1), (2, 7, 3, 3, 3)),  # not 1x1x1
+    ])
+    def test_shape_mismatch_rejected(self, skip_shape, d_shape, k_shape):
+        with pytest.raises(ShapeError):
+            ops.upsample_merge(Tensor(np.zeros(skip_shape, np.float32)),
+                               Tensor(np.zeros(d_shape, np.float32)),
+                               Parameter(np.zeros(k_shape, np.float32)),
+                               Parameter(np.zeros((1, 2, 1, 1, 1), np.float32)))
+
+
 class TestKernelScratch:
     """tracemalloc peak of one forward plus backward at 1x10x32^3, as a
     multiple of the input bytes: the kernels' full-size temporaries."""
@@ -563,6 +654,15 @@ class TestKernelScratch:
 
     def test_upsample2(self, rng):
         assert self._peak_ratio(ops.upsample2, rng) < 24.0
+
+    def test_upsample_merge(self, rng):
+        # the level-0 desk merge, 20 -> 10 and 10 -> 10 channels; the
+        # composition conv1x1x1(concat(x, upsample2(d))) peaks at 7.6x
+        d = Tensor(randn5(rng, (1, 20, 16, 16, 16), scale=1.0))
+        k = Parameter(randn5(rng, (10, 30, 1, 1, 1), scale=1.0))
+        b = Parameter(randn5(rng, (1, 10, 1, 1, 1), scale=1.0))
+        assert self._peak_ratio(lambda t: ops.upsample_merge(t, d, k, b),
+                                rng) < 2.5
 
     def test_weighted_sum_forms_no_float64_copy(self, rng):
         # a float64 copy of the input alone would be 2x its bytes
@@ -662,8 +762,8 @@ class TestFiniteDifferences:
         # a case silently dropped from the table would still pass
         assert [r.name for r in run_op_gradchecks(seed=0)] == [
             "conv3d", "conv1x1x1", "group_norm", "leaky_relu", "sigmoid",
-            "max_pool2", "upsample2", "reduce_sum", "split_concat", "add_sub",
-            "weighted_sum", "dice_loss"]
+            "max_pool2", "upsample2", "upsample_merge", "reduce_sum",
+            "split_concat", "add_sub", "weighted_sum", "dice_loss"]
 
     def test_sum_of_conv_gradient_on_batched_input(self, rng):
         # loss = sum(conv3d(x)) on a 2x2x4x4x4 input, input gradient against

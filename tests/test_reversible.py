@@ -181,6 +181,20 @@ class TestSequenceBackward:
             peaks[depth] = memtrack.GLOBAL.measure(lambda: backprop(tape, loss))
         assert peaks[6] <= peaks[1] * 1.05, peaks
 
+    def test_transient_peak_in_half_buffers_is_pinned(self, rng):
+        # One block, width 10, 8^3. At the peak, inside G's backward: y1, the
+        # two output-gradient halves, G's three recorded outputs, the
+        # reconstructed x2 and two engine gradient buffers. The consumed y2
+        # is gone: recording y2 - G(y1) on G's tape kept it alive, at 10.
+        from revvolnet.reversible import sequence_backward
+
+        seq = toy_sequence(1, 10, rng)
+        y = Tensor(randn5(rng, (1, 10, 8, 8, 8)))
+        grad = randn5(rng, (1, 10, 8, 8, 8))
+        half = y.nbytes // 2
+        peak = memtrack.GLOBAL.measure(lambda: sequence_backward(seq, grad, y))
+        assert peak == 9 * half
+
     def test_stored_reference_backward_peak_grows_with_depth(self, rng):
         peaks = {}
         for depth in (1, 6):

@@ -91,21 +91,26 @@ class TestTapeAccounting:
             n.retained_out.nbytes for n in tape.nodes if n.retained_out is not None)
 
     def test_stored_desk_forward_retains_only_what_a_backward_reads(self, rng):
-        net = build(load_spec(DESK_SPEC), seed=0)
+        spec = load_spec(DESK_SPEC)
         x = Tensor(randn5(rng, (1, 4, 16, 16, 16)))
-        with Tape() as tape:
-            net.forward(x, stored_activations=True)
-        read = set()  # producers whose output some saving consumer reads
-        for node in tape.nodes:
-            if "inputs" in node.saves:
-                read.update(src for kind, src in node.input_slots if kind == "node")
-        plumbing = [n for n in tape.nodes if n.op in (
-            "upsample2", "concat_channels", "slice_channels", "add", "sub")]
-        assert {n.op for n in plumbing} == {"upsample2", "concat_channels",
-                                            "slice_channels", "add"}
-        for node in plumbing:
-            assert (node.retained_out is not None) == (node in read), node.name
-        assert any(node.retained_out is None for node in plumbing)
+        # the reversible net's merge steps upsample inside one op; its twin
+        # still upsamples and concatenates
+        for net_spec, ops_seen in (
+                (spec, {"concat_channels", "slice_channels", "add"}),
+                (spec.paired(), {"upsample2", "concat_channels"})):
+            with Tape() as tape:
+                build(net_spec, seed=0).forward(x, stored_activations=True)
+            read = set()  # producers whose output some saving consumer reads
+            for node in tape.nodes:
+                if "inputs" in node.saves:
+                    read.update(src for kind, src in node.input_slots
+                                if kind == "node")
+            plumbing = [n for n in tape.nodes if n.op in (
+                "upsample2", "concat_channels", "slice_channels", "add", "sub")]
+            assert {n.op for n in plumbing} == ops_seen
+            for node in plumbing:
+                assert (node.retained_out is not None) == (node in read), node.name
+            assert any(node.retained_out is None for node in plumbing)
 
     def test_release_clears_accounting(self, rng):
         x = Tensor(randn5(rng, (1, 2, 4, 4, 4)))

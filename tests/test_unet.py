@@ -1,16 +1,24 @@
 """Architecture builder: validation, shapes, structure, parameter counts,
 spec files, and checkpoints."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from revvolnet import ops
 from revvolnet.reversible import ConvUnit, Module
+from revvolnet.tape import no_record
 from revvolnet.tensor import Parameter, ShapeError, Tensor
-from revvolnet.unet import (ArchitectureSpec, build, forward_full_volume,
-                            load_checkpoint, load_spec, parameter_count,
-                            parse_spec_text, save_checkpoint, spec_to_text)
+from revvolnet.unet import (ArchitectureSpec, _run_step, build,
+                            forward_full_volume, load_checkpoint, load_spec,
+                            parameter_count, parse_spec_text, save_checkpoint,
+                            spec_to_text)
+from revvolnet.verification import relative_error
 
 from conftest import closed_form_count, randn5
+
+DESK_SPEC = Path(__file__).resolve().parents[1] / "specs" / "desk_reversible.spec"
 
 
 class TestSpecValidation:
@@ -246,6 +254,42 @@ class TestCheckpoints:
         restored = load_checkpoint(tmp_path / "ckpt")
         after = forward_full_volume(restored, x).data
         np.testing.assert_array_equal(before, after)
+
+    def test_fused_merge_evaluates_as_upsample_concat_conv(self, tmp_path, rng):
+        # The reversible decoder's merge steps apply each merge conv after
+        # upsampling, in one op. A saved desk network, reloaded, gives what
+        # the upsample -> concat -> 1x1x1 conv composition of the same
+        # merge ConvLayer gives, at every step.
+        net = build(load_spec(DESK_SPEC), seed=0)
+        for p in net.parameters():
+            if p.id.endswith(".bias"):  # the bias must pass through the merge
+                p.value.data[...] = randn5(rng, p.shape)
+        save_checkpoint(net, tmp_path / "ckpt")
+        restored = load_checkpoint(tmp_path / "ckpt")
+        assert [s[1] for s in restored.steps if s[0] == "merge"] == [
+            "merge1", "merge0"]
+        assert not [s for s in restored.steps if s[0] in ("upsample", "concat_skip")]
+        x = Tensor(randn5(rng, (1, 4, 16, 16, 16), scale=1.0))
+
+        def run(fused):
+            h, skips, outs = x, {}, []
+            with no_record():
+                for step in restored.steps:
+                    if step[0] == "merge" and not fused:
+                        up = ops.upsample2(h)
+                        h = step[2](ops.concat_channels(skips.pop(step[3]), up))
+                    else:
+                        h = _run_step(step, h, skips, stored=False)
+                    outs.append(h.data)
+            return outs
+
+        fused, composed = run(True), run(False)
+        # float32 rounding only: the activations reach about 18 here
+        for step, a, b in zip(restored.steps, fused, composed):
+            assert relative_error(a, b) <= 1e-6, step[1]
+        np.testing.assert_allclose(fused[-1], composed[-1], rtol=0, atol=1e-5)
+        np.testing.assert_array_equal(forward_full_volume(restored, x).data,
+                                      fused[-1])
 
     def test_failed_save_leaves_old_checkpoint_whole(self, tmp_path, monkeypatch):
         from revvolnet import tensorio
