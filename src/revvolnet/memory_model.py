@@ -28,11 +28,13 @@ after the forward pass, and ``sum(M_N) + sum(M_S)`` what the reversible-mode
 tape retains.
 
 M_B models this engine's per-block backward strategy as
-BLOCK_BACKWARD_HALF_BUFFERS half-width tensors. The measured peak inside one
-block's backward holds nine: the half of the boundary pair not yet
-consumed, both gradient halves, one sub-network's three re-recorded
-GN/LeakyReLU/conv outputs, the freshly reconstructed half and two engine
-gradient buffers. The constant is one below that count. A non-reversible layer's backward transient is simply its
+BLOCK_BACKWARD_HALF_BUFFERS half-width tensors, the count measured at the
+peak inside one block's backward (a test pins the two together): the half
+of the boundary pair not yet consumed (y1), both gradient halves, the
+freshly reconstructed half, the activation the sub-network's conv saves (the
+fused GroupNorm+LeakyReLU output) and two engine gradient buffers. The
+sub-network's output is dropped once the reconstruction has read it. A
+non-reversible layer's backward transient is simply its
 activation-derivative buffer, so the max-term of the second formula runs over
 both kinds; with no sequences present it degenerates to max(M_D) and the two
 totals coincide. Both formulas assume a non-branching chain; the report
@@ -46,7 +48,7 @@ from dataclasses import dataclass
 from . import memtrack
 
 BYTES = 4  # float32
-BLOCK_BACKWARD_HALF_BUFFERS = 8
+BLOCK_BACKWARD_HALF_BUFFERS = 7
 
 
 @dataclass

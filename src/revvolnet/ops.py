@@ -3,15 +3,15 @@
 Every op validates shapes up front, computes the forward result with numpy,
 and registers a tape node whose backward closure produces the input gradients
 and accumulates parameter gradients. Each op declares what its closure reads
-(``saves``): ``conv3d``, ``upsample_merge``, ``group_norm`` and
-``leaky_relu`` their inputs, ``sigmoid`` its output, ``max_pool2`` both, and
-the upsampling, channel plumbing, arithmetic and reductions nothing. The
-tape retains and hands over only those values, so closures capture
-parameters and small saved statistics only. The closures carry no test hook:
-the gradient checker corrupts gradients by op name in ``tape.backward``.
-Empty tensors (batch 0 or a zero spatial extent) run through the general
-kernels; only ``group_norm``, whose statistics are undefined there, keeps a
-branch for them.
+(``saves``): ``conv3d``, ``upsample_merge``, ``group_norm``,
+``group_norm_leaky_relu`` and ``leaky_relu`` their inputs, ``sigmoid`` its
+output, ``max_pool2`` both, and the upsampling, channel plumbing, arithmetic
+and reductions nothing. The tape retains and hands over only those values,
+so closures capture parameters and small saved statistics only. The
+closures carry no test hook: the gradient checker corrupts gradients by op
+name in ``tape.backward``. Empty tensors (batch 0 or a zero spatial extent)
+run through the general kernels; only the two GroupNorm ops, whose
+statistics are undefined there, keep a branch for them.
 
 Convolution is a shift-GEMM over the flattened zero-padded grid: one matrix
 product per kernel offset, each reading a strided view of the input, so no
@@ -38,7 +38,18 @@ can, since each pass streams the whole activation:
 - ``leaky_relu`` forward: one product ``s*x`` and one elementwise maximum
   (minimum for s > 1) in place, with no boolean select; a slope <= 0 adds
   one masked copy to stay exact at signed zeros and infinities. Backward:
-  the factor ``[s, 1][x >= 0]`` by one ``take``, then ``*= g`` in place.
+  the factor ``[s, 1][x >= 0]`` by one ``take``, then ``*= g`` in place,
+  both per chunk of about ``_TILE_BYTES`` (``take`` widens its indices to
+  intp, so a whole-tensor call would form twice the input's bytes).
+- ``group_norm_leaky_relu`` (In-Place ABN's idea, Rota Bulò et al. 2018):
+  the ``group_norm`` forward, then the ``leaky_relu`` forward chunk by
+  chunk in place on the normalised buffer, through one chunk of scratch.
+  It saves only its input: the backward recomputes the normalised tensor
+  ``z`` from the centred copy with the forward's scale and shift, takes the
+  LeakyReLU factor from its sign into ``z``'s own buffer, and turns that
+  buffer into the input gradient in place. Every result is bit for bit
+  that of ``leaky_relu(group_norm(x))``, and the tape keeps one activation
+  per GN-LeakyReLU-conv unit, the conv's input, instead of two.
 - ``max_pool2``: the forward takes pairwise maxima over strided views. The
   backward walks the eight block positions in scan order with a mask of
   blocks not yet routed, and writes ``g`` into a strided view of a zeroed
@@ -261,15 +272,35 @@ def group_norm(x: Tensor, gamma: Parameter, beta: Parameter, group_size: int,
 
     ``group_size`` is the number of channels per group.
     """
-    _check_axes(x, "group_norm input")
+    return _group_norm_op("group_norm", x, gamma, beta, group_size, epsilon)
+
+
+def group_norm_leaky_relu(x: Tensor, gamma: Parameter, beta: Parameter,
+                          group_size: int, epsilon: float = 1e-5,
+                          slope: float = 0.01) -> Tensor:
+    """``leaky_relu(group_norm(x, gamma, beta, group_size, epsilon), slope)``
+    as one op, bit for bit, that keeps only ``x``.
+
+    The LeakyReLU runs in place on the op's own normalised buffer, and the
+    backward recomputes that buffer from ``x`` in the forward's operation
+    order, so no tape slot holds the normalised tensor.
+    """
+    return _group_norm_op("group_norm_leaky_relu", x, gamma, beta, group_size,
+                          epsilon, slope)
+
+
+def _group_norm_op(op, x, gamma, beta, group_size, epsilon, slope=None):
+    """GroupNorm recorded as ``op``, followed by an in-place LeakyReLU of
+    ``slope`` unless it is None; the backward reads only ``x``."""
+    _check_axes(x, f"{op} input")
     b, c, d, h, w = x.shape
     if group_size <= 0 or c % group_size != 0:
         raise ShapeError(
-            f"group_norm channels ({c}) not divisible by group size ({group_size})"
+            f"{op} channels ({c}) not divisible by group size ({group_size})"
         )
     if gamma.value.shape != (1, c, 1, 1, 1) or beta.value.shape != (1, c, 1, 1, 1):
         raise ShapeError(
-            f"group_norm affine parameters must have {c} channels, got "
+            f"{op} affine parameters must have {c} channels, got "
             f"gamma {gamma.value.shape}, beta {beta.value.shape}"
         )
     groups = c // group_size
@@ -278,7 +309,7 @@ def group_norm(x: Tensor, gamma: Parameter, beta: Parameter, group_size: int,
         out = Tensor(np.zeros_like(x.data))
         # declares what the general path does, so an empty-batch trace
         # retains what a real step does
-        return record("group_norm", out, [x],
+        return record(op, out, [x],
                       lambda g, _i, _o: (np.zeros_like(g),), params=(gamma, beta),
                       saves=("inputs",))
 
@@ -291,37 +322,56 @@ def group_norm(x: Tensor, gamma: Parameter, beta: Parameter, group_size: int,
     n = group_size * d * h * w
     var = _row_dots(xc.reshape(b, groups, n), xc.reshape(b, groups, n)) / n
     istd = (1.0 / np.sqrt(var + np.float32(epsilon)))[:, :, None]
-    gam = gamma.value.data.reshape(groups, group_size)
-    xc *= (gam * istd)[..., None]
-    xc += beta.value.data.reshape(groups, group_size, 1)
-    out = Tensor(xc.reshape(x.shape))
+    # (B, G, group_size, 1) and (G, group_size, 1): negligible bytes
+    scale = (gamma.value.data.reshape(groups, group_size) * istd)[..., None]
+    shift = beta.value.data.reshape(groups, group_size, 1)
+    z = _scale_shift(xc, scale, shift, out=xc)
+    if slope is not None:
+        s = np.float32(slope)
+        factors = np.array([s, 1], dtype=np.float32)
+        _leaky_relu_in_place(z, s)
+    out = Tensor(z.reshape(x.shape))
 
     gamma_ref, beta_ref = gamma, beta
-    saved_mu, saved_istd = mu, istd  # (B, G, 1, 1) and (B, G, 1): negligible bytes
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
         gg = g.reshape(gshape)
-        xc = x_val.reshape(gshape) - saved_mu
+        xc = x_val.reshape(gshape) - mu
+        if slope is not None:
+            # the normalised tensor as the forward formed it; its sign picks
+            # each factor, and its buffer then holds the gradient at it
+            z = _scale_shift(xc, scale, shift, out=np.empty_like(xc))
+            gg = _leaky_relu_grad(z, factors, gg, out=z)
         # per (sample, channel) sums of g and of g * (x - mu)
         sg = gg.sum(axis=3)
         sgx = _row_dots(gg, xc)
         gam = gamma_ref.value.data.reshape(groups, group_size)
         beta_ref.grad.data += sg.sum(axis=0).reshape(beta_ref.grad.shape)
-        gamma_ref.grad.data += (sgx * saved_istd).sum(axis=0).reshape(
+        gamma_ref.grad.data += (sgx * istd).sum(axis=0).reshape(
             gamma_ref.grad.shape)
         # istd * (gamma*g - mean(gamma*g) - x_hat * mean(gamma*g*x_hat))
-        # = a*g + k*(x - mu) + c: a per channel, k and c per group
+        # = a*g + k*(x - mu) + c: a per channel, k and c per group; the
+        # fused op's gradient at z is its own buffer and becomes gx in place
         m1 = (gam * sg).sum(axis=2, keepdims=True) / n
         m2 = (gam * sgx).sum(axis=2, keepdims=True) / n
-        gx = gg * (gam * saved_istd)[..., None]
-        xc *= (-saved_istd ** 3 * m2)[..., None]
+        gx = np.multiply(gg, scale, out=None if slope is None else gg)
+        xc *= (-istd ** 3 * m2)[..., None]
         gx += xc
-        gx += (-saved_istd * m1)[..., None]
+        gx += (-istd * m1)[..., None]
         return (gx.reshape(x_val.shape),)
 
-    return record("group_norm", out, [x], backward_fn, params=(gamma, beta),
+    return record(op, out, [x], backward_fn, params=(gamma, beta),
                   saves=("inputs",))
+
+
+def _scale_shift(xc, scale, shift, out):
+    """``xc * scale + shift``, the GroupNorm affine step, into ``out``
+    (which may be ``xc``); the forward and the fused backward's recompute
+    share it, so both round alike."""
+    y = np.multiply(xc, scale, out=out)
+    y += shift
+    return y
 
 
 def _row_dots(a, b):
@@ -334,27 +384,53 @@ def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
     """x for x >= 0, slope * x otherwise."""
     _check_axes(x, "leaky_relu input")
     s = np.float32(slope)
-    # for s <= 1 the branch taken is the larger of x and s*x (the smaller for
-    # s > 1), so one product and one elementwise max replace the select
-    out_data = s * x.data
-    (np.minimum if s > 1 else np.maximum)(x.data, out_data, out=out_data)
-    if s <= 0:
-        # here x = +-0 ties s*x = -+0 (numpy leaves the winner open) and
-        # 0 * inf is NaN, so x >= 0 takes x itself
-        np.copyto(out_data, x.data, where=x.data >= 0)
-    out = Tensor(out_data)
-
-    # the branch's factor, picked by indexing [s, 1] with the sign test, then
-    # scaled by g in place: no select over three full-size arrays
+    out = Tensor(_leaky_relu_data(x.data, s, np.empty_like(x.data)))
     factors = np.array([s, 1], dtype=np.float32)
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
-        gx = factors.take((x_val >= 0).view(np.uint8))
-        gx *= g
-        return (gx,)
+        return (_leaky_relu_grad(x_val, factors, g,
+                                 np.empty(g.shape, dtype=np.float32)),)
 
     return record("leaky_relu", out, [x], backward_fn, saves=("inputs",))
+
+
+def _leaky_relu_data(x, s, out):
+    """LeakyReLU of ``x`` with float32 slope ``s`` into ``out``, which must
+    not overlap ``x``."""
+    # for s <= 1 the branch taken is the larger of x and s*x (the smaller for
+    # s > 1), so one product and one elementwise max replace the select
+    np.multiply(x, s, out=out)
+    (np.minimum if s > 1 else np.maximum)(x, out, out=out)
+    if s <= 0:
+        # here x = +-0 ties s*x = -+0 (numpy leaves the winner open) and
+        # 0 * inf is NaN, so x >= 0 takes x itself
+        np.copyto(out, x, where=x >= 0)
+    return out
+
+
+def _leaky_relu_in_place(z, s):
+    """``_leaky_relu_data`` over the contiguous ``z`` in place, one
+    ``_TILE_BYTES`` chunk at a time through a scratch of that size."""
+    flat = z.reshape(-1)
+    scratch = np.empty(min(flat.size, _TILE_BYTES // 4), dtype=np.float32)
+    for t0, t1 in _column_tiles(flat.size, 1):
+        flat[t0:t1] = _leaky_relu_data(flat[t0:t1], s, scratch[:t1 - t0])
+
+
+def _leaky_relu_grad(x, factors, g, out):
+    """``g`` times the factor of ``x``'s branch, ``factors = [s, 1]`` picked
+    by the sign test ``x >= 0``, into the contiguous ``out`` (which may be
+    ``x``): one ``take`` and one in-place product, no select over three
+    full-size arrays. It runs one ``_TILE_BYTES`` chunk at a time, because
+    ``take`` converts its indices to a full intp array (twice the float32
+    bytes), and ``mode="clip"`` lets it write into ``out`` unbuffered."""
+    xf, gf, of = x.reshape(-1), g.reshape(-1), out.reshape(-1)
+    for t0, t1 in _column_tiles(of.size, 1):
+        chunk = of[t0:t1]
+        factors.take((xf[t0:t1] >= 0).view(np.uint8), out=chunk, mode="clip")
+        chunk *= gf[t0:t1]
+    return out
 
 
 def sigmoid(x: Tensor) -> Tensor:

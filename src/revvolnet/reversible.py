@@ -48,7 +48,8 @@ def he_kernel(rng, out_ch, in_ch, k, name=None) -> Parameter:
 
 
 class ConvUnit(Module):
-    """group_norm -> leaky_relu -> conv3d with 'same' padding.
+    """group_norm -> leaky_relu -> conv3d with 'same' padding, the first two
+    as the one op ``ops.group_norm_leaky_relu``.
 
     The standard residual sub-network used for both F and G, and at full
     width for the non-reversible baseline stacks.
@@ -74,8 +75,8 @@ class ConvUnit(Module):
                               id=f"{name}.bias")
 
     def forward(self, x: Tensor) -> Tensor:
-        h = ops.group_norm(x, self.gamma, self.beta, self.group_size, self.epsilon)
-        h = ops.leaky_relu(h, self.slope)
+        h = ops.group_norm_leaky_relu(x, self.gamma, self.beta, self.group_size,
+                                      self.epsilon, self.slope)
         return ops.conv3d(h, self.kernel, self.bias, padding="same")
 
 
@@ -168,7 +169,11 @@ def sequence_backward(seq: ReversibleSequence, grad_out: np.ndarray, y) -> np.nd
     gradient of y2, the gradient flowing into y1; F's recording then yields
     x1 = y1 - F(x2) and the gradient flowing into x2. The tapes record only
     the sub-network, and the subtraction runs unrecorded, so no tape slot
-    holds the consumed half once its name is dropped. The reconstructed pair
+    holds the consumed half once its name is dropped. Nor does anything hold
+    the sub-network's output once the subtraction has read it: it lives
+    only in a one-item list whose ``pop`` hands ``backward`` the last
+    reference, which ``backward`` drops after finding its root node (no
+    backward reads it; the conv saves its input). The reconstructed pair
     becomes the "output" of the preceding block, so no whole-sequence buffer
     ever exists.
     """
@@ -192,23 +197,23 @@ def sequence_backward(seq: ReversibleSequence, grad_out: np.ndarray, y) -> np.nd
 
     for block in reversed(seq.blocks):
         with Tape() as tg:
-            gy1 = block.g(y1)
+            gy1 = [block.g(y1)]
         with no_record():
-            x2 = ops.sub(y2, gy1)
+            x2 = ops.sub(y2, gy1[0])
         y2 = None
-        (dy1_g,) = backward(tg, gy1, g2.data, wrt=[y1])
-        del tg, gy1
+        (dy1_g,) = backward(tg, gy1.pop(), g2.data, wrt=[y1])
+        del tg
         dy1 = Tensor(g1.data + dy1_g)
         g1 = None
         del dy1_g
 
         with Tape() as tf:
-            fx2 = block.f(x2)
+            fx2 = [block.f(x2)]
         with no_record():
-            x1 = ops.sub(y1, fx2)
+            x1 = ops.sub(y1, fx2[0])
         y1 = None
-        (dx2_f,) = backward(tf, fx2, dy1.data, wrt=[x2])
-        del tf, fx2
+        (dx2_f,) = backward(tf, fx2.pop(), dy1.data, wrt=[x2])
+        del tf
         dx2 = Tensor(g2.data + dx2_f)
         del dx2_f
 

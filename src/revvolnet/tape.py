@@ -183,14 +183,18 @@ def backward(tape: Tape, output: Tensor, seed: np.ndarray, wrt=()) -> list:
 
     Returns one gradient array (or None) per tensor in ``wrt``; those tensors
     are matched by identity against leaf inputs. Parameter gradients are
-    accumulated by the op closures as a side effect.
+    accumulated by the op closures as a side effect. ``output`` is used only
+    to find the root node and is dropped before the traversal.
     """
     root = output.node()
     if root is None or root.tape() is not tape:
         raise ValueError("output tensor was not produced on this tape")
+    # the root node knows the shape; a caller that passed its last reference
+    # to the output frees it here, unless some backward reads it
+    del output
     seed = np.ascontiguousarray(seed, dtype=np.float32)
-    if seed.shape != output.shape:
-        raise ShapeError(f"gradient seed shape {seed.shape} does not match output shape {output.shape}")
+    if seed.shape != root.out_shape:
+        raise ShapeError(f"gradient seed shape {seed.shape} does not match output shape {root.out_shape}")
 
     grads = {root: seed}
     live = seed.nbytes

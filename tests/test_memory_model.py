@@ -215,14 +215,15 @@ class TestMeasurePeak:
             peaks[depth] = measure_peak(run)
         assert peaks[4] <= 1.05 * peaks[1], peaks
 
-    @pytest.mark.parametrize("stored,bound", [(False, 12_500_000),
-                                              (True, 18_000_000)],
+    @pytest.mark.parametrize("stored,bound", [(False, 10_500_000),
+                                              (True, 14_000_000)],
                              ids=["reversible", "stored"])
     def test_desk_step_peak_keeps_only_what_backward_reads(self, stored, bound):
         # A tape that kept every recorded output measured 23,371,780 B
         # (reversible) and 34,922,500 B (stored) for this step; one that
         # retained the concatenation before each merge conv, 16,736,260 B
-        # and 21,159,940 B.
+        # and 21,159,940 B; one that kept each GroupNorm output for the
+        # LeakyReLU after it, 11,165,700 B and 16,654,340 B.
         net = build(load_spec(DESK_SPEC), seed=0)
         run = training_step_closure(net, SHAPE, stored)
         run()

@@ -6,8 +6,10 @@ import numpy as np
 import pytest
 
 from revvolnet import ops
+from revvolnet.reversible import ConvUnit
 from revvolnet.tape import Tape, backprop, backward, no_record
 from revvolnet.tensor import Parameter, ShapeError, Tensor
+from revvolnet.unet import ArchitectureSpec, build
 from revvolnet.verification import run_op_gradchecks
 
 from conftest import randn5
@@ -353,21 +355,112 @@ class TestLeakyRelu:
 
     @pytest.mark.parametrize("slope", [0.01, 0.2, 1.0, 2.0, -0.5])
     def test_backward_matches_where_bit_for_bit(self, rng, slope):
-        x = randn5(rng, (1, 1, 3, 5, 7), scale=3.0)
+        # 105 elements, and 70,000: more than one chunk, the last one partial
+        for shape in ((1, 1, 3, 5, 7), (1, 7, 10, 20, 50)):
+            x = randn5(rng, shape, scale=3.0)
+            g = randn5(rng, x.shape, scale=3.0)
+            specials = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45]
+            # every special input meets every special gradient, in the vector
+            # lanes and in the tail
+            x.flat[:49] = np.repeat(specials, 7)
+            g.flat[:49] = np.tile(specials, 7)
+            x.flat[-7:] = g.flat[-7:] = specials
+            s = np.float32(slope)
+            xt = Tensor(x.copy())
+            with Tape() as tape, np.errstate(invalid="ignore"):
+                y = ops.leaky_relu(xt, slope)
+                (gx,) = backward(tape, y, g, wrt=[xt])
+                want = np.where(x >= 0, g, s * g)
+            np.testing.assert_array_equal(gx.view(np.uint32),
+                                          want.view(np.uint32))
+
+
+class TestGroupNormLeakyRelu:
+    SPECIALS = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45]
+
+    def _arrays(self, rng, batch, spatial=(3, 5, 7)):
+        """Five groups of two channels: group 0's input holds every special
+        (so the group normalises to NaN), group 1's only the finite ones;
+        groups 2-4 have gamma 0, so z is beta (+-0, +-inf, +-1e-45) plus a
+        signed zero."""
+        x = randn5(rng, (batch, 10) + spatial, scale=3.0)
+        for b in range(batch):
+            x[b, 0].flat[:7] = x[b, 0].flat[-7:] = self.SPECIALS
+            x[b, 2].flat[:4] = x[b, 3].flat[-4:] = [0.0, -0.0, 1e-45, -1e-45]
+        gamma = randn5(rng, (1, 10, 1, 1, 1), scale=1.0)
+        beta = randn5(rng, (1, 10, 1, 1, 1), scale=1.0)
+        gamma[0, 4:] = 0.0
+        beta[0, 4:] = np.array([0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45],
+                               np.float32).reshape(6, 1, 1, 1)
         g = randn5(rng, x.shape, scale=3.0)
-        specials = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45]
-        # every special input meets every special gradient, in the vector
-        # lanes and in the tail
-        x.flat[:49] = np.repeat(specials, 7)
-        g.flat[:49] = np.tile(specials, 7)
-        x.flat[-7:] = g.flat[-7:] = specials
-        s = np.float32(slope)
-        xt = Tensor(x.copy())
-        with Tape() as tape, np.errstate(invalid="ignore"):
-            y = ops.leaky_relu(xt, slope)
-            (gx,) = backward(tape, y, g, wrt=[xt])
-            want = np.where(x >= 0, g, s * g)
-        np.testing.assert_array_equal(gx.view(np.uint32), want.view(np.uint32))
+        if batch:
+            g[-1, -1].flat[:7] = self.SPECIALS
+        return x, gamma, beta, g
+
+    @staticmethod
+    def _run(fn, x, gamma, beta, g):
+        xt, gp, bp = Tensor(x.copy()), Parameter(gamma.copy()), Parameter(beta.copy())
+        seed = g.copy()  # the engine hands this very array to the op
+        with Tape() as tape, np.errstate(all="ignore"):
+            y = fn(xt, gp, bp)
+            out = y.data.copy()
+            (gx,) = backward(tape, y, seed, wrt=[xt])
+        # a backward must not write into the gradient it receives
+        np.testing.assert_array_equal(seed.view(np.uint32), g.view(np.uint32))
+        return out, gx, gp.grad.data, bp.grad.data
+
+    @pytest.mark.parametrize("slope", [0.01, 0.2, 1.0, 2.0, 0.0, -0.5])
+    @pytest.mark.parametrize("batch", [0, 1, 2])
+    def test_matches_composition_bit_for_bit(self, rng, slope, batch):
+        arrays = self._arrays(rng, batch)
+        fused = self._run(lambda t, gp, bp: ops.group_norm_leaky_relu(
+            t, gp, bp, 2, 1e-5, slope), *arrays)
+        composed = self._run(lambda t, gp, bp: ops.leaky_relu(
+            ops.group_norm(t, gp, bp, 2, 1e-5), slope), *arrays)
+        # the plain op also gets the seed itself, which it must not write
+        self._run(lambda t, gp, bp: ops.group_norm(t, gp, bp, 2), *arrays)
+        for name, got, want in zip(("y", "gx", "g_gamma", "g_beta"), fused,
+                                   composed):
+            assert got.shape == want.shape, name
+            np.testing.assert_array_equal(got.view(np.uint32),
+                                          want.view(np.uint32), err_msg=name)
+        if batch:
+            y = fused[0]
+            assert np.isnan(y[:, :2]).all() and np.isfinite(y[:, 2:4]).all()
+            # beta -0 gives z = -0 where x < mu and +0 elsewhere
+            assert np.signbit(y[:, 5]).any() and not np.signbit(y[:, 5]).all()
+
+    @pytest.mark.parametrize("slope", [0.01, -0.5])
+    def test_chunked_kernels_match_composition(self, rng, slope):
+        # 76,800 elements: more than one chunk of the LeakyReLU forward and
+        # backward, the last one partial, with special lanes in each
+        arrays = self._arrays(rng, 2, spatial=(16, 12, 20))
+        fused = self._run(lambda t, gp, bp: ops.group_norm_leaky_relu(
+            t, gp, bp, 2, 1e-5, slope), *arrays)
+        composed = self._run(lambda t, gp, bp: ops.leaky_relu(
+            ops.group_norm(t, gp, bp, 2, 1e-5), slope), *arrays)
+        for got, want in zip(fused, composed):
+            np.testing.assert_array_equal(got.view(np.uint32),
+                                          want.view(np.uint32))
+
+    def test_conv_unit_retains_only_the_conv_input(self, rng):
+        unit = ConvUnit(4, 6, rng, group_size=2)
+        x = Tensor(randn5(rng, (1, 4, 4, 4, 4)))
+        with Tape() as tape:
+            unit(x)
+        assert [n.op for n in tape.nodes] == ["group_norm_leaky_relu", "conv3d"]
+        assert tape.nodes[0].saves == ("inputs",)
+        assert [n.retained_out is not None for n in tape.nodes] == [True, False]
+        assert tape.retained_bytes == x.nbytes
+
+    def test_empty_batch_traces_through_network(self):
+        spec = ArchitectureSpec(levels=[4, 8], group_size=2)
+        for net_spec in (spec, spec.paired()):
+            entries = build(net_spec, seed=0).trace((2, 4, 8, 8, 8))
+            ops_seen = {e.name.split(".")[-1].split("#")[0] for e in entries}
+            assert "group_norm_leaky_relu" in ops_seen
+            assert not {"group_norm", "leaky_relu"} & ops_seen
+            assert all(e.shape[0] == 2 for e in entries)
 
 
 class TestSigmoid:
@@ -649,6 +742,15 @@ class TestKernelScratch:
         b = Parameter(np.zeros((1, 10, 1, 1, 1), np.float32))
         assert self._peak_ratio(lambda t: ops.group_norm(t, g, b, 5), rng) < 4.5
 
+    def test_group_norm_leaky_relu_no_larger_than_composition(self, rng):
+        g = Parameter(np.ones((1, 10, 1, 1, 1), np.float32))
+        b = Parameter(np.zeros((1, 10, 1, 1, 1), np.float32))
+        fused = self._peak_ratio(
+            lambda t: ops.group_norm_leaky_relu(t, g, b, 5), rng)
+        composed = self._peak_ratio(
+            lambda t: ops.leaky_relu(ops.group_norm(t, g, b, 5)), rng)
+        assert fused <= composed, (fused, composed)
+
     def test_max_pool2(self, rng):
         assert self._peak_ratio(ops.max_pool2, rng) < 2.0
 
@@ -724,6 +826,7 @@ class TestZeroExtentEverywhere:
         with no_record():
             assert ops.group_norm(x, g, b, 2).element_count == 0
             assert ops.leaky_relu(x).element_count == 0
+            assert ops.group_norm_leaky_relu(x, g, b, 2).element_count == 0
             assert ops.sigmoid(x).element_count == 0
             assert ops.max_pool2(x).element_count == 0
             assert ops.upsample2(x).element_count == 0
@@ -761,8 +864,9 @@ class TestFiniteDifferences:
     def test_case_table_is_pinned(self):
         # a case silently dropped from the table would still pass
         assert [r.name for r in run_op_gradchecks(seed=0)] == [
-            "conv3d", "conv1x1x1", "group_norm", "leaky_relu", "sigmoid",
-            "max_pool2", "upsample2", "upsample_merge", "reduce_sum",
+            "conv3d", "conv1x1x1", "group_norm", "leaky_relu",
+            "group_norm_leaky_relu", "sigmoid", "max_pool2", "upsample2",
+            "upsample_merge", "reduce_sum",
             "split_concat", "add_sub", "weighted_sum", "dice_loss"]
 
     def test_sum_of_conv_gradient_on_batched_input(self, rng):

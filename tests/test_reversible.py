@@ -1,10 +1,12 @@
 """Reversible block/sequence semantics, inversion accuracy, gradient
 equivalence against the stored-activation reference, and memory behavior."""
 
+import weakref
+
 import numpy as np
 import pytest
 
-from revvolnet import memtrack, ops
+from revvolnet import memory_model, memtrack, ops
 from revvolnet.reversible import (Module, ReversibleBlock, ReversibleSequence,
                                   block_forward, block_inverse, make_block)
 from revvolnet.tape import Tape, backprop, no_record
@@ -24,6 +26,28 @@ class KernelOnly(Module):
 
     def forward(self, x):
         return ops.conv3d(x, self.kernel, None, padding=(0, 0, 0))
+
+
+class WatchedOutput(Module):
+    """A sub-network that notes, when its last recorded op's backward
+    starts, whether its output tensor is still alive."""
+
+    def __init__(self, unit):
+        self.unit = unit
+        self.alive_in_backward = []
+
+    def forward(self, x):
+        out = self.unit(x)
+        node = out.node()
+        if node is not None:
+            ref, inner = weakref.ref(out), node.backward_fn
+
+            def watched(g, inputs, output):
+                self.alive_in_backward.append(ref() is not None)
+                return inner(g, inputs, output)
+
+            node.backward_fn = watched
+        return out
 
 
 def zero_block(channels, rng):
@@ -183,9 +207,11 @@ class TestSequenceBackward:
 
     def test_transient_peak_in_half_buffers_is_pinned(self, rng):
         # One block, width 10, 8^3. At the peak, inside G's backward: y1, the
-        # two output-gradient halves, G's three recorded outputs, the
-        # reconstructed x2 and two engine gradient buffers. The consumed y2
-        # is gone: recording y2 - G(y1) on G's tape kept it alive, at 10.
+        # two output-gradient halves, the reconstructed x2, the activation
+        # G's conv saves and two engine gradient buffers. Neither the
+        # consumed y2 nor G's output is held (10 while the subtraction was
+        # recorded; 9 while G's output lived through its backward), and the
+        # GroupNorm output is not kept beside the LeakyReLU's (at 8).
         from revvolnet.reversible import sequence_backward
 
         seq = toy_sequence(1, 10, rng)
@@ -193,7 +219,23 @@ class TestSequenceBackward:
         grad = randn5(rng, (1, 10, 8, 8, 8))
         half = y.nbytes // 2
         peak = memtrack.GLOBAL.measure(lambda: sequence_backward(seq, grad, y))
-        assert peak == 9 * half
+        assert peak == 7 * half
+        # the memory model's M_B is this measured count
+        assert memory_model.BLOCK_BACKWARD_HALF_BUFFERS == 7
+
+    def test_sub_network_outputs_die_before_their_backward_returns(self, rng):
+        # One block, width 10, 8^3. Each sub-network output is consumed by
+        # the subtraction that reconstructs the block's input; no backward
+        # reads it, so it must be gone by the time its conv's backward runs.
+        from revvolnet.reversible import sequence_backward
+
+        seq = toy_sequence(1, 10, rng)
+        block = seq.blocks[0]
+        block.f, block.g = WatchedOutput(block.f), WatchedOutput(block.g)
+        y = Tensor(randn5(rng, (1, 10, 8, 8, 8)))
+        sequence_backward(seq, randn5(rng, y.shape), y)
+        assert block.g.alive_in_backward == [False]
+        assert block.f.alive_in_backward == [False]
 
     def test_stored_reference_backward_peak_grows_with_depth(self, rng):
         peaks = {}
