@@ -45,6 +45,13 @@ def _positive_int(text):
     return value
 
 
+def _nonnegative_int(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"want a nonnegative int, got {text!r}")
+    return value
+
+
 def _emit(doc):
     print(json.dumps(doc, indent=2))
 
@@ -169,7 +176,7 @@ def cmd_estimate_memory(args):
 def _make_dataset(args, spec, seed):
     from .training import generate_synthetic, load_dataset
 
-    if args.synthetic:
+    if args.synthetic is not None:
         rng = np.random.default_rng(seed)
         return [generate_synthetic(rng, size=args.size,
                                    modalities=spec.in_channels)
@@ -268,8 +275,9 @@ def build_parser():
     p.add_argument("--spec", help="take the sequence width from this "
                                   "architecture spec")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--depth", type=int, default=3)
-    p.add_argument("--width", type=int, default=8)
+    p.add_argument("--depth", type=_nonnegative_int, default=3,
+                   help="reversible sequence depth; 0 skips the sequence check")
+    p.add_argument("--width", type=_positive_int, default=8)
     p.add_argument("--inject-fault", metavar="OP[=SCALE]",
                    help="corrupt the first input gradient of every node of "
                         "this op (any recorded op name; test hook)")
@@ -277,9 +285,9 @@ def build_parser():
 
     p = sub.add_parser("invert", help="reversible block round-trip trials")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--width", type=int, default=8)
-    p.add_argument("--spatial", type=int, default=8)
+    p.add_argument("--trials", type=_positive_int, default=100)
+    p.add_argument("--width", type=_positive_int, default=8)
+    p.add_argument("--spatial", type=_positive_int, default=8)
     p.set_defaults(fn=cmd_invert)
 
     p = sub.add_parser("estimate-memory", help="analytic training-memory report")
@@ -300,9 +308,9 @@ def build_parser():
     p.add_argument("--config")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--data", help="dataset directory with manifest.txt")
-    group.add_argument("--synthetic", type=int, metavar="N",
+    group.add_argument("--synthetic", type=_positive_int, metavar="N",
                        help="train on N generated volumes")
-    p.add_argument("--size", type=int, default=32,
+    p.add_argument("--size", type=_positive_int, default=32,
                    help="edge length of synthetic volumes")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, default=None)
@@ -315,8 +323,8 @@ def build_parser():
                    help="checkpoint prefix (expects .rvt/.manifest/.arch)")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--data")
-    group.add_argument("--synthetic", type=int, metavar="N")
-    p.add_argument("--size", type=int, default=32)
+    group.add_argument("--synthetic", type=_positive_int, metavar="N")
+    p.add_argument("--size", type=_positive_int, default=32)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_eval)
 

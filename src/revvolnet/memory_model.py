@@ -43,7 +43,7 @@ real graph so the delta of the naive max-term is documented.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from . import memtrack
 
@@ -76,18 +76,7 @@ class MemoryReport:
             "total_prev_bytes": self.total_prev_bytes,
             "measured_peak_bytes": self.measured_peak_bytes,
             "breakdown": self.breakdown,
-            "terms": [
-                {
-                    "layer": t.layer,
-                    "kind": t.kind,
-                    "activation_bytes": t.activation_bytes,
-                    "param_bytes": t.param_bytes,
-                    "derivative_bytes": t.derivative_bytes,
-                    "backward_transient_bytes": t.backward_transient_bytes,
-                    "saved": t.saved,
-                }
-                for t in self.terms
-            ],
+            "terms": [asdict(t) for t in self.terms],
         }
         return json.dumps(doc, indent=2)
 

@@ -13,10 +13,13 @@ name in ``tape.backward``. Empty tensors (batch 0 or a zero spatial extent)
 run through the general kernels; only the two GroupNorm ops, whose
 statistics are undefined there, keep a branch for them.
 
-Convolution is a shift-GEMM over the flattened zero-padded grid: one matrix
-product per kernel offset, each reading a strided view of the input, so no
-im2col window matrix is materialised (algebraically equivalent to the direct
-six-loop sum; the test suite checks forward and backward against that oracle).
+Convolution has one padding rule: stride 1 and "same" zero padding, so
+every kernel extent must be odd (3x3x3 units, 1x1x1 channel changes) and
+the output keeps the input's spatial extents. It is a shift-GEMM over the
+flattened zero-padded grid: one matrix product per kernel offset, each
+reading a strided view of the input, so no im2col window matrix is
+materialised (algebraically equivalent to the direct six-loop sum; the test
+suite checks forward and backward against that oracle).
 The products run over column tiles of the flattened output, about
 ``_TILE_BYTES`` of accumulator each, and all kernel offsets are applied to
 one tile before the next: the tile and the input columns it reads stay in
@@ -87,24 +90,17 @@ def _check_axes(t, what: str):
 # convolution
 
 
-def _same_padding(kernel_shape):
-    pads = []
-    for k in kernel_shape:
-        if k % 2 == 0:
-            raise ShapeError(
-                f"'same' padding requires odd kernel extents, got {kernel_shape}"
-            )
-        pads.append((k - 1) // 2)
-    return tuple(pads)
+def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None) -> Tensor:
+    """Stride-1 cross-correlation with "same" zero padding, plus bias.
 
-
-def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
-           padding="same") -> Tensor:
-    """Stride-1 cross-correlation with per-axis zero padding plus bias."""
+    Every kernel extent must be odd; each axis is padded by (k - 1) // 2 on
+    both sides, so the output has the input's spatial extents.
+    """
     _check_axes(x, "conv3d input")
     w = kernel.value.data
-    out_ch, in_ch, kd, kh, kw = w.shape
-    _, c, d, h, wdt = x.shape
+    out_ch, in_ch = w.shape[:2]
+    extents = w.shape[2:]
+    c = x.shape[1]
     if c != in_ch:
         raise ShapeError(
             f"conv3d channel mismatch: input has shape {x.shape} "
@@ -114,19 +110,9 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
         raise ShapeError(
             f"conv3d bias shape {bias.value.shape} does not match out_channels={out_ch}"
         )
-    if padding == "same":
-        pads = _same_padding((kd, kh, kw))
-    else:
-        pads = tuple(int(p) for p in padding)
-        if len(pads) != 3 or any(p < 0 for p in pads):
-            raise ShapeError(f"padding must be three nonnegative ints, got {padding!r}")
-    out_spatial = (d + 2 * pads[0] - kd + 1, h + 2 * pads[1] - kh + 1,
-                   wdt + 2 * pads[2] - kw + 1)
-    if any(e < 0 for e in out_spatial):
-        raise ShapeError(
-            f"conv3d kernel {w.shape[2:]} with padding {pads} does not fit "
-            f"input spatial extents {x.shape[2:]}"
-        )
+    if any(k % 2 == 0 for k in extents):
+        raise ShapeError(f"'same' padding requires odd kernel extents, got {extents}")
+    pads = tuple((k - 1) // 2 for k in extents)
 
     out = Tensor(_conv_forward(x.data, w, pads, bias))
     kernel_ref, bias_ref = kernel, bias
@@ -250,15 +236,6 @@ def _conv_backward(g, x, w, pads):
                                                pads[2]:pads[2] + wdt]
     gw = np.ascontiguousarray(np.moveaxis(gmats, 0, 2).reshape(w.shape))
     return gx, gw, gb
-
-
-def conv1x1x1(x: Tensor, kernel: Parameter, bias: Parameter | None = None) -> Tensor:
-    """Channel-mixing convolution; kernel extents must all be one."""
-    if kernel.value.shape[2:] != (1, 1, 1):
-        raise ShapeError(
-            f"conv1x1x1 requires kernel spatial extents (1, 1, 1), got {kernel.value.shape}"
-        )
-    return conv3d(x, kernel, bias, padding=(0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -551,8 +528,8 @@ def upsample2(x: Tensor) -> Tensor:
 
 def upsample_merge(skip: Tensor, d: Tensor, kernel: Parameter,
                    bias: Parameter) -> Tensor:
-    """``conv1x1x1(concat_channels(skip, upsample2(d)), kernel, bias)`` without
-    the concatenation: ``W_s @ skip + upsample2(W_u @ d) + bias``.
+    """The 1x1x1 ``conv3d(concat_channels(skip, upsample2(d)), kernel, bias)``
+    without the concatenation: ``W_s @ skip + upsample2(W_u @ d) + bias``.
 
     ``W_s`` and ``W_u`` are the kernel's first ``C_skip`` and last ``C_d``
     input columns. A 1x1x1 conv mixes channels and the upsampling mixes

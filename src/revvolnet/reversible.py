@@ -77,7 +77,7 @@ class ConvUnit(Module):
     def forward(self, x: Tensor) -> Tensor:
         h = ops.group_norm_leaky_relu(x, self.gamma, self.beta, self.group_size,
                                       self.epsilon, self.slope)
-        return ops.conv3d(h, self.kernel, self.bias, padding="same")
+        return ops.conv3d(h, self.kernel, self.bias)
 
 
 class ReversibleBlock(Module):
@@ -130,9 +130,6 @@ class ReversibleSequence(Module):
         self.blocks = list(blocks)
 
     def forward(self, x: Tensor) -> Tensor:
-        c = x.shape[1]
-        if c % 2:
-            raise ShapeError(f"reversible sequence needs an even channel count, got {c}")
         with no_record():
             y = self._run_forward(x)
         seq = self
@@ -144,17 +141,17 @@ class ReversibleSequence(Module):
                       params=tuple(self.parameters()), saves=("output",))
 
     def forward_stored(self, x: Tensor) -> Tensor:
-        c = x.shape[1]
-        if c % 2:
-            raise ShapeError(f"reversible sequence needs an even channel count, got {c}")
         return self._run_forward(x)
 
     def _run_forward(self, x: Tensor) -> Tensor:
+        c = x.shape[1]
+        if c % 2:
+            raise ShapeError(f"reversible sequence needs an even channel count, got {c}")
         if not self.blocks:
             # Identity; still a fresh tensor so the caller owns its buffer.
             out = Tensor(x.data.copy())
             return record("identity", out, [x], lambda g, _i, _o: (g,))
-        x1, x2 = ops.split_channels(x, x.shape[1] // 2)
+        x1, x2 = ops.split_channels(x, c // 2)
         for block in self.blocks:
             x1, x2 = block_forward(block, x1, x2)
         return ops.concat_channels(x1, x2)

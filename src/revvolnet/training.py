@@ -22,6 +22,8 @@ from .unet import forward_full_volume, parse_fields
 log = logging.getLogger("revvolnet.training")
 
 REGIONS = ("wt", "tc", "et")
+TRAIN_FRACTION = 0.8  # share of the volumes split_dataset trains on
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass
@@ -125,12 +127,12 @@ def dice_score(pred_binary: np.ndarray, target_binary: np.ndarray) -> np.ndarray
 # preprocessing and augmentation
 
 
-def standardize(image: np.ndarray, per_modality: bool = True) -> np.ndarray:
-    """Zero mean / unit variance over the nonzero voxels; zeros stay zero."""
+def standardize(image: np.ndarray) -> np.ndarray:
+    """Zero mean / unit variance over each modality's nonzero voxels; zeros
+    stay zero."""
     image = np.asarray(image, dtype=np.float32)
     out = image.copy()
-    channels = range(image.shape[0]) if per_modality else [slice(None)]
-    for m in channels:
+    for m in range(image.shape[0]):
         values = image[m]
         mask = values != 0
         if not mask.any():
@@ -241,10 +243,7 @@ def augment(image: np.ndarray, masks: np.ndarray, rng):
 
 
 class AdamState:
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
+    def __init__(self):
         self.t = 0
         self.moments = {}
 
@@ -259,13 +258,13 @@ class AdamState:
 def adam_step(params, state: AdamState, lr: float, weight_decay: float = 0.0) -> None:
     """One Adam update; weight decay enters as a classic L2 gradient term."""
     state.t += 1
-    b1 = np.float32(state.beta1)
-    b2 = np.float32(state.beta2)
-    c1 = np.float32(1.0 - state.beta1 ** state.t)
-    c2 = np.float32(1.0 - state.beta2 ** state.t)
+    b1 = np.float32(ADAM_BETA1)
+    b2 = np.float32(ADAM_BETA2)
+    c1 = np.float32(1.0 - ADAM_BETA1 ** state.t)
+    c2 = np.float32(1.0 - ADAM_BETA2 ** state.t)
     lr32 = np.float32(lr)
     wd = np.float32(weight_decay)
-    eps = np.float32(state.eps)
+    eps = np.float32(ADAM_EPS)
     for p in params:
         m, v = state.slot(p)
         g = p.grad.data
@@ -341,17 +340,14 @@ class LabeledVolume:
         return bool(np.all(wt >= tc) and np.all(tc >= et))
 
 
-def generate_synthetic(rng, size=32, modalities: int = 4) -> LabeledVolume:
+def generate_synthetic(rng, size: int = 32, modalities: int = 4) -> LabeledVolume:
     """Nested bright ellipsoids in an ellipsoidal brain with Gaussian noise.
 
     The three region masks share a center and use strictly shrinking radii,
     so nesting holds by construction; each nested region adds a positive
-    intensity offset in every modality.
+    intensity offset in every modality. The volume is a ``size``-edge cube.
     """
-    if isinstance(size, int):
-        shape = (size, size, size)
-    else:
-        shape = tuple(int(s) for s in size)
+    shape = (size, size, size)
     grids = np.meshgrid(*[np.linspace(-1.0, 1.0, s) for s in shape], indexing="ij")
 
     def ellipsoid(center, radii):
@@ -383,12 +379,13 @@ def generate_synthetic(rng, size=32, modalities: int = 4) -> LabeledVolume:
     return LabeledVolume(image=image, masks=masks)
 
 
-def split_dataset(volumes, rng, train_fraction: float = 0.8):
-    """Deterministic seeded shuffle, then an 80/20 train/validation split."""
+def split_dataset(volumes, rng):
+    """Deterministic seeded shuffle, then a ``TRAIN_FRACTION`` (80/20)
+    train/validation split."""
     if not volumes:
         raise ValueError("dataset is empty")
     order = rng.permutation(len(volumes))
-    cut = max(1, int(round(train_fraction * len(volumes))))
+    cut = max(1, int(round(TRAIN_FRACTION * len(volumes))))
     if cut == len(volumes) and len(volumes) > 1:
         cut = len(volumes) - 1
     train = [volumes[i] for i in order[:cut]]

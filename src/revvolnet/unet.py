@@ -16,11 +16,20 @@ full-resolution concatenation is formed or retained. The twin keeps its
 ``up*`` and ``cat*`` steps: its first GroupNorm normalises the
 concatenated tensor, so that tensor must exist.
 
-A network is stored as a flat list of steps, and `_run_step` is the one
-function that interprets them. `Network.forward` loops over it; the memory
-model's `Network.trace` is a recorded stored-activation execution of the same
-steps on an empty batch, so the model lists exactly the activations the
-executor records and marks the ones its tape retains.
+A network is stored as a flat list of steps, ``(kind, name, ...)`` tuples:
+
+- ``conv``: a ``ConvLayer`` (``stem``, ``down*``, ``head``);
+- ``seq`` / ``stack``: a level body with its path and level index;
+- ``pool``: stores its level's skip, then max-pools;
+- ``merge``: the reversible decoder's fused upsample and merge conv;
+- ``upsample`` and ``concat_skip``: the twin decoder's two steps;
+- ``sigmoid``: the output.
+
+`_run_step` is the one function that interprets them. `Network.forward`
+loops over it; the memory model's `Network.trace` is a recorded
+stored-activation execution of the same steps on an empty batch, so the
+model lists exactly the activations the executor records and marks the ones
+its tape retains.
 """
 
 import math
@@ -66,8 +75,9 @@ class ArchitectureSpec:
                      "stem_kernel_size", "head_kernel_size"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.kernel_size % 2 == 0:
-            raise ValueError(f"kernel_size must be odd, got {self.kernel_size}")
+            # every convolution pads "same", which needs odd kernel extents
+            if name.endswith("kernel_size") and getattr(self, name) % 2 == 0:
+                raise ValueError(f"{name} must be odd, got {getattr(self, name)}")
         # a zero or negative epsilon divides by zero on a constant group
         if not (math.isfinite(self.norm_epsilon) and self.norm_epsilon > 0):
             raise ValueError(
@@ -154,14 +164,13 @@ def spec_to_text(spec: ArchitectureSpec) -> str:
 
 
 class ConvLayer(Module):
-    def __init__(self, in_ch, out_ch, k, rng, name, padding="same"):
+    def __init__(self, in_ch, out_ch, k, rng, name):
         self.kernel = he_kernel(rng, out_ch, in_ch, k, name=f"{name}.kernel")
         self.bias = Parameter(np.zeros((1, out_ch, 1, 1, 1), dtype=np.float32),
                               id=f"{name}.bias")
-        self.padding = padding if k > 1 else (0, 0, 0)
 
     def forward(self, x):
-        return ops.conv3d(x, self.kernel, self.bias, padding=self.padding)
+        return ops.conv3d(x, self.kernel, self.bias)
 
 
 class Stack(Module):
@@ -206,12 +215,10 @@ def _run_step(step, x, skips, stored):
     if kind == "seq":
         return step[2].forward_stored(x) if stored else step[2].forward(x)
     if kind == "pool":
+        skips[step[2]] = x
         return ops.max_pool2(x)
     if kind == "upsample":
         return ops.upsample2(x)
-    if kind == "save_skip":
-        skips[step[1]] = x
-        return x
     if kind == "concat_skip":
         return ops.concat_channels(skips.pop(step[2]), x)
     if kind == "merge":
@@ -327,7 +334,7 @@ def build(spec: ArchitectureSpec, seed: int = 0) -> Network:
     for i in range(len(widths)):
         ch = level(f"enc{i}", "encoder", i, spec.encoder_blocks, ch)
         if i < len(widths) - 1:
-            steps += [("save_skip", i), ("pool", f"pool{i}")]
+            steps.append(("pool", f"pool{i}", i))
             ch = transition(f"down{i}", ch, widths[i + 1])
     for i in range(len(widths) - 2, -1, -1):
         if spec.reversible:

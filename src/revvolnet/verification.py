@@ -185,7 +185,7 @@ def _op_cases(rng):
     return [
         _case(rng, "conv3d", ops.conv3d,
               conv_arrays((1, 2, 4, 4, 4), (2, 2, 3, 3, 3)), conv_params),
-        _case(rng, "conv1x1x1", ops.conv1x1x1,
+        _case(rng, "conv1x1x1", ops.conv3d,
               conv_arrays((1, 3, 3, 3, 3), (2, 3, 1, 1, 1)), conv_params),
         _case(rng, "group_norm",
               lambda x, gamma, beta: ops.group_norm(x, gamma, beta, group_size=2),
@@ -234,12 +234,12 @@ def run_op_gradchecks(seed: int = 0):
 # reversible checks
 
 
-def toy_block(channels, rng, kernel_size=3, scale=0.1):
-    """Random reversible block: conv weights/biases from scale*N(0,1),
-    normalization affine jittered around identity."""
+def toy_block(channels, rng, scale=0.1):
+    """Random reversible block of 3x3x3 units: conv weights/biases from
+    scale*N(0,1), normalization affine jittered around identity."""
     half = channels // 2
     # one normalization group spanning the half width keeps any width legal
-    block = make_block(channels, rng, kernel_size=kernel_size, group_size=half)
+    block = make_block(channels, rng, group_size=half)
     for unit in (block.f, block.g):
         unit.kernel.value.data[...] = (rng.standard_normal(unit.kernel.shape)
                                        * scale).astype(np.float32)
@@ -253,17 +253,17 @@ def toy_block(channels, rng, kernel_size=3, scale=0.1):
 
 
 def inversion_trials(seed: int = 0, trials: int = 100, width: int = 8,
-                     spatial: int = 8, batch: int = 1) -> float:
+                     spatial: int = 8) -> float:
     """Max abs round-trip error of block_inverse(block_forward(x)) over random
-    blocks and inputs."""
+    blocks and single-volume inputs."""
     rng = np.random.default_rng(seed)
     half = width // 2
     worst = 0.0
     for _ in range(trials):
         block = toy_block(width, rng)
-        x1 = Tensor((rng.standard_normal((batch, half, spatial, spatial, spatial))
+        x1 = Tensor((rng.standard_normal((1, half, spatial, spatial, spatial))
                      * 0.1).astype(np.float32))
-        x2 = Tensor((rng.standard_normal((batch, half, spatial, spatial, spatial))
+        x2 = Tensor((rng.standard_normal((1, half, spatial, spatial, spatial))
                      * 0.1).astype(np.float32))
         with no_record():
             y1, y2 = block_forward(block, x1, x2)
@@ -273,9 +273,8 @@ def inversion_trials(seed: int = 0, trials: int = 100, width: int = 8,
     return worst
 
 
-def toy_sequence(depth, width, rng, kernel_size=3):
-    return ReversibleSequence([toy_block(width, rng, kernel_size)
-                               for _ in range(depth)])
+def toy_sequence(depth, width, rng):
+    return ReversibleSequence([toy_block(width, rng) for _ in range(depth)])
 
 
 def relative_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON report schemas, workflows."""
 
+import argparse
 import csv
 import json
 import os
@@ -405,7 +406,45 @@ class TestBench:
         assert proc.stdout == ""
 
 
+# (command line, the flag its error must name): counts below their range
+BAD_COUNTS = [
+    (["train", "--spec", "s", "--out", "o", "--synthetic", "0"], "--synthetic"),
+    (["eval", "--checkpoint", "c", "--synthetic", "0"], "--synthetic"),
+    (["train", "--spec", "s", "--out", "o", "--synthetic", "3", "--size", "0"],
+     "--size"),
+    (["eval", "--checkpoint", "c", "--synthetic", "3", "--size", "0"], "--size"),
+    (["invert", "--trials", "0"], "--trials"),
+    (["invert", "--width", "0"], "--width"),
+    (["invert", "--spatial", "0"], "--spatial"),
+    (["gradcheck", "--width", "0"], "--width"),
+    (["gradcheck", "--depth", "-2"], "--depth"),
+]
+
+
 class TestUsage:
+    @pytest.mark.parametrize("argv, flag", BAD_COUNTS,
+                             ids=[" ".join(a[:1] + a[-2:]) for a, _ in BAD_COUNTS])
+    def test_count_out_of_range_is_usage_error(self, argv, flag):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert f"argument {flag}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_every_int_flag_is_range_checked(self):
+        # a bare int parse lets 0 or a negative count through; --seed takes
+        # any int, and TrainingConfig.validate rejects --epochs 0
+        from revvolnet.cli import build_parser
+
+        parser = build_parser()
+        (sub,) = [a for a in parser._actions
+                  if isinstance(a, argparse._SubParsersAction)]
+        bare = [f"{name} {opt}" for name, p in sub.choices.items()
+                for a in p._actions if a.type is int
+                for opt in a.option_strings
+                if opt not in ("--seed", "--epochs")]
+        assert not bare, bare
+
     def test_unknown_command_exits_two(self):
         proc = run_cli("frobnicate")
         assert proc.returncode == 2

@@ -46,7 +46,7 @@ class TestConv3d:
         k = Parameter(np.full((1, 1, 1, 1, 1), 3.0, np.float32))
         b = Parameter(np.zeros((1, 1, 1, 1, 1), np.float32))
         with no_record():
-            y = ops.conv3d(x, k, b, padding=(0, 0, 0))
+            y = ops.conv3d(x, k, b)
         assert y.item() == 6.0
 
     def test_zero_input_yields_bias_everywhere(self, rng):
@@ -75,15 +75,6 @@ class TestConv3d:
         want = conv3d_direct(x, k, b, (1, 1, 1))
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
 
-    def test_asymmetric_padding_matches_oracle(self, rng):
-        x = randn5(rng, (1, 2, 5, 4, 6))
-        k = randn5(rng, (2, 2, 3, 1, 3))
-        with no_record():
-            got = ops.conv3d(Tensor(x), Parameter(k), None, padding=(0, 0, 2)).data
-        want = conv3d_direct(x, k, None, (0, 0, 2))
-        assert got.shape == (1, 2, 3, 4, 8)
-        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
-
     def test_channel_mismatch_names_both_shapes(self, rng):
         x = Tensor(randn5(rng, (1, 3, 4, 4, 4)))
         k = Parameter(randn5(rng, (2, 2, 3, 3, 3)))
@@ -96,7 +87,7 @@ class TestConv3d:
         x = Tensor(randn5(rng, (1, 1, 4, 4, 4)))
         k = Parameter(randn5(rng, (1, 1, 2, 2, 2)))
         with pytest.raises(ShapeError):
-            ops.conv3d(x, k, None, padding="same")
+            ops.conv3d(x, k, None)
 
     def test_zero_extent_propagates(self, rng):
         x = Tensor(np.zeros((1, 2, 0, 4, 4), np.float32))
@@ -135,30 +126,33 @@ def conv3d_direct_backward(g, x, w, pads):
     return gx, gw, gb
 
 
-# (input shape, kernel shape, padding) of the backward oracle cases
-ADJOINT_CASES = pytest.mark.parametrize("x_shape, k_shape, padding", [
-    ((2, 3, 4, 5, 6), (4, 3, 3, 3, 3), "same"),
-    ((1, 3, 5, 4, 6), (2, 3, 3, 1, 3), (0, 0, 2)),
-    ((1, 2, 5, 4, 6), (2, 2, 3, 3, 3), (0, 0, 0)),
-    ((2, 3, 3, 4, 5), (4, 3, 1, 1, 1), (0, 0, 0)),
-], ids=["batched_non_cubic", "asymmetric_kernel", "unpadded", "conv1x1x1"])
+def same_pads(k_shape):
+    """The per-axis padding ``conv3d`` applies for an odd kernel."""
+    return tuple((k - 1) // 2 for k in k_shape[2:])
+
+
+# (input shape, kernel shape) of the backward oracle cases
+ADJOINT_CASES = pytest.mark.parametrize("x_shape, k_shape", [
+    ((2, 3, 4, 5, 6), (4, 3, 3, 3, 3)),
+    ((1, 3, 5, 4, 6), (2, 3, 3, 1, 3)),
+    ((2, 3, 3, 4, 5), (4, 3, 1, 1, 1)),
+], ids=["batched_non_cubic", "asymmetric_kernel", "conv1x1x1"])
 
 
 class TestConvBackward:
     @ADJOINT_CASES
-    def test_gradients_match_direct_adjoint(self, rng, x_shape, k_shape, padding):
+    def test_gradients_match_direct_adjoint(self, rng, x_shape, k_shape):
         x = randn5(rng, x_shape)
         k = Parameter(randn5(rng, k_shape))
         b = Parameter(randn5(rng, (1, k_shape[0], 1, 1, 1)))
         xt = Tensor(x.copy())
         with Tape() as tape:
-            if k_shape[2:] == (1, 1, 1):
-                y = ops.conv1x1x1(xt, k, b)
-            else:
-                y = ops.conv3d(xt, k, b, padding=padding)
+            y = ops.conv3d(xt, k, b)
             probe = randn5(rng, y.shape, scale=1.0)
             (gx,) = backprop(tape, ops.weighted_sum(y, probe), wrt=[xt])
-        pads = (1, 1, 1) if padding == "same" else padding
+        pads = same_pads(k_shape)
+        np.testing.assert_allclose(y.data, conv3d_direct(
+            x, k.value.data, b.value.data, pads), rtol=1e-5, atol=1e-7)
         want_gx, want_gw, want_gb = conv3d_direct_backward(
             probe, x, k.value.data, pads)
         np.testing.assert_allclose(gx, want_gx, rtol=1e-5, atol=1e-6)
@@ -167,13 +161,13 @@ class TestConvBackward:
 
     @ADJOINT_CASES
     def test_ragged_column_tiles_match_one_tile_and_adjoint(
-            self, rng, monkeypatch, x_shape, k_shape, padding):
+            self, rng, monkeypatch, x_shape, k_shape):
         x = randn5(rng, x_shape)
         k = Parameter(randn5(rng, k_shape))
         b = Parameter(randn5(rng, (1, k_shape[0], 1, 1, 1)))
-        pads = (1, 1, 1) if padding == "same" else padding
+        pads = same_pads(k_shape)
         with no_record():
-            one_tile = ops.conv3d(Tensor(x), k, b, padding=pads).data
+            one_tile = ops.conv3d(Tensor(x), k, b).data
         # 7 accumulator columns per tile; every case's column count is not
         # a multiple of 7, so the last tile is ragged
         cols = 7
@@ -183,7 +177,7 @@ class TestConvBackward:
         assert n > cols and n % cols
         xt = Tensor(x.copy())
         with Tape() as tape:
-            y = ops.conv3d(xt, k, b, padding=pads)
+            y = ops.conv3d(xt, k, b)
             probe = randn5(rng, y.shape, scale=1.0)
             (gx,) = backprop(tape, ops.weighted_sum(y, probe), wrt=[xt])
         np.testing.assert_array_equal(y.data, one_tile)
@@ -217,7 +211,7 @@ class TestConv1x1x1:
         x = Tensor(randn5(rng, (1, 3, 2, 2, 2)))
         eye = np.eye(3, dtype=np.float32).reshape(3, 3, 1, 1, 1)
         with no_record():
-            y = ops.conv1x1x1(x, Parameter(eye), None)
+            y = ops.conv3d(x, Parameter(eye), None)
         np.testing.assert_array_equal(y.data, x.data)
 
     def test_two_channel_matrix_by_hand(self):
@@ -225,23 +219,18 @@ class TestConv1x1x1:
         k = Parameter(np.array([[1.0, 1.0], [1.0, -1.0]], np.float32
                                ).reshape(2, 2, 1, 1, 1))
         with no_record():
-            y = ops.conv1x1x1(x, k, None)
+            y = ops.conv3d(x, k, None)
         np.testing.assert_array_equal(y.data.ravel(), [3.0, -1.0])
 
     def test_random_case_matches_conv3d(self, rng):
+        # the 1x1x1 kernel against the direct conv3d oracle, unpadded
         x = randn5(rng, (2, 3, 3, 3, 3))
         k = randn5(rng, (4, 3, 1, 1, 1))
         b = randn5(rng, (1, 4, 1, 1, 1))
         with no_record():
-            a = ops.conv1x1x1(Tensor(x), Parameter(k), Parameter(b)).data
-            c = ops.conv3d(Tensor(x), Parameter(k), Parameter(b),
-                           padding=(0, 0, 0)).data
-        np.testing.assert_array_equal(a, c)
-
-    def test_wide_kernel_rejected(self, rng):
-        with pytest.raises(ShapeError):
-            ops.conv1x1x1(Tensor(randn5(rng, (1, 2, 2, 2, 2))),
-                          Parameter(randn5(rng, (2, 2, 3, 3, 3))), None)
+            got = ops.conv3d(Tensor(x), Parameter(k), Parameter(b)).data
+        want = conv3d_direct(x, k, b, (0, 0, 0))
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
 
 
 class TestGroupNorm:
@@ -631,7 +620,7 @@ class TestUpsample2:
 
 
 def merge_oracle(skip, d, w, b):
-    """Float64 ``conv1x1x1(concat_channels(skip, upsample2(d)), w, b)``."""
+    """Float64 1x1x1 ``conv3d(concat_channels(skip, upsample2(d)), w, b)``."""
     cat = np.concatenate([skip, trilinear_oracle(d)], axis=1)
     return np.einsum("oc,bc...->bo...", w[:, :, 0, 0, 0], cat) + b
 
@@ -678,8 +667,8 @@ class TestUpsampleMerge:
         # and element by element against the composed ops' gradients
         st2, dt2 = Tensor(skip), Tensor(d)
         with Tape() as tape:
-            y2 = ops.conv1x1x1(ops.concat_channels(st2, ops.upsample2(dt2)),
-                               Parameter(w), Parameter(b))
+            y2 = ops.conv3d(ops.concat_channels(st2, ops.upsample2(dt2)),
+                            Parameter(w), Parameter(b))
             gs2, gd2 = backprop(tape, ops.weighted_sum(y2, probe), wrt=[st2, dt2])
         np.testing.assert_allclose(gs, gs2, rtol=1e-5, atol=1e-5)
         np.testing.assert_allclose(gd, gd2, rtol=1e-5, atol=1e-5)
@@ -759,7 +748,7 @@ class TestKernelScratch:
 
     def test_upsample_merge(self, rng):
         # the level-0 desk merge, 20 -> 10 and 10 -> 10 channels; the
-        # composition conv1x1x1(concat(x, upsample2(d))) peaks at 7.6x
+        # 1x1x1 conv3d(concat(x, upsample2(d))) composition peaks at 7.6x
         d = Tensor(randn5(rng, (1, 20, 16, 16, 16), scale=1.0))
         k = Parameter(randn5(rng, (10, 30, 1, 1, 1), scale=1.0))
         b = Parameter(randn5(rng, (1, 10, 1, 1, 1), scale=1.0))

@@ -25,7 +25,7 @@ class KernelOnly(Module):
         self.kernel = Parameter(np.full((1, 1, 1, 1, 1), scale, np.float32))
 
     def forward(self, x):
-        return ops.conv3d(x, self.kernel, None, padding=(0, 0, 0))
+        return ops.conv3d(x, self.kernel, None)
 
 
 class WatchedOutput(Module):

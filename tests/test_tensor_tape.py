@@ -156,7 +156,7 @@ class TestBackprop:
         p = Parameter(randn5(rng, (1, 1, 1, 1, 1)))
         x = Tensor(np.ones((1, 1, 1, 1, 1), np.float32))
         with Tape() as tape:
-            y = ops.conv3d(x, p, None, padding=(0, 0, 0))
+            y = ops.conv3d(x, p, None)
             loss = ops.reduce_sum(y)
             backprop(tape, loss)
         assert p.grad.data.reshape(()) == pytest.approx(1.0)

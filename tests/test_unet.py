@@ -35,8 +35,12 @@ class TestSpecValidation:
             ArchitectureSpec(levels=[30, 60], group_size=4).validate()
 
     def test_even_kernel_rejected(self):
-        with pytest.raises(ValueError, match="kernel_size"):
-            ArchitectureSpec(levels=[20, 40], group_size=10, kernel_size=4).validate()
+        # every conv pads "same", so each kernel field must be odd, and the
+        # error names the field
+        for field in ("kernel_size", "stem_kernel_size", "head_kernel_size"):
+            spec = ArchitectureSpec(levels=[20, 40], group_size=10, **{field: 2})
+            with pytest.raises(ValueError, match=f"^{field} must be odd"):
+                spec.validate()
 
     @pytest.mark.parametrize("field", ["encoder_blocks", "decoder_blocks"])
     def test_twin_without_blocks_rejected(self, field):
