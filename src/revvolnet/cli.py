@@ -146,7 +146,7 @@ def cmd_estimate_memory(args):
     spec = load_spec(args.spec)
     network = build(spec, seed=args.seed)
     input_shape = (args.batch, spec.in_channels) + args.input_shape
-    report = memory_model.estimate(network, input_shape, args.optimizer_multiplier)
+    report = memory_model.estimate(network, input_shape)
     if args.measure:
         _, report.measured_peak_bytes = _step_peak(network, input_shape, args.seed)
 
@@ -156,8 +156,7 @@ def cmd_estimate_memory(args):
     if args.compare:
         twin = build(spec.paired(), seed=args.seed)
         by_kind = {spec.reversible: report,
-                   not spec.reversible: memory_model.estimate(
-                       twin, input_shape, args.optimizer_multiplier)}
+                   not spec.reversible: memory_model.estimate(twin, input_shape)}
         rev_total = by_kind[True].total_prev_bytes
         base_total = by_kind[False].total_nonrev_bytes
         doc["compare"] = {
@@ -174,9 +173,15 @@ def cmd_estimate_memory(args):
 
 
 def _make_dataset(args, spec, seed):
+    from .tensor import ShapeError
     from .training import generate_synthetic, load_dataset
+    from .unet import check_divisible
 
     if args.synthetic is not None:
+        try:
+            check_divisible(spec, (1, spec.in_channels) + (args.size,) * 3)
+        except ShapeError as exc:
+            raise ValueError(f"--size {args.size}: {exc}") from None
         rng = np.random.default_rng(seed)
         return [generate_synthetic(rng, size=args.size,
                                    modalities=spec.in_channels)
@@ -294,7 +299,6 @@ def build_parser():
     p.add_argument("--spec", required=True)
     p.add_argument("--input-shape", type=_parse_shape, default=(32, 32, 32))
     p.add_argument("--batch", type=_positive_int, default=1)
-    p.add_argument("--optimizer-multiplier", type=_positive_int, default=4)
     p.add_argument("--compare", action="store_true",
                    help="also estimate the flipped-reversibility twin")
     p.add_argument("--measure", action="store_true",

@@ -16,8 +16,9 @@ integer bytes:
                  + max(M_B over sequences)
 
 where M_A/M_N/M_S are activation bytes, M_P is parameter-related bytes
-(value, gradient and optimizer state, ``optimizer_multiplier`` copies of the
-raw parameter bytes) and M_D is one activation-gradient buffer.
+(PARAM_COPIES copies of the raw parameter bytes: the value, its gradient
+and Adam's two moments, as a training step holds them; a test pins the two
+together) and M_D is one activation-gradient buffer.
 
 The tape retains only the outputs some backward reads, and the model mirrors
 it: each term carries the trace's ``saved`` flag, and M_A and M_N sum the
@@ -49,6 +50,7 @@ from . import memtrack
 
 BYTES = 4  # float32
 BLOCK_BACKWARD_HALF_BUFFERS = 7
+PARAM_COPIES = 4  # value, gradient and Adam's two moments
 
 
 @dataclass
@@ -99,7 +101,7 @@ class MemoryReport:
         return "\n".join(lines)
 
 
-def estimate(network, input_shape, optimizer_multiplier: int = 4) -> MemoryReport:
+def estimate(network, input_shape) -> MemoryReport:
     """Both closed-form totals for ``network`` at ``input_shape``.
 
     For a network without reversible sequences the two totals coincide.
@@ -121,7 +123,7 @@ def estimate(network, input_shape, optimizer_multiplier: int = 4) -> MemoryRepor
                 layer=e.name,
                 kind=e.kind,
                 activation_bytes=act,
-                param_bytes=e.param_elems * BYTES * optimizer_multiplier,
+                param_bytes=e.param_elems * BYTES * PARAM_COPIES,
                 derivative_bytes=act,
                 backward_transient_bytes=transient,
                 saved=e.saved,
@@ -149,7 +151,7 @@ def estimate(network, input_shape, optimizer_multiplier: int = 4) -> MemoryRepor
         "max_m_b_bytes": max_m_b,
         "max_m_d_concurrent_bytes": concurrent,
         "branching_delta_bytes": concurrent - max_m_d,
-        "optimizer_multiplier": optimizer_multiplier,
+        "optimizer_multiplier": PARAM_COPIES,
     }
     return MemoryReport(total_nonrev, total_prev, terms, breakdown)
 

@@ -3,15 +3,15 @@
 Every op validates shapes up front, computes the forward result with numpy,
 and registers a tape node whose backward closure produces the input gradients
 and accumulates parameter gradients. Each op declares what its closure reads
-(``saves``): ``conv3d``, ``upsample_merge``, ``group_norm``,
-``group_norm_leaky_relu`` and ``leaky_relu`` their inputs, ``sigmoid`` its
-output, ``max_pool2`` both, and the upsampling, channel plumbing, arithmetic
-and reductions nothing. The tape retains and hands over only those values,
-so closures capture parameters and small saved statistics only. The
-closures carry no test hook: the gradient checker corrupts gradients by op
-name in ``tape.backward``. Empty tensors (batch 0 or a zero spatial extent)
-run through the general kernels; only the two GroupNorm ops, whose
-statistics are undefined there, keep a branch for them.
+(``saves``): ``conv3d``, ``upsample_merge`` and ``group_norm_leaky_relu``
+their inputs, ``sigmoid`` its output, ``max_pool2`` both, and the
+upsampling, channel plumbing, arithmetic and reductions nothing. The tape
+retains and hands over only those values, so closures capture parameters
+and small saved statistics only. The closures carry no test hook: the
+gradient checker corrupts gradients by op name in ``tape.backward``. Empty
+tensors (batch 0 or a zero spatial extent) run through the general kernels;
+only the GroupNorm op, whose statistics are undefined there, keeps a branch
+for them.
 
 Convolution has one padding rule: stride 1 and "same" zero padding, so
 every kernel extent must be odd (3x3x3 units, 1x1x1 channel changes) and
@@ -31,28 +31,23 @@ input assigned to its interior.
 The pointwise and resampling kernels make as few full-size passes as they
 can, since each pass streams the whole activation:
 
-- ``group_norm`` forward: the group means, one centred copy ``x - mu``, the
-  sum of its squares by one BLAS dot per group (no product array, and no
-  cancellation of E[x^2] - E[x]^2 at a large mean), then a per-channel
-  scale and shift in place on the centred copy, which becomes the output.
-  Backward: the centred copy again, per-channel sums of ``g`` and of
-  ``g * (x - mu)``, and ``gx = a*g + k*(x - mu) + c`` with a per channel
-  and k, c per group.
-- ``leaky_relu`` forward: one product ``s*x`` and one elementwise maximum
-  (minimum for s > 1) in place, with no boolean select; a slope <= 0 adds
-  one masked copy to stay exact at signed zeros and infinities. Backward:
-  the factor ``[s, 1][x >= 0]`` by one ``take``, then ``*= g`` in place,
-  both per chunk of about ``_TILE_BYTES`` (``take`` widens its indices to
-  intp, so a whole-tensor call would form twice the input's bytes).
-- ``group_norm_leaky_relu`` (In-Place ABN's idea, Rota Bulò et al. 2018):
-  the ``group_norm`` forward, then the ``leaky_relu`` forward chunk by
-  chunk in place on the normalised buffer, through one chunk of scratch.
-  It saves only its input: the backward recomputes the normalised tensor
-  ``z`` from the centred copy with the forward's scale and shift, takes the
-  LeakyReLU factor from its sign into ``z``'s own buffer, and turns that
-  buffer into the input gradient in place. Every result is bit for bit
-  that of ``leaky_relu(group_norm(x))``, and the tape keeps one activation
-  per GN-LeakyReLU-conv unit, the conv's input, instead of two.
+- ``group_norm_leaky_relu``, the paper's GroupNorm then LeakyReLU as one
+  op (In-Place ABN's idea, Rota Bulò et al. 2018). Forward: the group
+  means, one centred copy ``x - mu``, the sum of its squares by one BLAS
+  dot per group (no product array, and no cancellation of E[x^2] - E[x]^2
+  at a large mean), a per-channel scale and shift in place on the centred
+  copy, then the LeakyReLU in place on it, chunk by chunk through one chunk
+  of scratch: one product ``s*x`` and one elementwise maximum (minimum for
+  s > 1), no boolean select; a slope <= 0 adds one masked copy to stay
+  exact at signed zeros and infinities. It saves only its input, so the
+  tape keeps one activation per GN-LeakyReLU-conv unit, the conv's input.
+  Backward: the normalised tensor ``z`` recomputed from the centred copy
+  with the forward's scale and shift; the factor ``[s, 1][z >= 0]`` by one
+  ``take`` into ``z``'s own buffer, then ``*= g``, per chunk of about
+  ``_TILE_BYTES`` (``take`` widens its indices to intp, so a whole-tensor
+  call would form twice the input's bytes); per-channel sums of that
+  gradient ``gz`` and of ``gz * (x - mu)``; and ``gx = a*gz + k*(x - mu) +
+  c`` in the same buffer, with a per channel and k, c per group.
 - ``max_pool2``: the forward takes pairwise maxima over strided views. The
   backward walks the eight block positions in scan order with a mask of
   blocks not yet routed, and writes ``g`` into a strided view of a zeroed
@@ -242,33 +237,19 @@ def _conv_backward(g, x, w, pads):
 # normalization and activations
 
 
-def group_norm(x: Tensor, gamma: Parameter, beta: Parameter, group_size: int,
-               epsilon: float = 1e-5) -> Tensor:
-    """Normalize over channel groups within each sample, then apply the
-    per-channel affine transform gamma * x_hat + beta.
-
-    ``group_size`` is the number of channels per group.
-    """
-    return _group_norm_op("group_norm", x, gamma, beta, group_size, epsilon)
-
-
 def group_norm_leaky_relu(x: Tensor, gamma: Parameter, beta: Parameter,
                           group_size: int, epsilon: float = 1e-5,
                           slope: float = 0.01) -> Tensor:
-    """``leaky_relu(group_norm(x, gamma, beta, group_size, epsilon), slope)``
-    as one op, bit for bit, that keeps only ``x``.
+    """GroupNorm over channel groups within each sample, the per-channel
+    affine map gamma * x_hat + beta, then LeakyReLU of ``slope``, as one op
+    that keeps only ``x``.
 
-    The LeakyReLU runs in place on the op's own normalised buffer, and the
-    backward recomputes that buffer from ``x`` in the forward's operation
-    order, so no tape slot holds the normalised tensor.
+    ``group_size`` is the number of channels per group. The LeakyReLU runs in
+    place on the op's own normalised buffer, and the backward recomputes that
+    buffer from ``x`` in the forward's operation order, so no tape slot holds
+    the normalised tensor. At ``slope=1`` the op is GroupNorm, bit for bit.
     """
-    return _group_norm_op("group_norm_leaky_relu", x, gamma, beta, group_size,
-                          epsilon, slope)
-
-
-def _group_norm_op(op, x, gamma, beta, group_size, epsilon, slope=None):
-    """GroupNorm recorded as ``op``, followed by an in-place LeakyReLU of
-    ``slope`` unless it is None; the backward reads only ``x``."""
+    op = "group_norm_leaky_relu"
     _check_axes(x, f"{op} input")
     b, c, d, h, w = x.shape
     if group_size <= 0 or c % group_size != 0:
@@ -303,36 +284,33 @@ def _group_norm_op(op, x, gamma, beta, group_size, epsilon, slope=None):
     scale = (gamma.value.data.reshape(groups, group_size) * istd)[..., None]
     shift = beta.value.data.reshape(groups, group_size, 1)
     z = _scale_shift(xc, scale, shift, out=xc)
-    if slope is not None:
-        s = np.float32(slope)
-        factors = np.array([s, 1], dtype=np.float32)
-        _leaky_relu_in_place(z, s)
+    s = np.float32(slope)
+    factors = np.array([s, 1], dtype=np.float32)
+    _leaky_relu_in_place(z, s)
     out = Tensor(z.reshape(x.shape))
 
     gamma_ref, beta_ref = gamma, beta
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
-        gg = g.reshape(gshape)
         xc = x_val.reshape(gshape) - mu
-        if slope is not None:
-            # the normalised tensor as the forward formed it; its sign picks
-            # each factor, and its buffer then holds the gradient at it
-            z = _scale_shift(xc, scale, shift, out=np.empty_like(xc))
-            gg = _leaky_relu_grad(z, factors, gg, out=z)
-        # per (sample, channel) sums of g and of g * (x - mu)
+        # the normalised tensor as the forward formed it; its sign picks
+        # each factor, and its buffer then holds the gradient at it
+        z = _scale_shift(xc, scale, shift, out=np.empty_like(xc))
+        gg = _leaky_relu_grad(z, factors, g.reshape(gshape), out=z)
+        # per (sample, channel) sums of gg and of gg * (x - mu)
         sg = gg.sum(axis=3)
         sgx = _row_dots(gg, xc)
         gam = gamma_ref.value.data.reshape(groups, group_size)
         beta_ref.grad.data += sg.sum(axis=0).reshape(beta_ref.grad.shape)
         gamma_ref.grad.data += (sgx * istd).sum(axis=0).reshape(
             gamma_ref.grad.shape)
-        # istd * (gamma*g - mean(gamma*g) - x_hat * mean(gamma*g*x_hat))
-        # = a*g + k*(x - mu) + c: a per channel, k and c per group; the
-        # fused op's gradient at z is its own buffer and becomes gx in place
+        # istd * (gamma*gg - mean(gamma*gg) - x_hat * mean(gamma*gg*x_hat))
+        # = a*gg + k*(x - mu) + c: a per channel, k and c per group, formed
+        # in gg's own buffer
         m1 = (gam * sg).sum(axis=2, keepdims=True) / n
         m2 = (gam * sgx).sum(axis=2, keepdims=True) / n
-        gx = np.multiply(gg, scale, out=None if slope is None else gg)
+        gx = np.multiply(gg, scale, out=gg)
         xc *= (-istd ** 3 * m2)[..., None]
         gx += xc
         gx += (-istd * m1)[..., None]
@@ -344,8 +322,8 @@ def _group_norm_op(op, x, gamma, beta, group_size, epsilon, slope=None):
 
 def _scale_shift(xc, scale, shift, out):
     """``xc * scale + shift``, the GroupNorm affine step, into ``out``
-    (which may be ``xc``); the forward and the fused backward's recompute
-    share it, so both round alike."""
+    (which may be ``xc``); the forward and the backward's recompute share
+    it, so both round alike."""
     y = np.multiply(xc, scale, out=out)
     y += shift
     return y
@@ -357,42 +335,22 @@ def _row_dots(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
-def leaky_relu(x: Tensor, slope: float = 0.01) -> Tensor:
-    """x for x >= 0, slope * x otherwise."""
-    _check_axes(x, "leaky_relu input")
-    s = np.float32(slope)
-    out = Tensor(_leaky_relu_data(x.data, s, np.empty_like(x.data)))
-    factors = np.array([s, 1], dtype=np.float32)
-
-    def backward_fn(g, inputs, _output):
-        (x_val,) = inputs
-        return (_leaky_relu_grad(x_val, factors, g,
-                                 np.empty(g.shape, dtype=np.float32)),)
-
-    return record("leaky_relu", out, [x], backward_fn, saves=("inputs",))
-
-
-def _leaky_relu_data(x, s, out):
-    """LeakyReLU of ``x`` with float32 slope ``s`` into ``out``, which must
-    not overlap ``x``."""
-    # for s <= 1 the branch taken is the larger of x and s*x (the smaller for
-    # s > 1), so one product and one elementwise max replace the select
-    np.multiply(x, s, out=out)
-    (np.minimum if s > 1 else np.maximum)(x, out, out=out)
-    if s <= 0:
-        # here x = +-0 ties s*x = -+0 (numpy leaves the winner open) and
-        # 0 * inf is NaN, so x >= 0 takes x itself
-        np.copyto(out, x, where=x >= 0)
-    return out
-
-
 def _leaky_relu_in_place(z, s):
-    """``_leaky_relu_data`` over the contiguous ``z`` in place, one
-    ``_TILE_BYTES`` chunk at a time through a scratch of that size."""
+    """LeakyReLU of float32 slope ``s`` over the contiguous ``z`` in place,
+    one ``_TILE_BYTES`` chunk at a time through a scratch of that size."""
     flat = z.reshape(-1)
     scratch = np.empty(min(flat.size, _TILE_BYTES // 4), dtype=np.float32)
     for t0, t1 in _column_tiles(flat.size, 1):
-        flat[t0:t1] = _leaky_relu_data(flat[t0:t1], s, scratch[:t1 - t0])
+        x, out = flat[t0:t1], scratch[:t1 - t0]
+        # for s <= 1 the branch taken is the larger of x and s*x (the smaller
+        # for s > 1), so one product and one elementwise max replace the select
+        np.multiply(x, s, out=out)
+        (np.minimum if s > 1 else np.maximum)(x, out, out=out)
+        if s <= 0:
+            # here x = +-0 ties s*x = -+0 (numpy leaves the winner open) and
+            # 0 * inf is NaN, so x >= 0 takes x itself
+            np.copyto(out, x, where=x >= 0)
+        x[...] = out
 
 
 def _leaky_relu_grad(x, factors, g, out):

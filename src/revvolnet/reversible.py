@@ -48,7 +48,7 @@ def he_kernel(rng, out_ch, in_ch, k, name=None) -> Parameter:
 
 
 class ConvUnit(Module):
-    """group_norm -> leaky_relu -> conv3d with 'same' padding, the first two
+    """GroupNorm -> LeakyReLU -> conv3d with 'same' padding, the first two
     as the one op ``ops.group_norm_leaky_relu``.
 
     The standard residual sub-network used for both F and G, and at full

@@ -43,6 +43,10 @@ class TrainingConfig:
         self.lr_drop_epochs = tuple(int(e) for e in self.lr_drop_epochs)
 
     def validate(self):
+        for name in ("initial_lr", "lr_drop_factor", "weight_decay",
+                     "epsilon_dice"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("initial_lr", "lr_drop_factor", "batch_size",
                      "moving_average_window", "patience", "epsilon_dice",
                      "max_epochs"):

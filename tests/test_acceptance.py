@@ -120,8 +120,8 @@ class TestAcceptance:
                                       reversible=False), seed=0)
         rev = build(ArchitectureSpec(levels=[10, 20, 40], group_size=5,
                                      reversible=True), seed=0)
-        rb = estimate_nonreversible(base, shape, 4)
-        rr = estimate_partially_reversible(rev, shape, 4)
+        rb = estimate_nonreversible(base, shape)
+        rr = estimate_partially_reversible(rev, shape)
         # exact recomposition of both totals from their terms: M_A and M_N
         # count the activations the tape saves, M_S every boundary
         for rep in (rb, rr):

@@ -34,12 +34,13 @@ seed=0
 
 
 # op recorded under this name -> the gradcheck case its fault must fail
-FAULT_CASES = {"conv3d": "conv3d", "group_norm": "group_norm",
-               "leaky_relu": "leaky_relu",
+FAULT_CASES = {"conv3d": "conv3d",
                "group_norm_leaky_relu": "group_norm_leaky_relu",
                "sigmoid": "sigmoid",
                "max_pool2": "max_pool2", "upsample2": "upsample2",
-               "upsample_merge": "upsample_merge", "add": "add_sub"}
+               "upsample_merge": "upsample_merge", "add": "add_sub",
+               "slice_channels": "split_concat",
+               "concat_channels": "split_concat"}
 
 
 def run_cli(*args, timeout=600):
@@ -88,6 +89,25 @@ class TestGradcheck:
         assert doc["pass"] is False
         assert doc["ops"][case]["pass"] is False
         assert case in proc.stderr
+
+    def test_every_network_op_has_a_fault_case(self):
+        # an op a network records without a FAULT_CASES entry would enter
+        # training with no check that gradcheck catches its faults
+        import numpy as np
+
+        from revvolnet.tape import Tape
+        from revvolnet.tensor import Tensor
+        from revvolnet.unet import build, load_spec
+
+        spec = load_spec(Path(__file__).parents[1] / "specs"
+                         / "desk_reversible.spec")
+        recorded = set()
+        for net_spec in (spec, spec.paired()):
+            x = Tensor(np.zeros((0, spec.in_channels, 8, 8, 8), np.float32))
+            with Tape() as tape:
+                build(net_spec, seed=0).forward(x, stored_activations=True)
+            recorded |= {node.op for node in tape.nodes}
+        assert recorded - set(FAULT_CASES) == set()
 
     def test_fault_on_unrecorded_op_is_usage_error(self):
         proc = run_cli("gradcheck", "--inject-fault", "conv3dd")
@@ -177,7 +197,7 @@ class TestEstimateMemory:
         proc = run_cli("estimate-memory", "--spec", "/nonexistent/arch.spec")
         assert proc.returncode == 2
 
-    @pytest.mark.parametrize("flag", ["--batch", "--optimizer-multiplier"])
+    @pytest.mark.parametrize("flag", ["--batch"])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_count_below_one_is_usage_error(self, tiny_spec, flag, value):
         proc = run_cli("estimate-memory", "--spec", tiny_spec,
@@ -308,6 +328,43 @@ class TestTrainEval:
                        "--out", str(tmp_path / "run"))
         assert proc.returncode == 2
         assert "line 1" in proc.stderr
+
+    @pytest.mark.parametrize("line", ["initial_lr=nan", "lr_drop_factor=inf",
+                                      "weight_decay=inf", "epsilon_dice=nan"])
+    def test_non_finite_config_value_is_usage_error(self, tmp_path, tiny_spec,
+                                                     line):
+        from revvolnet.training import parse_config_text
+
+        field = line.split("=")[0]
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            parse_config_text(line + "\n")
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        proc = run_cli("train", "--spec", tiny_spec, "--config", str(cfg),
+                       "--synthetic", "2", "--size", "8",
+                       "--out", str(tmp_path / "run"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert f"{field} must be finite" in proc.stderr
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_indivisible_size_is_usage_error(self, tmp_path, command):
+        from revvolnet.unet import build, load_spec, save_checkpoint
+
+        spec = tmp_path / "three.spec"
+        spec.write_text(TINY_SPEC.replace("levels=4,8", "levels=4,8,16"))
+        if command == "train":
+            argv = ["train", "--spec", str(spec), "--out", str(tmp_path / "run")]
+        else:
+            save_checkpoint(build(load_spec(spec)), tmp_path / "ckpt")
+            argv = ["eval", "--checkpoint", str(tmp_path / "ckpt")]
+        proc = run_cli(*argv, "--synthetic", "3", "--size", "6")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "--size" in proc.stderr and "divisible by 4" in proc.stderr
+        # checked before training logs anything or makes its --out directory
+        assert "training on" not in proc.stderr
+        assert not (tmp_path / "run").exists()
 
     def test_hostile_checkpoint_header_is_usage_error(self, tmp_path, tiny_spec):
         import struct

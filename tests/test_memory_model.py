@@ -14,7 +14,7 @@ from revvolnet.memory_model import (estimate_nonreversible,
                                     measure_peak)
 from revvolnet.tape import Tape, backprop
 from revvolnet.tensor import Tensor
-from revvolnet.training import AdamState, adam_step, dice_loss
+from revvolnet.training import AdamState, adam_step, dice_loss, train_step
 from revvolnet.unet import (ArchitectureSpec, ConvLayer, Network, build,
                             load_spec, parameter_count)
 
@@ -58,7 +58,7 @@ class TestHandAccounting:
         # 512-voxel output: M_A = 2048, M_P = 28*4*4 = 448, M_D = 2048. No
         # backward reads a lone conv's output, so the tape does not retain
         # it and the total leaves its M_A out.
-        report = estimate_nonreversible(single_conv_network(), (1, 1, 8, 8, 8), 4)
+        report = estimate_nonreversible(single_conv_network(), (1, 1, 8, 8, 8))
         assert report.total_nonrev_bytes == 448 + 2048
         conv = [t for t in report.terms if t.kind == "nonrev"][0]
         assert conv.activation_bytes == 2048
@@ -69,14 +69,14 @@ class TestHandAccounting:
     def test_empty_network_is_zero(self):
         spec = ArchitectureSpec(levels=[2, 4], group_size=1)
         empty = Network(spec, [], {})
-        report = estimate_nonreversible(empty, (1, 1, 8, 8, 8), 4)
+        report = estimate_nonreversible(empty, (1, 1, 8, 8, 8))
         assert report.total_nonrev_bytes == 0
         assert report.total_prev_bytes == 0
 
     def test_batch_doubling_doubles_activation_terms_only(self):
         net = single_conv_network()
-        one = estimate_nonreversible(net, (1, 1, 8, 8, 8), 4)
-        two = estimate_nonreversible(net, (2, 1, 8, 8, 8), 4)
+        one = estimate_nonreversible(net, (1, 1, 8, 8, 8))
+        two = estimate_nonreversible(net, (2, 1, 8, 8, 8))
         a1 = [t for t in one.terms if t.kind == "nonrev"][0]
         a2 = [t for t in two.terms if t.kind == "nonrev"][0]
         assert a2.activation_bytes == 2 * a1.activation_bytes
@@ -88,7 +88,7 @@ class TestInternalConsistency:
     @pytest.mark.parametrize("spec", [DESK_BASE, DESK_REV])
     def test_totals_recompute_exactly_from_terms(self, spec):
         net = build(spec, seed=0)
-        report = estimate_partially_reversible(net, SHAPE, 4)
+        report = estimate_partially_reversible(net, SHAPE)
         sum_m_a = sum(t.activation_bytes for t in report.terms if t.saved)
         sum_m_p = sum(t.param_bytes for t in report.terms)
         max_m_d = max(t.derivative_bytes for t in report.terms)
@@ -101,7 +101,7 @@ class TestInternalConsistency:
         assert report.total_prev_bytes == sum_m_n + sum_m_s + sum_m_p + max_m_b
 
     def test_all_terms_are_nonnegative_integers(self):
-        report = estimate_partially_reversible(build(DESK_REV, 0), SHAPE, 4)
+        report = estimate_partially_reversible(build(DESK_REV, 0), SHAPE)
         for t in report.terms:
             for value in (t.activation_bytes, t.param_bytes,
                           t.derivative_bytes, t.backward_transient_bytes):
@@ -109,25 +109,36 @@ class TestInternalConsistency:
 
     def test_network_without_sequences_has_equal_totals(self):
         net = build(DESK_BASE, seed=0)
-        report = estimate_partially_reversible(net, SHAPE, 4)
+        report = estimate_partially_reversible(net, SHAPE)
         assert report.total_prev_bytes == report.total_nonrev_bytes
 
-    def test_optimizer_multiplier_scales_param_bytes(self):
+    def test_param_bytes_are_what_a_train_step_holds(self):
+        # after one step every parameter holds its value, its gradient and
+        # Adam's two moments, and M_P counts exactly those bytes
         net = build(DESK_REV, seed=0)
-        m1 = estimate_partially_reversible(net, SHAPE, 1)
-        m4 = estimate_partially_reversible(net, SHAPE, 4)
-        assert m4.breakdown["sum_m_p_bytes"] == 4 * m1.breakdown["sum_m_p_bytes"]
+        params = list(net.parameters())
+        state = AdamState()
+        shape = (1, 4, 8, 8, 8)
+        rng = np.random.default_rng(0)
+        x = Tensor(rng.standard_normal(shape, dtype=np.float32))
+        target = (rng.random((1, 3) + shape[2:]) < 0.3).astype(np.float32)
+        train_step(net, params, state, x, target, 1e-4, 1e-5)
+        held = sum(p.value.nbytes + p.grad.nbytes + m.nbytes + v.nbytes
+                   for p in params for m, v in [state.moments[p.id]])
+        assert len(state.moments) == len(params)
+        report = estimate_partially_reversible(net, shape)
+        assert report.breakdown["sum_m_p_bytes"] == held
 
 
 class TestComparativeDirection:
     def test_prev_estimate_below_nonrev_estimate_same_network(self):
         net = build(DESK_REV, seed=0)
-        report = estimate_partially_reversible(net, SHAPE, 4)
+        report = estimate_partially_reversible(net, SHAPE)
         assert report.total_prev_bytes < report.total_nonrev_bytes
 
     def test_reversible_beats_baseline_by_at_least_quarter(self):
-        rev = estimate_partially_reversible(build(DESK_REV, 0), SHAPE, 4)
-        base = estimate_nonreversible(build(DESK_BASE, 0), SHAPE, 4)
+        rev = estimate_partially_reversible(build(DESK_REV, 0), SHAPE)
+        base = estimate_nonreversible(build(DESK_BASE, 0), SHAPE)
         reduction = 1.0 - rev.total_prev_bytes / base.total_nonrev_bytes
         assert rev.total_prev_bytes < base.total_nonrev_bytes
         assert reduction >= 0.25, f"reduction {reduction:.1%}"
@@ -136,8 +147,8 @@ class TestComparativeDirection:
         shallow = ArchitectureSpec(levels=[10, 20], group_size=5,
                                    encoder_blocks=1)
         deep = ArchitectureSpec(levels=[10, 20], group_size=5, encoder_blocks=4)
-        r1 = estimate_partially_reversible(build(shallow, 0), SHAPE, 4)
-        r4 = estimate_partially_reversible(build(deep, 0), SHAPE, 4)
+        r1 = estimate_partially_reversible(build(shallow, 0), SHAPE)
+        r4 = estimate_partially_reversible(build(deep, 0), SHAPE)
         assert r4.breakdown["sum_m_s_bytes"] == r1.breakdown["sum_m_s_bytes"]
         assert r4.breakdown["max_m_b_bytes"] == r1.breakdown["max_m_b_bytes"]
         delta = r4.total_prev_bytes - r1.total_prev_bytes
@@ -149,16 +160,16 @@ class TestComparativeDirection:
         rev, twin_total = {}, {}
         for n in (1, 4):
             spec = replace(load_spec(DESK_SPEC), encoder_blocks=n, decoder_blocks=n)
-            rev[n] = estimate_partially_reversible(build(spec, 0), SHAPE, 4)
+            rev[n] = estimate_partially_reversible(build(spec, 0), SHAPE)
             twin_total[n] = estimate_nonreversible(
-                build(spec.paired(), 0), SHAPE, 4).total_nonrev_bytes
+                build(spec.paired(), 0), SHAPE).total_nonrev_bytes
         growth = {n: r.total_prev_bytes - r.breakdown["sum_m_p_bytes"]
                   for n, r in rev.items()}
         assert growth[4] == growth[1], growth
         assert twin_total[4] > 2 * twin_total[1], twin_total
 
     def test_branching_delta_documented(self):
-        report = estimate_nonreversible(build(DESK_BASE, 0), SHAPE, 4)
+        report = estimate_nonreversible(build(DESK_BASE, 0), SHAPE)
         assert report.breakdown["max_m_d_concurrent_bytes"] >= \
             report.breakdown["max_m_d_bytes"]
         assert report.breakdown["branching_delta_bytes"] == (
@@ -196,7 +207,7 @@ class TestMeasurePeak:
     ], ids=["baseline", "reversible"])
     def test_measured_peak_within_band_of_estimate(self, spec, stored, total_field):
         net = build(spec, seed=0)
-        report = estimate_partially_reversible(net, SHAPE, 4)
+        report = estimate_partially_reversible(net, SHAPE)
         estimate = getattr(report, total_field)
         run = training_step_closure(net, SHAPE, stored)
         run()  # warm-up: parameters/optimizer state pre-allocated
@@ -312,7 +323,7 @@ class TestExecutorMatch:
 
 class TestReportFormats:
     def test_json_has_stable_field_names(self):
-        report = estimate_partially_reversible(build(DESK_REV, 0), SHAPE, 4)
+        report = estimate_partially_reversible(build(DESK_REV, 0), SHAPE)
         import json
 
         doc = json.loads(report.to_json())
@@ -323,7 +334,7 @@ class TestReportFormats:
                                         "backward_transient_bytes", "saved"}
 
     def test_table_is_aligned_text(self):
-        report = estimate_nonreversible(single_conv_network(), (1, 1, 8, 8, 8), 4)
+        report = estimate_nonreversible(single_conv_network(), (1, 1, 8, 8, 8))
         table = report.to_table()
         lines = table.splitlines()
         assert "layer" in lines[0] and "M_A bytes" in lines[0]

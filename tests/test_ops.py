@@ -7,7 +7,7 @@ import pytest
 
 from revvolnet import ops
 from revvolnet.reversible import ConvUnit
-from revvolnet.tape import Tape, backprop, backward, no_record
+from revvolnet.tape import Tape, backprop, backward, no_record, record
 from revvolnet.tensor import Parameter, ShapeError, Tensor
 from revvolnet.unet import ArchitectureSpec, build
 from revvolnet.verification import run_op_gradchecks
@@ -233,6 +233,13 @@ class TestConv1x1x1:
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
 
 
+def group_norm(x, gamma, beta, group_size, epsilon=1e-5):
+    """GroupNorm: the normalisation op at slope 1, where its LeakyReLU is the
+    identity, bit for bit in the forward and all three gradients."""
+    return ops.group_norm_leaky_relu(x, gamma, beta, group_size, epsilon,
+                                     slope=1.0)
+
+
 class TestGroupNorm:
     def _params(self, c, gamma=1.0, beta=0.0):
         g = Parameter(np.full((1, c, 1, 1, 1), gamma, np.float32))
@@ -243,7 +250,7 @@ class TestGroupNorm:
         x = Tensor(np.full((1, 4, 2, 2, 2), 3.7, np.float32))
         g, b = self._params(4)
         with no_record():
-            y = ops.group_norm(x, g, b, group_size=2)
+            y = group_norm(x, g, b, group_size=2)
         np.testing.assert_allclose(y.data, 0.0, atol=1e-4)
 
     def test_two_values_hand_case(self):
@@ -251,27 +258,27 @@ class TestGroupNorm:
         x = Tensor(np.array([1.0, 3.0], np.float32).reshape(1, 2, 1, 1, 1))
         g, b = self._params(2)
         with no_record():
-            y = ops.group_norm(x, g, b, group_size=2, epsilon=1e-12)
+            y = group_norm(x, g, b, group_size=2, epsilon=1e-12)
         np.testing.assert_allclose(y.data.ravel(), [-1.0, 1.0], atol=1e-4)
 
     def test_zero_gamma_collapses_to_beta(self, rng):
         x = Tensor(randn5(rng, (2, 4, 3, 3, 3), scale=1.0))
         g, b = self._params(4, gamma=0.0, beta=0.77)
         with no_record():
-            y = ops.group_norm(x, g, b, group_size=4)
+            y = group_norm(x, g, b, group_size=4)
         np.testing.assert_allclose(y.data, 0.77, rtol=1e-6)
 
     def test_indivisible_channels_rejected(self, rng):
         x = Tensor(randn5(rng, (1, 3, 2, 2, 2)))
         g, b = self._params(3)
         with pytest.raises(ShapeError):
-            ops.group_norm(x, g, b, group_size=2)
+            group_norm(x, g, b, group_size=2)
 
     def test_zero_extent(self):
         x = Tensor(np.zeros((1, 4, 0, 2, 2), np.float32))
         g, b = self._params(4)
         with no_record():
-            y = ops.group_norm(x, g, b, group_size=2)
+            y = group_norm(x, g, b, group_size=2)
         assert y.shape == x.shape
 
     def test_forward_and_gradients_match_float64_oracle_at_mean_100(self, rng):
@@ -285,7 +292,7 @@ class TestGroupNorm:
         g, b = Parameter(gam.copy()), Parameter(bet.copy())
         xt = Tensor(x.copy())
         with Tape() as tape:
-            y = ops.group_norm(xt, g, b, group_size=3, epsilon=eps)
+            y = group_norm(xt, g, b, group_size=3, epsilon=eps)
             (gx,) = backprop(tape, ops.weighted_sum(y, probe), wrt=[xt])
 
         x64 = x.astype(np.float64).reshape(2, 2, -1)
@@ -310,25 +317,34 @@ class TestGroupNorm:
 
 
 class TestLeakyRelu:
+    """The LeakyReLU kernels of ``group_norm_leaky_relu``: the in-place
+    forward and the factor-times-gradient backward."""
+
+    @staticmethod
+    def _forward(x, slope):
+        y = np.array(x, np.float32)
+        ops._leaky_relu_in_place(y, np.float32(slope))
+        return y
+
+    @staticmethod
+    def _backward(x, g, slope):
+        # in place on a copy of x, as the op runs it on its own z buffer
+        factors = np.array([slope, 1], np.float32)
+        out = np.array(x, np.float32)
+        return ops._leaky_relu_grad(out, factors, g, out=out)
+
     def test_positive_passthrough(self):
-        x = Tensor(np.full((1, 1, 1, 1, 1), 1.0, np.float32))
-        with no_record():
-            assert ops.leaky_relu(x).item() == 1.0
+        assert self._forward([1.0], 0.01)[0] == 1.0
 
     def test_negative_scaled(self):
-        x = Tensor(np.full((1, 1, 1, 1, 1), -2.0, np.float32))
-        with no_record():
-            assert ops.leaky_relu(x, 0.01).item() == pytest.approx(-0.02)
+        assert self._forward([-2.0], 0.01)[0] == pytest.approx(-0.02)
 
     def test_gradient_at_negative_two(self):
-        x = Tensor(np.full((1, 1, 1, 1, 1), -2.0, np.float32))
-        with Tape() as tape:
-            loss = ops.reduce_sum(ops.leaky_relu(x, 0.01))
-            (gx,) = backprop(tape, loss, wrt=[x])
-        assert gx.reshape(()) == pytest.approx(0.01)
+        gx = self._backward([-2.0], np.ones(1, np.float32), 0.01)
+        assert gx[0] == pytest.approx(0.01)
         # central finite difference oracle
         fd = (((-2.0 + 1e-3) * 0.01) - ((-2.0 - 1e-3) * 0.01)) / 2e-3
-        assert gx.reshape(()) == pytest.approx(fd, abs=1e-4)
+        assert gx[0] == pytest.approx(fd, abs=1e-4)
 
     @pytest.mark.parametrize("slope", [0.01, 0.2, 1.0, 2.0, -0.5, 0.0])
     def test_matches_where_bit_for_bit(self, rng, slope):
@@ -337,8 +353,8 @@ class TestLeakyRelu:
         specials = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-45, -1e-45]
         x.flat[:7] = x.flat[-7:] = specials
         s = np.float32(slope)
-        with no_record(), np.errstate(invalid="ignore"):  # 0 * inf
-            y = ops.leaky_relu(Tensor(x.copy()), slope).data
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            y = self._forward(x, slope)
             want = np.where(x >= 0, x, s * x)
         np.testing.assert_array_equal(y.view(np.uint32), want.view(np.uint32))
 
@@ -355,10 +371,8 @@ class TestLeakyRelu:
             g.flat[:49] = np.tile(specials, 7)
             x.flat[-7:] = g.flat[-7:] = specials
             s = np.float32(slope)
-            xt = Tensor(x.copy())
-            with Tape() as tape, np.errstate(invalid="ignore"):
-                y = ops.leaky_relu(xt, slope)
-                (gx,) = backward(tape, y, g, wrt=[xt])
+            with np.errstate(invalid="ignore"):
+                gx = self._backward(x, g, slope)
                 want = np.where(x >= 0, g, s * g)
             np.testing.assert_array_equal(gx.view(np.uint32),
                                           want.view(np.uint32))
@@ -398,16 +412,28 @@ class TestGroupNormLeakyRelu:
         np.testing.assert_array_equal(seed.view(np.uint32), g.view(np.uint32))
         return out, gx, gp.grad.data, bp.grad.data
 
+    def _composition(self, slope, x, gamma, beta, g):
+        """LeakyReLU after GroupNorm, composed from the op at slope 1: the
+        forward selects on its output z, and its backward is seeded with
+        the LeakyReLU's gradient at z."""
+        def gn(t, gp, bp):
+            return group_norm(t, gp, bp, 2, 1e-5)
+
+        s = np.float32(slope)
+        # the slope-1 run also gets the seed itself, which it must not write
+        z = self._run(gn, x, gamma, beta, g)[0]
+        with np.errstate(invalid="ignore"):  # 0 * inf
+            y = np.where(z >= 0, z, s * z)
+            gz = np.where(z >= 0, g, s * g)
+        return (y,) + self._run(gn, x, gamma, beta, gz)[1:]
+
     @pytest.mark.parametrize("slope", [0.01, 0.2, 1.0, 2.0, 0.0, -0.5])
     @pytest.mark.parametrize("batch", [0, 1, 2])
     def test_matches_composition_bit_for_bit(self, rng, slope, batch):
         arrays = self._arrays(rng, batch)
         fused = self._run(lambda t, gp, bp: ops.group_norm_leaky_relu(
             t, gp, bp, 2, 1e-5, slope), *arrays)
-        composed = self._run(lambda t, gp, bp: ops.leaky_relu(
-            ops.group_norm(t, gp, bp, 2, 1e-5), slope), *arrays)
-        # the plain op also gets the seed itself, which it must not write
-        self._run(lambda t, gp, bp: ops.group_norm(t, gp, bp, 2), *arrays)
+        composed = self._composition(slope, *arrays)
         for name, got, want in zip(("y", "gx", "g_gamma", "g_beta"), fused,
                                    composed):
             assert got.shape == want.shape, name
@@ -426,8 +452,7 @@ class TestGroupNormLeakyRelu:
         arrays = self._arrays(rng, 2, spatial=(16, 12, 20))
         fused = self._run(lambda t, gp, bp: ops.group_norm_leaky_relu(
             t, gp, bp, 2, 1e-5, slope), *arrays)
-        composed = self._run(lambda t, gp, bp: ops.leaky_relu(
-            ops.group_norm(t, gp, bp, 2, 1e-5), slope), *arrays)
+        composed = self._composition(slope, *arrays)
         for got, want in zip(fused, composed):
             np.testing.assert_array_equal(got.view(np.uint32),
                                           want.view(np.uint32))
@@ -448,7 +473,6 @@ class TestGroupNormLeakyRelu:
             entries = build(net_spec, seed=0).trace((2, 4, 8, 8, 8))
             ops_seen = {e.name.split(".")[-1].split("#")[0] for e in entries}
             assert "group_norm_leaky_relu" in ops_seen
-            assert not {"group_norm", "leaky_relu"} & ops_seen
             assert all(e.shape[0] == 2 for e in entries)
 
 
@@ -688,8 +712,9 @@ class TestUpsampleMerge:
         skip, d, w, b = self._arrays(rng, 1)
         st, dt = Tensor(skip), Tensor(d)
         with Tape() as tape:
-            a = ops.leaky_relu(st)
-            c = ops.leaky_relu(dt)
+            # producers that save nothing: only the merge keeps them
+            a = ops.add(st, st)
+            c = ops.add(dt, dt)
             ops.upsample_merge(a, c, Parameter(w), Parameter(b))
         node = tape.nodes[-1]
         assert node.op == "upsample_merge" and node.saves == ("inputs",)
@@ -727,9 +752,29 @@ class TestKernelScratch:
         return peak / x.nbytes
 
     def test_group_norm(self, rng):
+        # 3.46x measured; GroupNorm followed by a separate LeakyReLU op,
+        # with a buffer of its own, peaks at 4.0x
         g = Parameter(np.ones((1, 10, 1, 1, 1), np.float32))
         b = Parameter(np.zeros((1, 10, 1, 1, 1), np.float32))
-        assert self._peak_ratio(lambda t: ops.group_norm(t, g, b, 5), rng) < 4.5
+        assert self._peak_ratio(
+            lambda t: ops.group_norm_leaky_relu(t, g, b, 5), rng) < 4.0
+
+    @staticmethod
+    def _separate_leaky_relu(x, slope=0.01):
+        """LeakyReLU as an op of its own: an output buffer apart from its
+        input, which it keeps for a backward that forms a fresh gradient."""
+        s = np.float32(slope)
+        y = x.data.copy()
+        ops._leaky_relu_in_place(y, s)
+        factors = np.array([s, 1], np.float32)
+
+        def backward_fn(g, inputs, _output):
+            (x_val,) = inputs
+            return (ops._leaky_relu_grad(x_val, factors, g,
+                                         out=np.empty_like(g)),)
+
+        return record("leaky_relu", Tensor(y), [x], backward_fn,
+                      saves=("inputs",))
 
     def test_group_norm_leaky_relu_no_larger_than_composition(self, rng):
         g = Parameter(np.ones((1, 10, 1, 1, 1), np.float32))
@@ -737,7 +782,7 @@ class TestKernelScratch:
         fused = self._peak_ratio(
             lambda t: ops.group_norm_leaky_relu(t, g, b, 5), rng)
         composed = self._peak_ratio(
-            lambda t: ops.leaky_relu(ops.group_norm(t, g, b, 5)), rng)
+            lambda t: self._separate_leaky_relu(group_norm(t, g, b, 5)), rng)
         assert fused <= composed, (fused, composed)
 
     def test_max_pool2(self, rng):
@@ -813,8 +858,6 @@ class TestZeroExtentEverywhere:
         b = Parameter(np.zeros((1, 4, 1, 1, 1), np.float32))
         k = Parameter(np.zeros((4, 4, 3, 3, 3), np.float32))
         with no_record():
-            assert ops.group_norm(x, g, b, 2).element_count == 0
-            assert ops.leaky_relu(x).element_count == 0
             assert ops.group_norm_leaky_relu(x, g, b, 2).element_count == 0
             assert ops.sigmoid(x).element_count == 0
             assert ops.max_pool2(x).element_count == 0
@@ -853,8 +896,8 @@ class TestFiniteDifferences:
     def test_case_table_is_pinned(self):
         # a case silently dropped from the table would still pass
         assert [r.name for r in run_op_gradchecks(seed=0)] == [
-            "conv3d", "conv1x1x1", "group_norm", "leaky_relu",
-            "group_norm_leaky_relu", "sigmoid", "max_pool2", "upsample2",
+            "conv3d", "conv1x1x1", "group_norm_leaky_relu", "sigmoid",
+            "max_pool2", "upsample2",
             "upsample_merge", "reduce_sum",
             "split_concat", "add_sub", "weighted_sum", "dice_loss"]
 
