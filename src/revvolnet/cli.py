@@ -111,9 +111,9 @@ def cmd_invert(args):
 
 def _step_peak(network, input_shape, seed, stored=False, timed_steps=0):
     """Train on one seeded random batch: a warm-up step, ``timed_steps`` timed
-    steps, then one step measured for its peak tracked bytes.
+    steps, then one step measured for its peaks (``memory_model.measure_peaks``).
 
-    Returns the timed steps' seconds and that peak.
+    Returns the timed steps' seconds, the memtrack peak and the numpy peak.
     """
     from . import memory_model
     from .tensor import Tensor
@@ -136,7 +136,7 @@ def _step_peak(network, input_shape, seed, stored=False, timed_steps=0):
         t0 = time.perf_counter()
         run()
         times.append(time.perf_counter() - t0)
-    return times, memory_model.measure_peak(run)
+    return (times, *memory_model.measure_peaks(run))
 
 
 def cmd_estimate_memory(args):
@@ -148,7 +148,8 @@ def cmd_estimate_memory(args):
     input_shape = (args.batch, spec.in_channels) + args.input_shape
     report = memory_model.estimate(network, input_shape)
     if args.measure:
-        _, report.measured_peak_bytes = _step_peak(network, input_shape, args.seed)
+        _, report.measured_peak_bytes, _ = _step_peak(network, input_shape,
+                                                      args.seed)
 
     doc = json.loads(report.to_json())
     doc["input_shape"] = list(input_shape)
@@ -177,16 +178,22 @@ def _make_dataset(args, spec, seed):
     from .training import generate_synthetic, load_dataset
     from .unet import check_divisible
 
-    if args.synthetic is not None:
+    def check(shape, what):
         try:
-            check_divisible(spec, (1, spec.in_channels) + (args.size,) * 3)
+            check_divisible(spec, shape)
         except ShapeError as exc:
-            raise ValueError(f"--size {args.size}: {exc}") from None
+            raise ValueError(f"{what}: {exc}") from None
+
+    if args.synthetic is not None:
+        check((1, spec.in_channels) + (args.size,) * 3, f"--size {args.size}")
         rng = np.random.default_rng(seed)
         return [generate_synthetic(rng, size=args.size,
                                    modalities=spec.in_channels)
                 for _ in range(args.synthetic)]
-    return load_dataset(args.data)
+    volumes = load_dataset(args.data)
+    for volume in volumes:
+        check((1,) + volume.image.shape, volume.source)
+    return volumes
 
 
 def cmd_train(args):
@@ -248,12 +255,14 @@ def cmd_bench(args):
     shape = (1, spec.in_channels) + args.input_shape
 
     def mode(stored):
-        times, peak = _step_peak(network, shape, args.seed, stored=stored,
-                                 timed_steps=args.steps)
+        times, peak, numpy_peak = _step_peak(network, shape, args.seed,
+                                             stored=stored,
+                                             timed_steps=args.steps)
         return {"mean_step_seconds": float(np.mean(times)),
                 "median_step_seconds": float(np.median(times)),
                 "spread_seconds": [min(times), max(times)],
-                "peak_bytes": peak}
+                "peak_bytes": peak,
+                "peak_numpy_bytes": numpy_peak}
 
     rev, ref = mode(stored=False), mode(stored=True)
     doc = {

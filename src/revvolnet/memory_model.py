@@ -29,12 +29,18 @@ after the forward pass, and ``sum(M_N) + sum(M_S)`` what the reversible-mode
 tape retains.
 
 M_B models this engine's per-block backward strategy as
-BLOCK_BACKWARD_HALF_BUFFERS half-width tensors, the count measured at the
-peak inside one block's backward (a test pins the two together): the half
-of the boundary pair not yet consumed (y1), both gradient halves, the
-freshly reconstructed half, the activation the sub-network's conv saves (the
-fused GroupNorm+LeakyReLU output) and two engine gradient buffers. The
-sub-network's output is dropped once the reconstruction has read it. A
+BLOCK_BACKWARD_HALF_BUFFERS half-width tensors, the count memtrack measures
+at the peak inside one block's backward (a test pins the two together): the
+half of the boundary pair not yet consumed (y1), both gradient halves, the
+reconstructed half, the activation the sub-network's conv saves (the fused
+GroupNorm+LeakyReLU output) and two engine gradient buffers. The
+sub-network's output is dropped once the reconstruction has read it. These
+are 7 Tensors but fewer buffers: at batch 1 the halves of y, the
+reconstructed half and the gradient halves are views of the sequence's
+retained output and of its incoming gradient, which the backward overwrites
+in place, and memtrack counts a Tensor over a view as new bytes. Counted by
+tracemalloc, one width-10 block at 32^3 allocates 5.96 halves beside those
+two buffers, kernel scratch included (another test pins that). A
 non-reversible layer's backward transient is simply its
 activation-derivative buffer, so the max-term of the second formula runs over
 both kinds; with no sequences present it degenerates to max(M_D) and the two
@@ -44,12 +50,13 @@ real graph so the delta of the naive max-term is documented.
 """
 
 import json
+import tracemalloc
 from dataclasses import asdict, dataclass
 
 from . import memtrack
 
 BYTES = 4  # float32
-BLOCK_BACKWARD_HALF_BUFFERS = 7
+BLOCK_BACKWARD_HALF_BUFFERS = 7  # memtrack's count, see above
 PARAM_COPIES = 4  # value, gradient and Adam's two moments
 
 
@@ -189,3 +196,20 @@ estimate_partially_reversible = estimate
 def measure_peak(run) -> int:
     """High-water mark of live tensor bytes above entry while ``run`` executes."""
     return memtrack.GLOBAL.measure(run)
+
+
+def measure_peaks(run) -> tuple:
+    """Peak bytes above entry while ``run`` executes, by two accountants.
+
+    The first is ``measure_peak``'s memtrack figure, which leaves out kernel
+    scratch and counts each Tensor, a Tensor over a view included, as new
+    bytes. The second is tracemalloc's, which counts each numpy buffer once
+    (with Python's own allocations) but only what is allocated after entry.
+    """
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        tracked = measure_peak(run)
+        return tracked, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()

@@ -158,21 +158,30 @@ class ReversibleSequence(Module):
 
 
 def sequence_backward(seq: ReversibleSequence, grad_out: np.ndarray, y) -> np.ndarray:
-    """Gradient of a reversible sequence given only its output.
+    """Gradient of a reversible sequence given only its output, computed in
+    the buffers of ``y`` and ``grad_out``.
 
     Walks the blocks in reverse. For each block the two sub-networks are
     re-executed exactly once on short-lived local tapes: G's recording both
     yields the reconstruction term y2 - G(y1) and, seeded with the incoming
     gradient of y2, the gradient flowing into y1; F's recording then yields
     x1 = y1 - F(x2) and the gradient flowing into x2. The tapes record only
-    the sub-network, and the subtraction runs unrecorded, so no tape slot
-    holds the consumed half once its name is dropped. Nor does anything hold
-    the sub-network's output once the subtraction has read it: it lives
-    only in a one-item list whose ``pop`` hands ``backward`` the last
-    reference, which ``backward`` drops after finding its root node (no
-    backward reads it; the conv saves its input). The reconstructed pair
-    becomes the "output" of the preceding block, so no whole-sequence buffer
-    ever exists.
+    the sub-network, and the subtraction is plain numpy, so no tape slot
+    holds the consumed half. Nor does anything hold the sub-network's output
+    once the subtraction has read it: it lives only in a one-item list whose
+    ``pop`` hands ``backward`` the last reference, which ``backward`` drops
+    after finding its root node (no backward reads it; the conv saves its
+    input). The reconstructed pair becomes the "output" of the preceding
+    block, so no whole-sequence buffer ever exists.
+
+    It works in place, as RevNet's Algorithm 1 does. The halves are channel
+    views of ``y`` and ``grad_out`` (copies when the batch exceeds 1). Each
+    reconstructed half overwrites the half it is rebuilt from, once no tape
+    reads that half, and each gradient sum is added into its incoming
+    gradient half. So this may overwrite both ``y`` and ``grad_out``, and
+    when the halves are views it returns ``grad_out`` itself. A caller that
+    still needs either copies it first; the tape engine hands it a gradient
+    buffer nothing else holds (see ``tape.record``).
     """
     y_data = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float32)
     grad_out = np.ascontiguousarray(grad_out, dtype=np.float32)
@@ -181,39 +190,35 @@ def sequence_backward(seq: ReversibleSequence, grad_out: np.ndarray, y) -> np.nd
             f"sequence gradient shape {grad_out.shape} does not match "
             f"output shape {y_data.shape}"
         )
-    c = y_data.shape[1]
     if not seq.blocks:
-        return grad_out.copy()
-    half = c // 2
-
-    with no_record():
-        y1 = Tensor(np.ascontiguousarray(y_data[:, :half]))
-        y2 = Tensor(np.ascontiguousarray(y_data[:, half:]))
-        g1 = Tensor(np.ascontiguousarray(grad_out[:, :half]))
-        g2 = Tensor(np.ascontiguousarray(grad_out[:, half:]))
+        return grad_out
+    half = y_data.shape[1] // 2
+    y1, y2 = Tensor(y_data[:, :half]), Tensor(y_data[:, half:])
+    g1, g2 = Tensor(grad_out[:, :half]), Tensor(grad_out[:, half:])
 
     for block in reversed(seq.blocks):
         with Tape() as tg:
             gy1 = [block.g(y1)]
-        with no_record():
-            x2 = ops.sub(y2, gy1[0])
+        x2 = Tensor(np.subtract(y2.data, gy1[0].data, out=y2.data))
         y2 = None
         (dy1_g,) = backward(tg, gy1.pop(), g2.data, wrt=[y1])
         del tg
-        dy1 = Tensor(g1.data + dy1_g)
+        dy1 = Tensor(np.add(g1.data, dy1_g, out=g1.data))
         g1 = None
         del dy1_g
 
         with Tape() as tf:
             fx2 = [block.f(x2)]
-        with no_record():
-            x1 = ops.sub(y1, fx2[0])
+        # G's tape, the last reader of y1, is gone
+        x1 = Tensor(np.subtract(y1.data, fx2[0].data, out=y1.data))
         y1 = None
         (dx2_f,) = backward(tf, fx2.pop(), dy1.data, wrt=[x2])
         del tf
-        dx2 = Tensor(g2.data + dx2_f)
+        dx2 = Tensor(np.add(g2.data, dx2_f, out=g2.data))
         del dx2_f
 
         y1, y2, g1, g2 = x1, x2, dy1, dx2
 
+    if np.may_share_memory(g1.data, grad_out):
+        return grad_out
     return np.concatenate([g1.data, g2.data], axis=1)

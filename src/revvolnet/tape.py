@@ -42,6 +42,7 @@ from .tensor import ShapeError, Tensor
 FAULTS = {}
 FAULTS_APPLIED = set()
 SAVES = ("inputs", "output")  # what a backward may declare that it reads
+IN_PLACE_OPS = ("reversible_sequence",)  # may overwrite their gradient, see record
 
 
 class MissingActivationError(RuntimeError):
@@ -140,7 +141,16 @@ def record(op, out, inputs, backward_fn, *, params=(), saves=()):
     """Register an executed op on the ambient tape, if one is active.
 
     ``backward_fn(grad_out, input_values, output_value)`` must return one
-    gradient array (or None) per input and must not mutate ``grad_out``.
+    gradient array (or None) per input. It must not mutate ``grad_out`` or
+    the values it reads, with one exception: an op in ``IN_PLACE_OPS``
+    (``reversible_sequence``) may overwrite both its incoming gradient and
+    its retained output, and may return the gradient buffer itself. The
+    engine hands such an op a gradient buffer nothing else holds: it copies
+    the buffer only when it may share memory with another pending gradient,
+    a leaf gradient or the caller's seed. No later backward reads the
+    retained output, so a caller that reads a sequence's output after
+    backprop, or calls ``sequence_backward`` directly, copies what it still
+    needs first.
     ``saves`` declares what it reads: with ``"inputs"`` it receives the value
     of every input, in order, and with ``"output"`` the op's own output; an
     undeclared value arrives as None (one None per input for the inputs).
@@ -214,6 +224,10 @@ def backward(tape: Tape, output: Tensor, seed: np.ndarray, wrt=()) -> list:
             else:
                 input_values = (None,) * len(node.input_slots)
             output_value = node.output_value() if "output" in node.saves else None
+            if node.op in IN_PLACE_OPS and any(
+                    o is not None and np.may_share_memory(g, o)
+                    for o in (seed, *grads.values(), *leaf_grads.values())):
+                g = g.copy()
             in_grads = node.backward_fn(g, input_values, output_value)
             if len(in_grads) != len(node.input_slots):
                 raise RuntimeError(

@@ -338,6 +338,7 @@ def moving_average(history, window: int):
 class LabeledVolume:
     image: np.ndarray  # (modalities, D, H, W) float32, zero outside the brain
     masks: np.ndarray  # (3, D, H, W) float32 in {0, 1}, nested wt >= tc >= et
+    source: str = ""  # the image file it was loaded from, if any
 
     def check_nesting(self) -> bool:
         wt, tc, et = self.masks[0], self.masks[1], self.masks[2]
@@ -444,7 +445,8 @@ def load_dataset(directory):
                 raise ValueError(
                     f"{msk_path}: masks record must be {want} to match its "
                     f"image, got {masks.shape}")
-            volumes.append(LabeledVolume(image=image[0], masks=masks[0]))
+            volumes.append(LabeledVolume(image=image[0], masks=masks[0],
+                                         source=img_path))
     if not volumes:
         raise ValueError(f"dataset manifest {manifest} lists no volumes")
     return volumes

@@ -366,6 +366,26 @@ class TestTrainEval:
         assert "training on" not in proc.stderr
         assert not (tmp_path / "run").exists()
 
+    def test_indivisible_dataset_volume_is_usage_error(self, tmp_path):
+        import numpy as np
+
+        from revvolnet.training import generate_synthetic, save_dataset
+
+        spec = tmp_path / "three.spec"
+        spec.write_text(TINY_SPEC.replace("levels=4,8", "levels=4,8,16"))
+        rng = np.random.default_rng(0)
+        save_dataset([generate_synthetic(rng, size=6) for _ in range(3)],
+                     tmp_path / "data")
+        proc = run_cli("train", "--spec", str(spec), "--data",
+                       str(tmp_path / "data"), "--out", str(tmp_path / "run"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "case000_image.rvt" in proc.stderr
+        assert "divisible by 4" in proc.stderr
+        # checked before training logs anything or makes its --out directory
+        assert "training on" not in proc.stderr
+        assert not (tmp_path / "run").exists()
+
     def test_hostile_checkpoint_header_is_usage_error(self, tmp_path, tiny_spec):
         import struct
 
@@ -441,11 +461,17 @@ class TestTrainEval:
 
 
 class TestBench:
-    def test_reports_ratio(self, tiny_spec):
-        proc = run_cli("bench", "--spec", tiny_spec, "--steps", "2",
+    @pytest.fixture(scope="class")
+    def bench_doc(self, tmp_path_factory):
+        spec = tmp_path_factory.mktemp("bench") / "tiny.spec"
+        spec.write_text(TINY_SPEC)
+        proc = run_cli("bench", "--spec", str(spec), "--steps", "2",
                        "--input-shape", "8,8,8")
         assert proc.returncode == 0, proc.stderr
-        doc = first_json(proc.stdout)
+        return first_json(proc.stdout)
+
+    def test_reports_ratio(self, bench_doc):
+        doc = bench_doc
         assert sorted(doc) == SCHEMA["bench"]
         assert doc["time_ratio"] > 0
         assert doc["reversible"]["peak_bytes"] > 0
@@ -453,6 +479,11 @@ class TestBench:
             lo, hi = doc[mode]["spread_seconds"]
             assert 0 < lo <= doc[mode]["median_step_seconds"] <= hi
             assert lo <= doc[mode]["mean_step_seconds"] <= hi
+
+    def test_reports_tracked_and_numpy_peaks(self, bench_doc):
+        for mode in ("reversible", "reference"):
+            assert bench_doc[mode]["peak_bytes"] > 0
+            assert bench_doc[mode]["peak_numpy_bytes"] > 0
 
     @pytest.mark.parametrize("steps", ["0", "-1"])
     def test_step_count_below_one_is_usage_error(self, tiny_spec, steps):

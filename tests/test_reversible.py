@@ -223,6 +223,61 @@ class TestSequenceBackward:
         # the memory model's M_B is this measured count
         assert memory_model.BLOCK_BACKWARD_HALF_BUFFERS == 7
 
+    def test_transient_peak_in_numpy_buffers_is_pinned(self, rng):
+        # One block, width 10, 32^3, batch 1, counted by tracemalloc: each
+        # rebuilt half overwrites the half it came from and each gradient sum
+        # goes into its incoming half, so the buffers beside y and grad are
+        # G's saved activation, the engine's gradients and kernel scratch
+        # (5.96 halves; 8.96 with a fresh buffer per half and per sum).
+        # memtrack still reads 7: it counts every Tensor over a view anew.
+        from revvolnet.reversible import sequence_backward
+
+        seq = toy_sequence(1, 10, rng)
+        y = Tensor(randn5(rng, (1, 10, 32, 32, 32)))
+        grad = randn5(rng, y.shape)
+        half = y.nbytes // 2
+        tracked, numpy_peak = memory_model.measure_peaks(
+            lambda: sequence_backward(seq, grad, y))
+        assert tracked == 7 * half
+        assert 5 * half < numpy_peak <= 6 * half, numpy_peak / half
+
+    def test_in_place_backward_overwrites_output_and_returns_gradient(self, rng):
+        # batch 1: the halves are views, so the block's input is rebuilt in
+        # y's buffer and the input gradient is returned in grad's
+        from revvolnet.reversible import sequence_backward
+
+        seq = toy_sequence(2, 8, rng)
+        x = Tensor(randn5(rng, (1, 8, 4, 4, 4)))
+        with no_record():
+            y = seq.forward(x)
+        grad = randn5(rng, y.shape)
+        assert sequence_backward(seq, grad, y) is grad
+        np.testing.assert_allclose(y.data, x.data, atol=1e-5)
+
+    def test_gradient_shared_with_a_pending_input_is_not_overwritten(self, rng):
+        # add's backward hands one buffer to both of its inputs; the sequence
+        # is visited first and must not overwrite what `other`'s producer
+        # still reads
+        seq = toy_sequence(2, 8, rng)
+        x_data = randn5(rng, (1, 8, 4, 4, 4))
+        o_data = randn5(rng, (1, 8, 4, 4, 4))
+        probe = randn5(rng, (1, 8, 4, 4, 4))
+        params = list(seq.parameters())
+
+        def run(stored):
+            for p in params:
+                p.zero_grad()
+            x, o = Tensor(x_data.copy()), Tensor(o_data.copy())
+            with Tape() as tape:
+                other = ops.sigmoid(o)
+                y = seq.forward_stored(x) if stored else seq.forward(x)
+                loss = ops.weighted_sum(ops.add(y, other), probe)
+                grads = backprop(tape, loss, wrt=[x, o])
+            return grads + [p.grad.data.copy() for p in params]
+
+        for rev, ref in zip(run(stored=False), run(stored=True)):
+            assert relative_error(rev, ref) <= 1e-4
+
     def test_sub_network_outputs_die_before_their_backward_returns(self, rng):
         # One block, width 10, 8^3. Each sub-network output is consumed by
         # the subtraction that reconstructs the block's input; no backward
