@@ -11,14 +11,16 @@ deterministic mode. This must happen before numpy loads.
 
 import os
 
+_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                "NUMEXPR_NUM_THREADS")
 _threads = os.environ.get("REVVOLNET_THREADS", "1")
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS"):
+for _var in _THREAD_VARS:
     os.environ.setdefault(_var, _threads)
 
 import argparse
 import json
 import logging
+import platform
 import sys
 import time
 
@@ -174,9 +176,17 @@ def cmd_estimate_memory(args):
 
 
 def _make_dataset(args, spec, seed):
+    """The volumes ``train`` or ``eval`` runs on, once the spec's output
+    regions and every volume's modalities and extents are checked against
+    each other; a mismatch raises ``ValueError`` naming the field or file."""
     from .tensor import ShapeError
-    from .training import generate_synthetic, load_dataset
+    from .training import REGIONS, generate_synthetic, load_dataset
     from .unet import check_divisible
+
+    if spec.out_regions != len(REGIONS):
+        raise ValueError(
+            f"spec out_regions={spec.out_regions}: the masks hold "
+            f"{len(REGIONS)} regions ({', '.join(REGIONS)})")
 
     def check(shape, what):
         try:
@@ -192,6 +202,10 @@ def _make_dataset(args, spec, seed):
                 for _ in range(args.synthetic)]
     volumes = load_dataset(args.data)
     for volume in volumes:
+        if volume.image.shape[0] != spec.in_channels:
+            raise ValueError(
+                f"{volume.source}: {volume.image.shape[0]} modalities, but "
+                f"the spec's in_channels is {spec.in_channels}")
         check((1,) + volume.image.shape, volume.source)
     return volumes
 
@@ -266,6 +280,10 @@ def cmd_bench(args):
 
     rev, ref = mode(stored=False), mode(stored=True)
     doc = {
+        # the thread counts in effect: a variable set before the run wins
+        # over REVVOLNET_THREADS
+        "env": {**{var: os.environ[var] for var in _THREAD_VARS},
+                "numpy": np.__version__, "python": platform.python_version()},
         "steps": args.steps,
         "input_shape": list(shape),
         "reversible": rev,

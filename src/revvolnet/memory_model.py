@@ -32,19 +32,20 @@ M_B models this engine's per-block backward strategy as
 BLOCK_BACKWARD_HALF_BUFFERS half-width tensors, the count memtrack measures
 at the peak inside one block's backward (a test pins the two together): the
 half of the boundary pair not yet consumed (y1), both gradient halves, the
-reconstructed half, the activation the sub-network's conv saves (the fused
-GroupNorm+LeakyReLU output) and two engine gradient buffers. The
-sub-network's output is dropped once the reconstruction has read it. These
-are 7 Tensors but fewer buffers: at batch 1 the halves of y, the
+reconstructed half and two engine gradient buffers. The sub-network is one
+``conv3d`` op with a ``norm`` prologue, which saves only its input (y1 or
+the reconstructed half) and rebuilds its normalised activation inside its
+own backward, and its output is dropped once the reconstruction has read
+it. These are 6 Tensors but fewer buffers: at batch 1 the halves of y, the
 reconstructed half and the gradient halves are views of the sequence's
-retained output and of its incoming gradient, which the backward overwrites
-in place, and memtrack counts a Tensor over a view as new bytes. Counted by
-tracemalloc, one width-10 block at 32^3 allocates 5.96 halves beside those
-two buffers, kernel scratch included (another test pins that). A
-non-reversible layer's backward transient is simply its
-activation-derivative buffer, so the max-term of the second formula runs over
-both kinds; with no sequences present it degenerates to max(M_D) and the two
-totals coincide. Both formulas assume a non-branching chain; the report
+retained output and of its incoming gradient, which the backward
+overwrites in place, and memtrack counts a Tensor over a view as new bytes.
+Counted by tracemalloc, one width-10 block at 32^3 allocates 4.95 halves
+beside those two buffers, kernel scratch included (another test pins that).
+A non-reversible layer's backward transient is simply its
+activation-derivative buffer, so the max-term of the second formula runs
+over both kinds; with no sequences present it degenerates to max(M_D) and
+the two totals coincide. Both formulas assume a non-branching chain; the report
 additionally carries the max over concurrently live gradient buffers on the
 real graph so the delta of the naive max-term is documented.
 """
@@ -56,7 +57,7 @@ from dataclasses import asdict, dataclass
 from . import memtrack
 
 BYTES = 4  # float32
-BLOCK_BACKWARD_HALF_BUFFERS = 7  # memtrack's count, see above
+BLOCK_BACKWARD_HALF_BUFFERS = 6  # memtrack's count, see above
 PARAM_COPIES = 4  # value, gradient and Adam's two moments
 
 

@@ -10,8 +10,9 @@ retains and hands over only those values, so closures capture parameters
 and small saved statistics only. The closures carry no test hook: the
 gradient checker corrupts gradients by op name in ``tape.backward``. Empty
 tensors (batch 0 or a zero spatial extent) run through the general kernels;
-only the GroupNorm op, whose statistics are undefined there, keeps a branch
-for them.
+GroupNorm statistics are undefined there, so ``group_norm_leaky_relu``
+keeps a branch for them and ``conv3d`` skips its ``norm`` prologue, which
+maps an empty tensor to itself.
 
 Convolution has one padding rule: stride 1 and "same" zero padding, so
 every kernel extent must be odd (3x3x3 units, 1x1x1 channel changes) and
@@ -26,7 +27,8 @@ one tile before the next: the tile and the input columns it reads stay in
 the L2 cache instead of streaming the whole accumulator once per offset
 (cache blocking after Goto and van de Geijn 2008). A grid that fits one
 tile runs a single iteration. The padded grid is a zeroed array with the
-input assigned to its interior.
+input assigned to its interior; the forward and backward kernels take the
+grid, which with a ``norm`` prologue holds the normalised input instead.
 
 The pointwise and resampling kernels make as few full-size passes as they
 can, since each pass streams the whole activation:
@@ -39,8 +41,7 @@ can, since each pass streams the whole activation:
   copy, then the LeakyReLU in place on it, chunk by chunk through one chunk
   of scratch: one product ``s*x`` and one elementwise maximum (minimum for
   s > 1), no boolean select; a slope <= 0 adds one masked copy to stay
-  exact at signed zeros and infinities. It saves only its input, so the
-  tape keeps one activation per GN-LeakyReLU-conv unit, the conv's input.
+  exact at signed zeros and infinities. It saves only its input.
   Backward: the normalised tensor ``z`` recomputed from the centred copy
   with the forward's scale and shift; the factor ``[s, 1][z >= 0]`` by one
   ``take`` into ``z``'s own buffer, then ``*= g``, per chunk of about
@@ -48,6 +49,17 @@ can, since each pass streams the whole activation:
   call would form twice the input's bytes); per-channel sums of that
   gradient ``gz`` and of ``gz * (x - mu)``; and ``gx = a*gz + k*(x - mu) +
   c`` in the same buffer, with a per channel and k, c per group.
+- ``conv3d(x, kernel, bias, norm=Norm(...))``, the paper's
+  GN-LeakyReLU-conv unit as one op, bit for bit
+  ``conv3d(group_norm_leaky_relu(x, *norm), kernel, bias)`` (the backward
+  recompute of memory-efficient DenseNets, Pleiss et al. 2017). It records
+  as ``conv3d`` and saves only ``x``, so the tape keeps one activation per
+  unit. Forward: the normalisation above, then its output copied into the
+  conv's zeroed padded grid and freed before the products. Backward: the
+  centred copy rebuilt from ``x`` and the forward's statistics, normalised
+  and placed in the grid by the same helper as in the forward, the conv
+  backward on that grid, the grid freed, and the normalisation backward
+  above on the gradient it returns.
 - ``max_pool2``: the forward takes pairwise maxima over strided views. The
   backward walks the eight block positions in scan order with a mask of
   blocks not yet routed, and writes ``g`` into a strided view of a zeroed
@@ -65,6 +77,8 @@ can, since each pass streams the whole activation:
   ``d``, which in a reversible U-Net are sequence outputs the tape keeps
   anyway.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,20 +99,73 @@ def _check_axes(t, what: str):
 # convolution
 
 
-def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None) -> Tensor:
+class Norm(NamedTuple):
+    """The arguments of ``group_norm_leaky_relu`` after ``x``: the
+    normalisation ``conv3d`` applies to its input when given one."""
+
+    gamma: Parameter
+    beta: Parameter
+    group_size: int
+    epsilon: float = 1e-5
+    slope: float = 0.01
+
+
+def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
+           norm: Norm | None = None) -> Tensor:
     """Stride-1 cross-correlation with "same" zero padding, plus bias.
 
     Every kernel extent must be odd; each axis is padded by (k - 1) // 2 on
     both sides, so the output has the input's spatial extents.
+
+    With ``norm``, the convolution reads ``group_norm_leaky_relu(x, *norm)``,
+    bit for bit, and the op still keeps only ``x``: its backward rebuilds
+    the normalised input in the padded grid (see the module docstring).
     """
     _check_axes(x, "conv3d input")
+    pads = _conv_pads(x.shape, kernel, bias)
+    params = (kernel,) if bias is None else (kernel, bias)
+    if norm is not None:
+        _check_norm("conv3d", x, norm.gamma, norm.beta, norm.group_size)
+        params += (norm.gamma, norm.beta)
+    # the normalisation maps an empty tensor to itself
+    stats = None
+    if norm is not None and x.element_count:
+        xc, stats = _norm_stats(x.data, norm.gamma, norm.beta, norm.group_size,
+                                norm.epsilon)
+        grid = _normalised_grid(xc, stats, norm.slope, pads)
+        del xc  # unpadded, the grid is xc's own buffer
+    else:
+        grid = _padded_grid(x.data, pads)
+    out = Tensor(_conv_forward(grid, kernel, bias))
+    del grid
+
+    def backward_fn(g, inputs, _output):
+        (x_val,) = inputs
+        if stats is None:
+            return (_conv_backward(g, _padded_grid(x_val, pads), pads, kernel,
+                                   bias),)
+        xc = _centred(x_val, stats[0]).reshape(x_val.shape)
+        grid = _normalised_grid(xc, stats, norm.slope, pads)
+        del xc
+        gh = _conv_backward(g, grid, pads, kernel, bias)
+        del grid
+        return (_norm_backward(x_val, gh, stats, norm.gamma, norm.beta,
+                               norm.slope),)
+
+    return record("conv3d", out, [x], backward_fn, params=params,
+                  saves=("inputs",))
+
+
+def _conv_pads(x_shape, kernel, bias):
+    """The "same" padding per spatial axis, once the kernel and the bias are
+    checked against the input's channels."""
     w = kernel.value.data
     out_ch, in_ch = w.shape[:2]
     extents = w.shape[2:]
-    c = x.shape[1]
+    c = x_shape[1]
     if c != in_ch:
         raise ShapeError(
-            f"conv3d channel mismatch: input has shape {x.shape} "
+            f"conv3d channel mismatch: input has shape {x_shape} "
             f"(channels={c}) but kernel has shape {w.shape} (in_channels={in_ch})"
         )
     if bias is not None and bias.value.shape != (1, out_ch, 1, 1, 1):
@@ -107,22 +174,7 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None) -> Tenso
         )
     if any(k % 2 == 0 for k in extents):
         raise ShapeError(f"'same' padding requires odd kernel extents, got {extents}")
-    pads = tuple((k - 1) // 2 for k in extents)
-
-    out = Tensor(_conv_forward(x.data, w, pads, bias))
-    kernel_ref, bias_ref = kernel, bias
-
-    def backward_fn(g, inputs, _output):
-        (x_val,) = inputs
-        gx, gw, gb = _conv_backward(g, x_val, w, pads)
-        kernel_ref.grad.data += gw
-        if bias_ref is not None:
-            bias_ref.grad.data += gb
-        return (gx,)
-
-    node_params = (kernel,) if bias is None else (kernel, bias)
-    return record("conv3d", out, [x], backward_fn, params=node_params,
-                  saves=("inputs",))
+    return tuple((k - 1) // 2 for k in extents)
 
 
 def _padded_grid(x, pads):
@@ -164,8 +216,9 @@ def _column_tiles(n, rows):
         yield t0, min(t0 + step, n)
 
 
-def _conv_forward(x, w, pads, bias):
-    xp = _padded_grid(x, pads)
+def _conv_forward(xp, kernel, bias):
+    """The convolution of the zero-padded grid ``xp`` (``_padded_grid``)."""
+    w = kernel.value.data
     b, c, dp, hp, wp = xp.shape
     out_ch, _, kd, kh, kw = w.shape
     od, oh, ow = dp - kd + 1, hp - kh + 1, wp - kw + 1
@@ -191,10 +244,13 @@ def _conv_forward(x, w, pads, bias):
     return out
 
 
-def _conv_backward(g, x, w, pads):
-    xp = _padded_grid(x, pads)
+def _conv_backward(g, xp, pads, kernel, bias):
+    """The input gradient of the convolution of the padded grid ``xp`` at
+    output gradient ``g``; the kernel and bias gradients are added to
+    ``kernel.grad`` and ``bias.grad``."""
+    w = kernel.value.data
     b, c, dp, hp, wp = xp.shape
-    _, _, d, h, wdt = x.shape
+    d, h, wdt = (e - 2 * p for e, p in zip((dp, hp, wp), pads))
     out_ch = w.shape[0]
     od, oh, ow = g.shape[2:]
     mats, shifts, n = _shift_gemm_plan(w, hp, wp, (od, oh, ow))
@@ -205,7 +261,7 @@ def _conv_backward(g, x, w, pads):
     gpad = np.zeros((out_ch, od, hp, wp), dtype=np.float32) if embed else None
     # without padding the grid is the input, so gx accumulates in place
     direct = not any(pads)
-    gx = (np.zeros if direct else np.empty)(x.shape, dtype=np.float32)
+    gx = (np.zeros if direct else np.empty)((b, c, d, h, wdt), dtype=np.float32)
     gxf = None if direct else np.empty((c, dp * hp * wp), dtype=np.float32)
     for i in range(b):
         if embed:
@@ -229,8 +285,10 @@ def _conv_backward(g, x, w, pads):
             gx[i] = gxf.reshape(c, dp, hp, wp)[:, pads[0]:pads[0] + d,
                                                pads[1]:pads[1] + h,
                                                pads[2]:pads[2] + wdt]
-    gw = np.ascontiguousarray(np.moveaxis(gmats, 0, 2).reshape(w.shape))
-    return gx, gw, gb
+    kernel.grad.data += np.moveaxis(gmats, 0, 2).reshape(w.shape)
+    if bias is not None:
+        bias.grad.data += gb
+    return gx
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +309,28 @@ def group_norm_leaky_relu(x: Tensor, gamma: Parameter, beta: Parameter,
     """
     op = "group_norm_leaky_relu"
     _check_axes(x, f"{op} input")
-    b, c, d, h, w = x.shape
+    _check_norm(op, x, gamma, beta, group_size)
+    if x.element_count == 0:
+        out = Tensor(np.zeros_like(x.data))
+        # declares what the general path does, so an empty-batch trace
+        # retains what a real step does
+        return record(op, out, [x],
+                      lambda g, _i, _o: (np.zeros_like(g),), params=(gamma, beta),
+                      saves=("inputs",))
+
+    xc, stats = _norm_stats(x.data, gamma, beta, group_size, epsilon)
+    out = _normalised_grid(xc, stats, slope, (0, 0, 0))
+
+    def backward_fn(g, inputs, _output):
+        (x_val,) = inputs
+        return (_norm_backward(x_val, g, stats, gamma, beta, slope),)
+
+    return record(op, Tensor(out), [x], backward_fn, params=(gamma, beta),
+                  saves=("inputs",))
+
+
+def _check_norm(op, x, gamma, beta, group_size):
+    c = x.shape[1]
     if group_size <= 0 or c % group_size != 0:
         raise ShapeError(
             f"{op} channels ({c}) not divisible by group size ({group_size})"
@@ -261,63 +340,87 @@ def group_norm_leaky_relu(x: Tensor, gamma: Parameter, beta: Parameter,
             f"{op} affine parameters must have {c} channels, got "
             f"gamma {gamma.value.shape}, beta {beta.value.shape}"
         )
+
+
+def _norm_stats(x, gamma, beta, group_size, epsilon):
+    """The centred copy ``x - mu`` of the non-empty array ``x`` (shape of
+    ``x``) and the group statistics ``(mu, istd, scale, shift)`` that
+    ``_normalised_grid`` and ``_norm_backward`` read, a few floats per group
+    or channel.
+
+    In the grouped layout ``(B, G, group_size, DHW)``: ``mu`` and ``istd``
+    per (sample, group), ``scale = gamma * istd`` per (sample, channel) and
+    ``shift`` (a view of beta) per channel.
+    """
+    b, c = x.shape[:2]
     groups = c // group_size
-
-    if x.element_count == 0:
-        out = Tensor(np.zeros_like(x.data))
-        # declares what the general path does, so an empty-batch trace
-        # retains what a real step does
-        return record(op, out, [x],
-                      lambda g, _i, _o: (np.zeros_like(g),), params=(gamma, beta),
-                      saves=("inputs",))
-
-    gshape = (b, groups, group_size, d * h * w)
-    xg = x.data.reshape(gshape)
-    mu = xg.reshape(b, groups, -1).mean(axis=2)[:, :, None, None]
+    n = x.size // (b * groups)
+    mu = x.reshape(b, groups, n).mean(axis=2)[:, :, None, None]
     # the centred copy gives the variance without the cancellation of
-    # E[x^2] - E[x]^2, and then becomes the output in place
-    xc = xg - mu
-    n = group_size * d * h * w
+    # E[x^2] - E[x]^2, and then becomes the output
+    xc = _centred(x, mu)
     var = _row_dots(xc.reshape(b, groups, n), xc.reshape(b, groups, n)) / n
     istd = (1.0 / np.sqrt(var + np.float32(epsilon)))[:, :, None]
-    # (B, G, group_size, 1) and (G, group_size, 1): negligible bytes
     scale = (gamma.value.data.reshape(groups, group_size) * istd)[..., None]
     shift = beta.value.data.reshape(groups, group_size, 1)
-    z = _scale_shift(xc, scale, shift, out=xc)
-    s = np.float32(slope)
-    factors = np.array([s, 1], dtype=np.float32)
-    _leaky_relu_in_place(z, s)
-    out = Tensor(z.reshape(x.shape))
+    return xc.reshape(x.shape), (mu, istd, scale, shift)
 
-    gamma_ref, beta_ref = gamma, beta
 
-    def backward_fn(g, inputs, _output):
-        (x_val,) = inputs
-        xc = x_val.reshape(gshape) - mu
-        # the normalised tensor as the forward formed it; its sign picks
-        # each factor, and its buffer then holds the gradient at it
-        z = _scale_shift(xc, scale, shift, out=np.empty_like(xc))
-        gg = _leaky_relu_grad(z, factors, g.reshape(gshape), out=z)
-        # per (sample, channel) sums of gg and of gg * (x - mu)
-        sg = gg.sum(axis=3)
-        sgx = _row_dots(gg, xc)
-        gam = gamma_ref.value.data.reshape(groups, group_size)
-        beta_ref.grad.data += sg.sum(axis=0).reshape(beta_ref.grad.shape)
-        gamma_ref.grad.data += (sgx * istd).sum(axis=0).reshape(
-            gamma_ref.grad.shape)
-        # istd * (gamma*gg - mean(gamma*gg) - x_hat * mean(gamma*gg*x_hat))
-        # = a*gg + k*(x - mu) + c: a per channel, k and c per group, formed
-        # in gg's own buffer
-        m1 = (gam * sg).sum(axis=2, keepdims=True) / n
-        m2 = (gam * sgx).sum(axis=2, keepdims=True) / n
-        gx = np.multiply(gg, scale, out=gg)
-        xc *= (-istd ** 3 * m2)[..., None]
-        gx += xc
-        gx += (-istd * m1)[..., None]
-        return (gx.reshape(x_val.shape),)
+def _centred(x, mu):
+    """``x - mu`` in the grouped layout ``(B, G, group_size, DHW)``."""
+    b, groups = mu.shape[:2]
+    return x.reshape(b, groups, x.shape[1] // groups, -1) - mu
 
-    return record(op, out, [x], backward_fn, params=(gamma, beta),
-                  saves=("inputs",))
+
+def _normalised_grid(xc, stats, slope, pads):
+    """LeakyReLU(GroupNorm(x)) from the centred copy ``xc`` (shape of ``x``)
+    and the statistics, formed in ``xc``'s own buffer and then placed in a
+    zero-padded grid (``_padded_grid``; ``xc`` itself without padding).
+
+    The forward and the backward's rebuild both go through here, so they
+    round alike. The passes run over the contiguous copy, in the grouped
+    layout: writing them straight into the grid's strided interior
+    measured slower than one copy into it.
+    """
+    _mu, _istd, scale, shift = stats
+    z = xc.reshape(scale.shape[:3] + (-1,))
+    _scale_shift(z, scale, shift, out=z)
+    _leaky_relu_in_place(z, np.float32(slope))
+    return _padded_grid(xc, pads)
+
+
+def _norm_backward(x, g, stats, gamma, beta, slope):
+    """The input gradient of ``_normalised_grid`` at output gradient ``g``;
+    gamma's and beta's gradients are added to their ``grad``.
+
+    The normalised tensor ``z`` is recomputed from the centred copy with the
+    forward's scale and shift; its sign picks each LeakyReLU factor, and its
+    buffer then holds the gradient at it, and then the input gradient.
+    """
+    mu, istd, scale, shift = stats
+    b, groups, group_size = scale.shape[:3]
+    gshape = (b, groups, group_size, -1)
+    xc = _centred(x, mu)
+    n = group_size * xc.shape[3]
+    z = _scale_shift(xc, scale, shift, out=np.empty_like(xc))
+    factors = np.array([slope, 1], dtype=np.float32)
+    gg = _leaky_relu_grad(z, factors, g.reshape(gshape), out=z)
+    # per (sample, channel) sums of gg and of gg * (x - mu)
+    sg = gg.sum(axis=3)
+    sgx = _row_dots(gg, xc)
+    gam = gamma.value.data.reshape(groups, group_size)
+    beta.grad.data += sg.sum(axis=0).reshape(beta.grad.shape)
+    gamma.grad.data += (sgx * istd).sum(axis=0).reshape(gamma.grad.shape)
+    # istd * (gamma*gg - mean(gamma*gg) - x_hat * mean(gamma*gg*x_hat))
+    # = a*gg + k*(x - mu) + c: a per channel, k and c per group, formed in
+    # gg's own buffer
+    m1 = (gam * sg).sum(axis=2, keepdims=True) / n
+    m2 = (gam * sgx).sum(axis=2, keepdims=True) / n
+    gx = np.multiply(gg, scale, out=gg)
+    xc *= (-istd ** 3 * m2)[..., None]
+    gx += xc
+    gx += (-istd * m1)[..., None]
+    return gx.reshape(x.shape)
 
 
 def _scale_shift(xc, scale, shift, out):

@@ -48,8 +48,9 @@ def he_kernel(rng, out_ch, in_ch, k, name=None) -> Parameter:
 
 
 class ConvUnit(Module):
-    """GroupNorm -> LeakyReLU -> conv3d with 'same' padding, the first two
-    as the one op ``ops.group_norm_leaky_relu``.
+    """GroupNorm -> LeakyReLU -> conv3d with 'same' padding, as one
+    ``ops.conv3d`` op with a ``norm`` prologue, which keeps only the unit's
+    input and rebuilds the normalised activation in its backward.
 
     The standard residual sub-network used for both F and G, and at full
     width for the non-reversible baseline stacks.
@@ -75,9 +76,9 @@ class ConvUnit(Module):
                               id=f"{name}.bias")
 
     def forward(self, x: Tensor) -> Tensor:
-        h = ops.group_norm_leaky_relu(x, self.gamma, self.beta, self.group_size,
-                                      self.epsilon, self.slope)
-        return ops.conv3d(h, self.kernel, self.bias)
+        norm = ops.Norm(self.gamma, self.beta, self.group_size, self.epsilon,
+                        self.slope)
+        return ops.conv3d(x, self.kernel, self.bias, norm=norm)
 
 
 class ReversibleBlock(Module):

@@ -4,10 +4,11 @@ op, reversible-vs-stored gradient equivalence, and block inversion trials.
 The finite-difference oracle never touches the backward implementations: it
 re-runs forward passes on perturbed copies. Op inputs are drawn as permuted
 lattices so that max_pool2's windows have no near-ties, which keeps it away
-from its kinks. The group_norm_leaky_relu case, the only normalisation and
-activation op, places each channel's LeakyReLU kink in the widest gap
-between its normalised values, and that one case runs the whole GroupNorm
-gradient path.
+from its kinks. The group_norm_leaky_relu and conv_unit cases place each
+channel's LeakyReLU kink in the widest gap between its normalised values;
+the first runs the whole GroupNorm gradient path, the second (``conv3d``
+with a ``norm`` prologue, the op a ConvUnit records) runs it behind the
+convolution of the rebuilt activation.
 """
 
 from dataclasses import dataclass
@@ -148,12 +149,14 @@ def _op_cases(rng):
     weights from ``rng``.
     """
 
-    def conv_arrays(in_shape, kernel_shape):
-        return {"input": lattice(rng, in_shape),
-                "kernel": (rng.standard_normal(kernel_shape) * 0.1
+    def kernel_arrays(kernel_shape):
+        return {"kernel": (rng.standard_normal(kernel_shape) * 0.1
                            ).astype(np.float32),
                 "bias": (rng.standard_normal((1, kernel_shape[0], 1, 1, 1))
                          * 0.1).astype(np.float32)}
+
+    def conv_arrays(in_shape, kernel_shape):
+        return {"input": lattice(rng, in_shape), **kernel_arrays(kernel_shape)}
 
     def split_then_concat(t):
         a, b = ops.split_channels(t, 2)
@@ -214,6 +217,12 @@ def _op_cases(rng):
                "b": lattice(rng, (1, 2, 3, 3, 3))}, step=linear),
         _case(rng, "weighted_sum", lambda t: t, input_lattice((1, 2, 3, 3, 3)),
               step=linear),
+        _case(rng, "conv_unit",
+              lambda x, gamma, beta, kernel, bias: ops.conv3d(
+                  x, kernel, bias, norm=ops.Norm(gamma, beta, group_size=2,
+                                                 slope=0.2)),
+              {**norm_arrays((1, 4, 3, 3, 3), 2),
+               **kernel_arrays((2, 4, 3, 3, 3))}, norm_params + conv_params),
         _case_dice(rng),
     ]
 

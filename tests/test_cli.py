@@ -33,21 +33,22 @@ seed=0
 """
 
 
-# op recorded under this name -> the gradcheck case its fault must fail
-FAULT_CASES = {"conv3d": "conv3d",
-               "group_norm_leaky_relu": "group_norm_leaky_relu",
-               "sigmoid": "sigmoid",
-               "max_pool2": "max_pool2", "upsample2": "upsample2",
-               "upsample_merge": "upsample_merge", "add": "add_sub",
-               "slice_channels": "split_concat",
-               "concat_channels": "split_concat"}
+# op recorded under this name -> the gradcheck cases its fault must fail;
+# a ConvUnit records conv3d with a norm prologue, the conv_unit case
+FAULT_CASES = {"conv3d": ("conv3d", "conv_unit"),
+               "group_norm_leaky_relu": ("group_norm_leaky_relu",),
+               "sigmoid": ("sigmoid",),
+               "max_pool2": ("max_pool2",), "upsample2": ("upsample2",),
+               "upsample_merge": ("upsample_merge",), "add": ("add_sub",),
+               "slice_channels": ("split_concat",),
+               "concat_channels": ("split_concat",)}
 
 
-def run_cli(*args, timeout=600):
+def run_cli(*args, timeout=600, env=None):
     proc = subprocess.run(
         [sys.executable, "-m", "revvolnet", *args],
         capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "REVVOLNET_THREADS": "1"},
+        env={**os.environ, "REVVOLNET_THREADS": "1", **(env or {})},
     )
     return proc
 
@@ -82,13 +83,13 @@ class TestGradcheck:
 
     @pytest.mark.parametrize("op", FAULT_CASES)
     def test_injected_fault_detected_and_named(self, op):
-        case = FAULT_CASES[op]
         proc = run_cli("gradcheck", "--inject-fault", op)
         assert proc.returncode == 1
         doc = first_json(proc.stdout)
         assert doc["pass"] is False
-        assert doc["ops"][case]["pass"] is False
-        assert case in proc.stderr
+        for case in FAULT_CASES[op]:
+            assert doc["ops"][case]["pass"] is False
+            assert case in proc.stderr
 
     def test_every_network_op_has_a_fault_case(self):
         # an op a network records without a FAULT_CASES entry would enter
@@ -216,9 +217,9 @@ class TestEstimateMemory:
         assert "decoder_blocks" in proc.stderr
 
     @pytest.mark.parametrize("name,totals", [
-        ("desk_reversible", (9_153_424, 29_111_664)),
-        ("baseline_full", (114_294_864, 414_177_264)),
-        ("reversible_full", (406_065_264, 1_490_476_464)),
+        ("desk_reversible", (8_498_064, 19_322_224)),
+        ("baseline_full", (112_328_784, 383_464_944)),
+        ("reversible_full", (402_133_104, 1_429_051_824)),
     ])
     def test_shipped_spec_compare_totals_pinned(self, name, totals):
         # Every shipped spec has one block per level. At that depth both
@@ -386,6 +387,45 @@ class TestTrainEval:
         assert "training on" not in proc.stderr
         assert not (tmp_path / "run").exists()
 
+    def test_dataset_modality_count_mismatch_is_usage_error(self, tmp_path,
+                                                            tiny_spec):
+        import numpy as np
+
+        from revvolnet.training import generate_synthetic, save_dataset
+
+        # the tiny spec takes 4 input channels
+        rng = np.random.default_rng(0)
+        save_dataset([generate_synthetic(rng, size=8, modalities=2)
+                      for _ in range(3)], tmp_path / "data")
+        proc = run_cli("train", "--spec", tiny_spec, "--data",
+                       str(tmp_path / "data"), "--out", str(tmp_path / "run"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "case000_image.rvt" in proc.stderr
+        assert "in_channels is 4" in proc.stderr
+        # checked before training logs anything or makes its --out directory
+        assert "training on" not in proc.stderr
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_out_regions_other_than_three_is_usage_error(self, tmp_path,
+                                                         command):
+        from revvolnet.unet import build, load_spec, save_checkpoint
+
+        spec = tmp_path / "two.spec"
+        spec.write_text(TINY_SPEC + "out_regions=2\n")
+        if command == "train":
+            argv = ["train", "--spec", str(spec), "--out", str(tmp_path / "run")]
+        else:
+            save_checkpoint(build(load_spec(spec)), tmp_path / "ckpt")
+            argv = ["eval", "--checkpoint", str(tmp_path / "ckpt")]
+        proc = run_cli(*argv, "--synthetic", "2", "--size", "8")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "out_regions=2" in proc.stderr
+        assert "training on" not in proc.stderr
+        assert not (tmp_path / "run").exists()
+
     def test_hostile_checkpoint_header_is_usage_error(self, tmp_path, tiny_spec):
         import struct
 
@@ -465,8 +505,11 @@ class TestBench:
     def bench_doc(self, tmp_path_factory):
         spec = tmp_path_factory.mktemp("bench") / "tiny.spec"
         spec.write_text(TINY_SPEC)
+        # numexpr is never loaded, so its count shows a preset variable
+        # winning over REVVOLNET_THREADS without changing the run
         proc = run_cli("bench", "--spec", str(spec), "--steps", "2",
-                       "--input-shape", "8,8,8")
+                       "--input-shape", "8,8,8",
+                       env={"NUMEXPR_NUM_THREADS": "2"})
         assert proc.returncode == 0, proc.stderr
         return first_json(proc.stdout)
 
@@ -484,6 +527,19 @@ class TestBench:
         for mode in ("reversible", "reference"):
             assert bench_doc[mode]["peak_bytes"] > 0
             assert bench_doc[mode]["peak_numpy_bytes"] > 0
+
+    def test_reports_environment(self, bench_doc):
+        import numpy as np
+
+        env = bench_doc["env"]
+        assert sorted(env) == SCHEMA["bench.env"]
+        # the counts in effect: REVVOLNET_THREADS=1 fills in the unset ones
+        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
+                    "MKL_NUM_THREADS"):
+            assert env[var] == os.environ.get(var, "1")
+        assert env["NUMEXPR_NUM_THREADS"] == "2"
+        assert env["numpy"] == np.__version__
+        assert env["python"] == "{}.{}.{}".format(*sys.version_info[:3])
 
     @pytest.mark.parametrize("steps", ["0", "-1"])
     def test_step_count_below_one_is_usage_error(self, tiny_spec, steps):
