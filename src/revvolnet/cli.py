@@ -288,7 +288,7 @@ def cmd_bench(args):
         "input_shape": list(shape),
         "reversible": rev,
         "reference": ref,
-        "time_ratio": rev["mean_step_seconds"] / ref["mean_step_seconds"],
+        "time_ratio": rev["median_step_seconds"] / ref["median_step_seconds"],
         "peak_ratio": (rev["peak_bytes"] / ref["peak_bytes"]
                        if ref["peak_bytes"] else None),
     }

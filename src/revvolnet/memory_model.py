@@ -29,19 +29,16 @@ after the forward pass, and ``sum(M_N) + sum(M_S)`` what the reversible-mode
 tape retains.
 
 M_B models this engine's per-block backward strategy as
-BLOCK_BACKWARD_HALF_BUFFERS half-width tensors, the count memtrack measures
-at the peak inside one block's backward (a test pins the two together): the
-half of the boundary pair not yet consumed (y1), both gradient halves, the
-reconstructed half and two engine gradient buffers. The sub-network is one
-``conv3d`` op with a ``norm`` prologue, which saves only its input (y1 or
-the reconstructed half) and rebuilds its normalised activation inside its
-own backward, and its output is dropped once the reconstruction has read
-it. These are 6 Tensors but fewer buffers: at batch 1 the halves of y, the
-reconstructed half and the gradient halves are views of the sequence's
-retained output and of its incoming gradient, which the backward
-overwrites in place, and memtrack counts a Tensor over a view as new bytes.
-Counted by tracemalloc, one width-10 block at 32^3 allocates 4.95 halves
-beside those two buffers, kernel scratch included (another test pins that).
+BLOCK_BACKWARD_HALF_BUFFERS half-width buffers, memtrack's count at the peak
+of one block's backward through the tape at batch 1 (a test pins the two
+together): the incoming gradient's two halves, and G's seed, a view of that
+gradient which G's own backward pass counts whole. The block's input halves
+are rebuilt in the boundary's output, so they stay in M_S. The sub-network,
+one ``conv3d`` op with a ``norm`` prologue, saves only its input and rebuilds
+its normalised activation in its backward; its output is dropped once the
+reconstruction has read it. Counted by tracemalloc, one width-10 block at
+32^3 allocates 4.95 halves beside the output and the incoming gradient,
+kernel scratch included (another test pins that).
 A non-reversible layer's backward transient is simply its
 activation-derivative buffer, so the max-term of the second formula runs
 over both kinds; with no sequences present it degenerates to max(M_D) and
@@ -57,7 +54,7 @@ from dataclasses import asdict, dataclass
 from . import memtrack
 
 BYTES = 4  # float32
-BLOCK_BACKWARD_HALF_BUFFERS = 6  # memtrack's count, see above
+BLOCK_BACKWARD_HALF_BUFFERS = 4  # memtrack's count, see above
 PARAM_COPIES = 4  # value, gradient and Adam's two moments
 
 
@@ -159,7 +156,7 @@ def estimate(network, input_shape) -> MemoryReport:
         "max_m_b_bytes": max_m_b,
         "max_m_d_concurrent_bytes": concurrent,
         "branching_delta_bytes": concurrent - max_m_d,
-        "optimizer_multiplier": PARAM_COPIES,
+        "param_copies": PARAM_COPIES,
     }
     return MemoryReport(total_nonrev, total_prev, terms, breakdown)
 

@@ -2,9 +2,12 @@
 
 Every Tensor registers its buffer size on creation and deregisters it when the
 last reference dies (CPython refcounting makes this deterministic; the engine
-keeps its object graph cycle-free for exactly that reason). The gradient
-buffers managed by the backward engine are reported here as well. Raw numpy
-workspaces inside op kernels are deliberately not counted.
+keeps its object graph cycle-free for exactly that reason), so two Tensors
+over one buffer count it twice (at batch 1 ``split_channels``' halves view its
+input). A backward pass reports the gradient buffers it holds, each once; a
+nested one (a sub-network's, in the block backward) counts its seed too, even
+where it views a buffer the outer pass holds. Raw numpy workspaces inside op
+kernels are deliberately not counted.
 
 Code outside the engine may still leave reference cycles that hold Tensors.
 `AllocationTracker.reset_peak` collects them before it reads its baseline, so
@@ -23,15 +26,11 @@ class AllocationTracker:
         self.live_bytes = 0
         self.peak_bytes = 0
 
-    def on_alloc(self, nbytes: int) -> None:
+    def on_change(self, nbytes: int) -> None:
+        """Add ``nbytes`` to the live bytes; a negative change frees."""
         with self._lock:
             self.live_bytes += nbytes
-            if self.live_bytes > self.peak_bytes:
-                self.peak_bytes = self.live_bytes
-
-    def on_free(self, nbytes: int) -> None:
-        with self._lock:
-            self.live_bytes -= nbytes
+            self.peak_bytes = max(self.peak_bytes, self.live_bytes)
 
     def reset_peak(self) -> int:
         """Collect pending cyclic garbage, restart the high-water mark at the
@@ -52,12 +51,8 @@ class AllocationTracker:
 GLOBAL = AllocationTracker()
 
 
-def on_alloc(nbytes: int) -> None:
-    GLOBAL.on_alloc(nbytes)
-
-
-def on_free(nbytes: int) -> None:
-    GLOBAL.on_free(nbytes)
+def on_change(nbytes: int) -> None:
+    GLOBAL.on_change(nbytes)
 
 
 def live_bytes() -> int:

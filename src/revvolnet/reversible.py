@@ -175,14 +175,14 @@ def sequence_backward(seq: ReversibleSequence, grad_out: np.ndarray, y) -> np.nd
     input). The reconstructed pair becomes the "output" of the preceding
     block, so no whole-sequence buffer ever exists.
 
-    It works in place, as RevNet's Algorithm 1 does. The halves are channel
-    views of ``y`` and ``grad_out`` (copies when the batch exceeds 1). Each
-    reconstructed half overwrites the half it is rebuilt from, once no tape
-    reads that half, and each gradient sum is added into its incoming
-    gradient half. So this may overwrite both ``y`` and ``grad_out``, and
-    when the halves are views it returns ``grad_out`` itself. A caller that
-    still needs either copies it first; the tape engine hands it a gradient
-    buffer nothing else holds (see ``tape.record``).
+    It works in place, as RevNet's Algorithm 1 does. The gradient halves are
+    channel views of ``grad_out`` that seed the sub-networks' backward and
+    take each gradient sum, so ``grad_out`` is returned as the input
+    gradient. y1 and y2 are Tensors over channel views of ``y`` (copies when
+    the batch exceeds 1), and each rebuilt half overwrites, in its Tensor,
+    the half it comes from once no tape reads that half. A caller that still
+    needs ``y`` or ``grad_out`` copies it first; the tape engine hands it a
+    gradient buffer nothing else holds (see ``tape.record``).
     """
     y_data = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float32)
     grad_out = np.ascontiguousarray(grad_out, dtype=np.float32)
@@ -194,32 +194,24 @@ def sequence_backward(seq: ReversibleSequence, grad_out: np.ndarray, y) -> np.nd
     if not seq.blocks:
         return grad_out
     half = y_data.shape[1] // 2
+    # each block's output halves, then, rebuilt in place, its input halves
     y1, y2 = Tensor(y_data[:, :half]), Tensor(y_data[:, half:])
-    g1, g2 = Tensor(grad_out[:, :half]), Tensor(grad_out[:, half:])
+    g1, g2 = grad_out[:, :half], grad_out[:, half:]
 
     for block in reversed(seq.blocks):
         with Tape() as tg:
             gy1 = [block.g(y1)]
-        x2 = Tensor(np.subtract(y2.data, gy1[0].data, out=y2.data))
-        y2 = None
-        (dy1_g,) = backward(tg, gy1.pop(), g2.data, wrt=[y1])
-        del tg
-        dy1 = Tensor(np.add(g1.data, dy1_g, out=g1.data))
-        g1 = None
-        del dy1_g
+        np.subtract(y2.data, gy1[0].data, out=y2.data)  # y2 now holds x2
+        (dy1,) = backward(tg, gy1.pop(), g2, wrt=[y1])
+        g1 += dy1
+        del dy1
 
         with Tape() as tf:
-            fx2 = [block.f(x2)]
-        # G's tape, the last reader of y1, is gone
-        x1 = Tensor(np.subtract(y1.data, fx2[0].data, out=y1.data))
-        y1 = None
-        (dx2_f,) = backward(tf, fx2.pop(), dy1.data, wrt=[x2])
-        del tf
-        dx2 = Tensor(np.add(g2.data, dx2_f, out=g2.data))
-        del dx2_f
+            fx2 = [block.f(y2)]
+        # G's backward, the last reader of y1, is done
+        np.subtract(y1.data, fx2[0].data, out=y1.data)  # y1 now holds x1
+        (dx2,) = backward(tf, fx2.pop(), g1, wrt=[y2])
+        g2 += dx2
+        del dx2
 
-        y1, y2, g1, g2 = x1, x2, dy1, dx2
-
-    if np.may_share_memory(g1.data, grad_out):
-        return grad_out
-    return np.concatenate([g1.data, g2.data], axis=1)
+    return grad_out

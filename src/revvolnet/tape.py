@@ -20,8 +20,12 @@ itself is visited; at completion no gradient buffer is live. A node's backward
 receives its input values and its output if it declared them, and ``None`` in
 their place otherwise, so a declaration that leaves out a value the backward
 reads fails loudly. A retained output is released after its node's own
-backward, which runs after every consumer's; reading a released output raises
-``MissingActivationError``.
+backward, which runs after every consumer's (an in-place op's, before it, see
+``record``); reading a released output raises ``MissingActivationError``.
+
+The pass reports to ``memtrack`` and in ``last_backward_stats`` the bytes of
+the gradient buffers it holds (the seed and every pending gradient, not those
+it returns for ``wrt``), each counted once by the array that owns it.
 
 ``FAULTS`` is the gradient checker's fault hook (``gradcheck
 --inject-fault``): for a node whose op name is a key, ``backward``
@@ -147,10 +151,10 @@ def record(op, out, inputs, backward_fn, *, params=(), saves=()):
     its retained output, and may return the gradient buffer itself. The
     engine hands such an op a gradient buffer nothing else holds: it copies
     the buffer only when it may share memory with another pending gradient,
-    a leaf gradient or the caller's seed. No later backward reads the
-    retained output, so a caller that reads a sequence's output after
-    backprop, or calls ``sequence_backward`` directly, copies what it still
-    needs first.
+    a leaf gradient or the caller's seed. It releases the node's output
+    before the call, as no later backward reads it, so a caller that reads
+    a sequence's output after backprop, or calls ``sequence_backward``
+    directly, copies what it still needs first.
     ``saves`` declares what it reads: with ``"inputs"`` it receives the value
     of every input, in order, and with ``"output"`` the op's own output; an
     undeclared value arrives as None (one None per input for the inputs).
@@ -207,12 +211,17 @@ def backward(tape: Tape, output: Tensor, seed: np.ndarray, wrt=()) -> list:
         raise ShapeError(f"gradient seed shape {seed.shape} does not match output shape {root.out_shape}")
 
     grads = {root: seed}
-    live = seed.nbytes
-    peak = live
-    memtrack.on_alloc(seed.nbytes)
+    live = peak = 0  # bytes of the distinct gradient buffers held
     wrt = list(wrt)  # holds the identity keys alive; a generator is read once
     leaf_grads = {id(t): None for t in wrt}
 
+    def hold(*extra):
+        nonlocal live, peak
+        now = _buffer_bytes((*extra, *grads.values()))
+        memtrack.on_change(now - live)
+        live, peak = now, max(peak, now)
+
+    hold()
     with no_record():
         for node in reversed(tape.nodes):
             g = grads.pop(node, None)
@@ -224,11 +233,14 @@ def backward(tape: Tape, output: Tensor, seed: np.ndarray, wrt=()) -> list:
             else:
                 input_values = (None,) * len(node.input_slots)
             output_value = node.output_value() if "output" in node.saves else None
-            if node.op in IN_PLACE_OPS and any(
-                    o is not None and np.may_share_memory(g, o)
-                    for o in (seed, *grads.values(), *leaf_grads.values())):
-                g = g.copy()
+            if node.op in IN_PLACE_OPS:
+                # the op overwrites its output, which nothing later reads
+                tape.release_node(node)
+                if any(o is not None and np.may_share_memory(g, o)
+                       for o in (seed, *grads.values(), *leaf_grads.values())):
+                    g = g.copy()
             in_grads = node.backward_fn(g, input_values, output_value)
+            del input_values, output_value
             if len(in_grads) != len(node.input_slots):
                 raise RuntimeError(
                     f"backward of '{node.name}' returned {len(in_grads)} gradients "
@@ -246,23 +258,24 @@ def backward(tape: Tape, output: Tensor, seed: np.ndarray, wrt=()) -> list:
                         prev = leaf_grads[key]
                         leaf_grads[key] = ig if prev is None else prev + ig
                     continue
-                src = slot[1]
-                prev = grads.get(src)
-                if prev is None:
-                    grads[src] = ig
-                    live += ig.nbytes
-                    memtrack.on_alloc(ig.nbytes)
-                    if live > peak:
-                        peak = live
-                else:
-                    grads[src] = prev + ig  # fresh buffer: refs may be shared
-            live -= g.nbytes
-            memtrack.on_free(g.nbytes)
+                prev = grads.get(slot[1])
+                # a sum is a fresh buffer: refs may be shared
+                grads[slot[1]] = ig if prev is None else prev + ig
+            hold(g)
+            del g, in_grads
+            hold()
             tape.release_node(node)
 
     assert not grads, "gradient buffers left over after backward"
     tape.last_backward_stats = {"peak_grad_bytes": peak, "final_grad_bytes": live}
     return [leaf_grads[id(t)] for t in wrt]
+
+
+def _buffer_bytes(arrays) -> int:
+    """Bytes of the distinct buffers behind ``arrays``, a view counted as the
+    array that owns its memory and each owner once."""
+    owners = (a.base if isinstance(a.base, np.ndarray) else a for a in arrays)
+    return sum({id(o): o.nbytes for o in owners}.values())
 
 
 def backprop(tape: Tape, loss: Tensor, wrt=()) -> list:

@@ -36,8 +36,8 @@ class Tensor:
             )
         self.data = arr
         self._node_ref = None
-        memtrack.on_alloc(arr.nbytes)
-        weakref.finalize(self, memtrack.on_free, arr.nbytes)
+        memtrack.on_change(arr.nbytes)
+        weakref.finalize(self, memtrack.on_change, -arr.nbytes)
 
     @property
     def shape(self):

@@ -217,9 +217,9 @@ class TestEstimateMemory:
         assert "decoder_blocks" in proc.stderr
 
     @pytest.mark.parametrize("name,totals", [
-        ("desk_reversible", (8_498_064, 19_322_224)),
-        ("baseline_full", (112_328_784, 383_464_944)),
-        ("reversible_full", (402_133_104, 1_429_051_824)),
+        ("desk_reversible", (7_187_344, 19_322_224)),
+        ("baseline_full", (108_396_624, 383_464_944)),
+        ("reversible_full", (394_268_784, 1_429_051_824)),
     ])
     def test_shipped_spec_compare_totals_pinned(self, name, totals):
         # Every shipped spec has one block per level. At that depth both
@@ -540,6 +540,21 @@ class TestBench:
         assert env["NUMEXPR_NUM_THREADS"] == "2"
         assert env["numpy"] == np.__version__
         assert env["python"] == "{}.{}.{}".format(*sys.version_info[:3])
+
+    def test_time_ratio_is_a_ratio_of_medians(self, tiny_spec, monkeypatch,
+                                              capsys):
+        # one slow reversible step moves the mean (0.6 s) but not the median
+        from revvolnet import cli
+
+        def step_peak(_network, _shape, _seed, stored=False, timed_steps=0):
+            return ([0.5, 0.5, 0.5] if stored else [0.5, 0.5, 2.0]), 1, 1
+
+        monkeypatch.setattr(cli, "_step_peak", step_peak)
+        assert cli.main(["bench", "--spec", tiny_spec, "--steps", "3",
+                         "--input-shape", "8,8,8"]) == 0
+        doc = first_json(capsys.readouterr().out)
+        assert doc["reversible"]["mean_step_seconds"] == 1.0
+        assert doc["time_ratio"] == 1.0
 
     @pytest.mark.parametrize("steps", ["0", "-1"])
     def test_step_count_below_one_is_usage_error(self, tiny_spec, steps):

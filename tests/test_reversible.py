@@ -206,14 +206,14 @@ class TestSequenceBackward:
         assert peaks[6] <= peaks[1] * 1.05, peaks
 
     def test_transient_peak_in_half_buffers_is_pinned(self, rng):
-        # One block, width 10, 8^3. At the peak, inside G's backward: y1, the
-        # two output-gradient halves, the reconstructed x2 and two engine
-        # gradient buffers. Neither the consumed y2 nor G's output is held
-        # (10 while the subtraction was recorded; 9 while G's output lived
-        # through its backward), the GroupNorm output is not kept beside the
-        # LeakyReLU's (at 8), and G's one op, conv3d with a norm prologue,
-        # saves only its input, not the normalised activation its conv
-        # reads (at 7).
+        # One block, width 10, 8^3, the gradient held outside memtrack. At
+        # the peak, inside G's backward: the two Tensors over y's halves (y1
+        # and x2, rebuilt in y2's buffer) and G's seed, a view of the
+        # gradient, which G's backward pass counts as the whole buffer it
+        # views. G's output is not held, and G's one op, conv3d with a norm
+        # prologue, saves only its input (at 7). The gradient halves, the
+        # gradient sums and the rebuilt halves are no Tensors of their own
+        # (at 6, while each was wrapped in one).
         from revvolnet.reversible import sequence_backward
 
         seq = toy_sequence(1, 10, rng)
@@ -221,9 +221,9 @@ class TestSequenceBackward:
         grad = randn5(rng, (1, 10, 8, 8, 8))
         half = y.nbytes // 2
         peak = memtrack.GLOBAL.measure(lambda: sequence_backward(seq, grad, y))
-        assert peak == 6 * half
+        assert peak == 4 * half
         # the memory model's M_B is this measured count
-        assert memory_model.BLOCK_BACKWARD_HALF_BUFFERS == 6
+        assert memory_model.BLOCK_BACKWARD_HALF_BUFFERS == 4
 
     def test_transient_peak_in_numpy_buffers_is_pinned(self, rng):
         # One block, width 10, 32^3, batch 1, counted by tracemalloc: each
@@ -232,8 +232,7 @@ class TestSequenceBackward:
         # the engine's gradients and kernel scratch, the normalised activation
         # rebuilt in the conv's padded grid among them (4.95 halves; 5.96
         # while the unit's conv saved that activation, 8.96 with a fresh
-        # buffer per half and per sum). memtrack still reads 6: it counts
-        # every Tensor over a view anew.
+        # buffer per half and per sum). memtrack reads 4, as above.
         from revvolnet.reversible import sequence_backward
 
         seq = toy_sequence(1, 10, rng)
@@ -242,8 +241,42 @@ class TestSequenceBackward:
         half = y.nbytes // 2
         tracked, numpy_peak = memory_model.measure_peaks(
             lambda: sequence_backward(seq, grad, y))
-        assert tracked == 6 * half
+        assert tracked == 4 * half
         assert 4 * half < numpy_peak <= 5 * half, numpy_peak / half
+
+    def test_batch_two_numpy_peak_is_pinned(self, rng):
+        # At batch 2 the halves of y are copies, but each gradient sum still
+        # goes into a channel view of grad (6.58 halves; 7.58 while the
+        # gradient halves were copies concatenated at the end)
+        from revvolnet.reversible import sequence_backward
+
+        seq = toy_sequence(1, 10, rng)
+        y = Tensor(randn5(rng, (2, 10, 32, 32, 32)))
+        grad = randn5(rng, y.shape)
+        half = y.nbytes // 2
+        _, numpy_peak = memory_model.measure_peaks(
+            lambda: sequence_backward(seq, grad, y))
+        assert 6 * half < numpy_peak <= 7 * half, numpy_peak / half
+
+    @pytest.mark.parametrize("batch,halves", [(1, 4), (2, 3)])
+    def test_backprop_peak_in_half_buffers(self, rng, batch, halves):
+        # Through the tape the sequence's node holds y's only reference,
+        # and the engine drops it before the block backward rebuilds the
+        # halves in its buffer, so the Tensors over y's halves replace y's
+        # count. Above entry: the incoming gradient, held once by the
+        # engine, and inside G's backward G's seed, a view of it at batch 1
+        # (the model's M_B) and a one-half copy at batch 2 (8 at both while
+        # every half, view or copy, was a Tensor of its own and `add`'s
+        # gradient was counted per consumer).
+        seq = toy_sequence(1, 10, rng)
+        x = Tensor(randn5(rng, (batch, 10, 8, 8, 8)))
+        probe = randn5(rng, x.shape)
+        half = x.nbytes // 2
+        with Tape() as tape:
+            loss = ops.weighted_sum(seq.forward(x), probe)
+        peak = memtrack.GLOBAL.measure(lambda: backprop(tape, loss))
+        assert peak == halves * half, peak / half
+        assert memory_model.BLOCK_BACKWARD_HALF_BUFFERS == 4
 
     def test_in_place_backward_overwrites_output_and_returns_gradient(self, rng):
         # batch 1: the halves are views, so the block's input is rebuilt in
@@ -257,6 +290,18 @@ class TestSequenceBackward:
         grad = randn5(rng, y.shape)
         assert sequence_backward(seq, grad, y) is grad
         np.testing.assert_allclose(y.data, x.data, atol=1e-5)
+
+    def test_batch_two_returns_gradient_buffer(self, rng):
+        # the gradient halves are channel views at any batch, so the input
+        # gradient lands in grad's buffer
+        from revvolnet.reversible import sequence_backward
+
+        seq = toy_sequence(2, 8, rng)
+        y = Tensor(randn5(rng, (2, 8, 4, 4, 4)))
+        grad = randn5(rng, y.shape)
+        expected = sequence_backward(seq, grad.copy(), Tensor(y.data.copy()))
+        assert sequence_backward(seq, grad, y) is grad
+        np.testing.assert_array_equal(grad, expected)
 
     def test_gradient_shared_with_a_pending_input_is_not_overwritten(self, rng):
         # add's backward hands one buffer to both of its inputs; the sequence

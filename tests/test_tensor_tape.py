@@ -219,6 +219,18 @@ class TestBackprop:
         assert tape.last_backward_stats["final_grad_bytes"] == 0
         assert tape.last_backward_stats["peak_grad_bytes"] > 0
 
+    def test_shared_gradient_buffer_counts_once(self, rng):
+        # add hands one buffer to both inputs, and each sigmoid's backward
+        # reads it: the engine holds one gradient buffer beside the 4-byte
+        # seed, where it counted it once per holder (3 buffers)
+        a = Tensor(randn5(rng, (1, 2, 4, 4, 4)))
+        b = Tensor(randn5(rng, (1, 2, 4, 4, 4)))
+        with Tape() as tape:
+            loss = ops.reduce_sum(ops.add(ops.sigmoid(a), ops.sigmoid(b)))
+            peak = memtrack.GLOBAL.measure(lambda: backprop(tape, loss))
+        assert tape.last_backward_stats["peak_grad_bytes"] == a.nbytes + 4
+        assert peak == a.nbytes + 4
+
     def test_backprop_releases_retained_activations(self, rng):
         x = Tensor(randn5(rng, (1, 2, 4, 4, 4)))
         with Tape() as tape:
