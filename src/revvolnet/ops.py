@@ -16,19 +16,27 @@ maps an empty tensor to itself.
 
 Convolution has one padding rule: stride 1 and "same" zero padding, so
 every kernel extent must be odd (3x3x3 units, 1x1x1 channel changes) and
-the output keeps the input's spatial extents. It is a shift-GEMM over the
+the output keeps the input's spatial extents. It is a shift-GEMM over a
 flattened zero-padded grid: one matrix product per kernel offset, each
-reading a strided view of the input, so no im2col window matrix is
+reading a strided view of the grid, so no im2col window matrix is
 materialised (algebraically equivalent to the direct six-loop sum; the test
 suite checks forward and backward against that oracle).
-The products run over column tiles of the flattened output, about
-``_TILE_BYTES`` of accumulator each, and all kernel offsets are applied to
-one tile before the next: the tile and the input columns it reads stay in
-the L2 cache instead of streaming the whole accumulator once per offset
-(cache blocking after Goto and van de Geijn 2008). A grid that fits one
-tile runs a single iteration. The padded grid is a zeroed array with the
-input assigned to its interior; the forward and backward kernels take the
-grid, which with a ``norm`` prologue holds the normalised input instead.
+Each sample runs in depth slabs of output planes, and only the output (in
+the forward) or the unpadded input gradient (in the backward) is ever
+whole. A slab's grid holds the input planes it reads, its planes plus a
+(k - 1) / 2 halo, zero outside the volume; one buffer serves every slab,
+and the halo planes that neighbouring slabs share are moved, not rebuilt.
+A slab is sized like a cache tile, about ``_TILE_BYTES`` of its matrices,
+and all kernel offsets are applied to it before the next: the slab and the
+grid columns it reads stay in the L2 cache instead of streaming a whole
+accumulator once per offset (cache blocking after Goto and van de Geijn
+2008). The backward holds two grids, so its slabs are about half as thick;
+a small sample runs as one slab. Working in slabs of scratch instead of
+whole-tensor buffers trades calls for memory, as cuDNN trades convolution
+workspace for speed (Chetlur et al. 2014). The backward lays ``g`` on the
+padded grid: the kernel gradient is ``g @ grid^T`` per offset, summed over
+the slabs, and the slab's input gradient is the convolution of the padded
+``g`` with the flipped, transposed kernel.
 
 The pointwise and resampling kernels make as few full-size passes as they
 can, since each pass streams the whole activation:
@@ -42,24 +50,27 @@ can, since each pass streams the whole activation:
   of scratch: one product ``s*x`` and one elementwise maximum (minimum for
   s > 1), no boolean select; a slope <= 0 adds one masked copy to stay
   exact at signed zeros and infinities. It saves only its input.
-  Backward: the normalised tensor ``z`` recomputed from the centred copy
-  with the forward's scale and shift; the factor ``[s, 1][z >= 0]`` by one
-  ``take`` into ``z``'s own buffer, then ``*= g``, per chunk of about
-  ``_TILE_BYTES`` (``take`` widens its indices to intp, so a whole-tensor
-  call would form twice the input's bytes); per-channel sums of that
-  gradient ``gz`` and of ``gz * (x - mu)``; and ``gx = a*gz + k*(x - mu) +
-  c`` in the same buffer, with a per channel and k, c per group.
+  Backward, in one gradient-sized buffer that becomes the input gradient
+  (a copy of ``g``; in a unit, the conv's input gradient), in blocks of
+  whole (sample, channel) rows: each block's centred rows and ``z``
+  recomputed from ``x`` with the forward's scale and shift; the factor
+  ``[s, 1][z >= 0]`` formed exactly in ``z``'s buffer from the two bit
+  patterns (wrapping uint32 arithmetic, no select and no index array),
+  then ``*= g``; per-row sums of that gradient ``gz`` and of ``gz * (x -
+  mu)``, each over the whole row; and, once every group's sums are known,
+  ``gx = a*gz + k*(x - mu) + c``, with a per channel and k, c per group.
 - ``conv3d(x, kernel, bias, norm=Norm(...))``, the paper's
   GN-LeakyReLU-conv unit as one op, bit for bit
   ``conv3d(group_norm_leaky_relu(x, *norm), kernel, bias)`` (the backward
   recompute of memory-efficient DenseNets, Pleiss et al. 2017). It records
   as ``conv3d`` and saves only ``x``, so the tape keeps one activation per
-  unit. Forward: the normalisation above, then its output copied into the
-  conv's zeroed padded grid and freed before the products. Backward: the
-  centred copy rebuilt from ``x`` and the forward's statistics, normalised
-  and placed in the grid by the same helper as in the forward, the conv
-  backward on that grid, the grid freed, and the normalisation backward
-  above on the gradient it returns.
+  unit. Forward: the group statistics as above, the whole centred copy
+  freed before the output exists, then each slab's new input planes
+  normalised and copied into its grid. Backward: each slab's grid rebuilt
+  from ``x`` and the statistics by the same helper, so the forward, the
+  reversible recompute and the rebuild round alike; the conv backward into
+  the unpadded input gradient; then the normalisation backward above in
+  that gradient's buffer.
 - ``max_pool2``: the forward takes pairwise maxima over strided views. The
   backward walks the eight block positions in scan order with a mask of
   blocks not yet routed, and writes ``g`` into a strided view of a zeroed
@@ -85,8 +96,9 @@ import numpy as np
 from .tape import record
 from .tensor import Parameter, ShapeError, Tensor
 
-# Accumulator bytes per column tile of the shift-GEMM convolution: with the
-# input columns a tile reads, it fits a 2 MiB L2 cache.
+# Bytes of one depth slab's matrices in the shift-GEMM convolution, and of
+# one chunk or block of the pointwise kernels: with the grid columns a slab
+# reads, it fits a 2 MiB L2 cache.
 _TILE_BYTES = 256 * 1024
 
 
@@ -118,8 +130,8 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
     both sides, so the output has the input's spatial extents.
 
     With ``norm``, the convolution reads ``group_norm_leaky_relu(x, *norm)``,
-    bit for bit, and the op still keeps only ``x``: its backward rebuilds
-    the normalised input in the padded grid (see the module docstring).
+    bit for bit, and the op still keeps only ``x``: each depth slab rebuilds
+    its normalised input planes (see the module docstring).
     """
     _check_axes(x, "conv3d input")
     pads = _conv_pads(x.shape, kernel, bias)
@@ -128,29 +140,22 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
         _check_norm("conv3d", x, norm.gamma, norm.beta, norm.group_size)
         params += (norm.gamma, norm.beta)
     # the normalisation maps an empty tensor to itself
-    stats = None
+    stats = norms = None
     if norm is not None and x.element_count:
-        xc, stats = _norm_stats(x.data, norm.gamma, norm.beta, norm.group_size,
-                                norm.epsilon)
-        grid = _normalised_grid(xc, stats, norm.slope, pads)
-        del xc  # unpadded, the grid is xc's own buffer
-    else:
-        grid = _padded_grid(x.data, pads)
-    out = Tensor(_conv_forward(grid, kernel, bias))
-    del grid
+        # the whole centred copy is freed here, before the output exists
+        stats = _norm_stats(x.data, norm.gamma, norm.beta, norm.group_size,
+                            norm.epsilon)[1]
+        # per sample, the arguments of _normalised_planes after the planes
+        norms = [(stats.mu[i], stats.scale[i], stats.shift,
+                  np.float32(norm.slope)) for i in range(x.shape[0])]
+    out = Tensor(_conv_forward(x.data, pads, kernel, bias, norms))
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
-        if stats is None:
-            return (_conv_backward(g, _padded_grid(x_val, pads), pads, kernel,
-                                   bias),)
-        xc = _centred(x_val, stats[0]).reshape(x_val.shape)
-        grid = _normalised_grid(xc, stats, norm.slope, pads)
-        del xc
-        gh = _conv_backward(g, grid, pads, kernel, bias)
-        del grid
-        return (_norm_backward(x_val, gh, stats, norm.gamma, norm.beta,
-                               norm.slope),)
+        gx = _conv_backward(g, x_val, pads, kernel, bias, norms)
+        if stats is not None:
+            _norm_backward(x_val, gx, stats, norm.gamma, norm.beta, norm.slope)
+        return (gx,)
 
     return record("conv3d", out, [x], backward_fn, params=params,
                   saves=("inputs",))
@@ -177,35 +182,50 @@ def _conv_pads(x_shape, kernel, bias):
     return tuple((k - 1) // 2 for k in extents)
 
 
-def _padded_grid(x, pads):
-    """``x`` zero-padded on its spatial axes; a contiguous unpadded ``x`` as is."""
-    if not any(pads):
-        return np.ascontiguousarray(x)
-    b, c, d, h, w = x.shape
-    pd, ph, pw = pads
-    xp = np.zeros((b, c, d + 2 * pd, h + 2 * ph, w + 2 * pw), dtype=np.float32)
-    xp[:, :, pd:pd + d, ph:ph + h, pw:pw + w] = x
-    return xp
-
-
-def _shift_gemm_plan(w, hp, wp, out_spatial):
+def _shift_gemm_plan(w, hp, wp):
     """Per-offset kernel matrices and column shifts on a flattened grid.
 
     On a padded grid (Dp, Hp, Wp) flattened to one axis, the input read by
     kernel offset (dz, dy, dx) for every output voxel is the contiguous column
     range [s, s + n) with s = dz*Hp*Wp + dy*Wp + dx, where n spans the output
-    corner (od, oh, ow). Each offset is then one GEMM over a view of the grid,
-    and no C_in*k^3 window matrix is formed. Columns whose (y, x) lies outside
-    the output's oh x ow corner belong to no output voxel.
+    corner (``_slab_columns``). Each offset is then one GEMM over a view of
+    the grid, and no C_in*k^3 window matrix is formed. Columns whose (y, x)
+    lies outside the output's H x W corner belong to no output voxel.
 
-    Returns the (k^3, C_out, C_in) offset matrices, the shifts and n.
+    Returns the (k^3, C_out, C_in) offset matrices and the shifts.
     """
     out_ch, in_ch, kd, kh, kw = w.shape
-    od, oh, ow = out_spatial
     mats = np.ascontiguousarray(np.moveaxis(w.reshape(out_ch, in_ch, -1), 2, 0))
     shifts = [dz * hp * wp + dy * wp + dx
               for dz, dy, dx in np.ndindex(kd, kh, kw)]
-    return mats, shifts, (od - 1) * hp * wp + (oh - 1) * wp + ow
+    return mats, shifts
+
+
+def _offset_views(grid, extents, n):
+    """Every kernel offset's columns of the padded ``grid`` (C, P, Hp, Wp),
+    ``[s, s + n)`` with s = dz*Hp*Wp + dy*Wp + dx, as one read-only
+    (kd, kh, kw, C, n) view."""
+    c, _, hp, wp = grid.shape
+    src = grid.reshape(c, -1)
+    item = src.itemsize
+    return np.lib.stride_tricks.as_strided(
+        src, shape=tuple(extents) + (c, n),
+        strides=(hp * wp * item, wp * item, item, src.strides[0], item),
+        writeable=False)
+
+
+def _slab_columns(planes, h, w, hp, wp):
+    """The flattened-grid columns that ``planes`` output planes of extents
+    (h, w) span on a (Hp, Wp) grid."""
+    return (planes - 1) * hp * wp + (h - 1) * wp + w
+
+
+def _slab_planes(rows, hp, wp):
+    """Output planes per depth slab: about ``_TILE_BYTES`` of a ``rows``-row
+    matrix over the padded planes, at least one plane. The forward counts
+    the rows of its widest slab matrix, grid or accumulator; the backward
+    those of its two grids together, input and output channels."""
+    return max(1, _TILE_BYTES // (4 * rows * hp * wp))
 
 
 def _column_tiles(n, rows):
@@ -216,83 +236,154 @@ def _column_tiles(n, rows):
         yield t0, min(t0 + step, n)
 
 
-def _conv_forward(xp, kernel, bias):
-    """The convolution of the zero-padded grid ``xp`` (``_padded_grid``)."""
+def _grid_slabs(v, pads, step, norm=None):
+    """The depth slabs of one sample ``v`` (C, D, H, W), ``step`` output
+    planes each (the last may be shorter).
+
+    Yields ``(lo, hi, grid)``: ``grid`` is the (C, hi - lo + 2*pd, Hp, Wp)
+    zero-padded block of input planes [lo - pd, hi + pd) that output planes
+    [lo, hi) read, zero outside the volume. ``norm``, the arguments of
+    ``_normalised_planes`` after the planes, normalises them as they enter.
+    Without padding the grid is ``v``'s own planes (or their normalised
+    copy). Otherwise it is one buffer for all slabs: the 2*pd planes that
+    neighbouring slabs share are moved to its front, not rebuilt.
+    """
+    c, d, h, w = v.shape
+    pd, ph, pw = pads
+    if not any(pads):
+        for lo in range(0, d, step):
+            hi = min(lo + step, d)
+            planes = v[:, lo:hi]
+            if norm is not None:
+                planes = _normalised_planes(planes, *norm)
+            yield lo, hi, planes
+        return
+    buf = np.zeros((c, min(step, d) + 2 * pd, h + 2 * ph, w + 2 * pw),
+                   dtype=np.float32)
+    size = 0
+    for lo in range(0, d, step):
+        hi = min(lo + step, d)
+        # buffer plane j holds input plane lo - pd + j; planes [0, first)
+        # are the previous slab's last ones
+        first = 0
+        if lo:
+            first = 2 * pd
+            buf[:, :first] = buf[:, size - first:size]
+        size = hi - lo + 2 * pd
+        grid = buf[:, :size]
+        a, b = max(lo - pd + first, 0), min(hi + pd, d)  # new volume planes
+        grid[:, first:a - lo + pd] = 0
+        if b > a:
+            inner = grid[:, a - lo + pd:b - lo + pd, ph:ph + h, pw:pw + w]
+            inner[...] = (v[:, a:b] if norm is None
+                          else _normalised_planes(v[:, a:b], *norm))
+        grid[:, max(a, b) - lo + pd:] = 0
+        yield lo, hi, grid
+
+
+def _slab_gemm(mats, shifts, grid, dst):
+    """One slab's output planes ``dst`` (R, planes, H, W) from ``grid``, the
+    padded planes they read (``_grid_slabs``): the sum of the offsets'
+    GEMMs, ``mats[k] @ grid[:, shifts[k]:shifts[k] + n]``, in offset order,
+    each product in one scratch matrix.
+
+    When output rows span whole grid rows the accumulator is ``dst``;
+    otherwise the slab's H x W corner is cropped from it.
+    """
+    r, planes, h, w = dst.shape
+    c, _, hp, wp = grid.shape
+    n = _slab_columns(planes, h, w, hp, wp)
+    src = grid.reshape(c, -1)
+    direct = (h, w) == (hp, wp)
+    acc = (dst.reshape(r, -1) if direct
+           else np.empty((r, planes * hp * wp), dtype=np.float32))
+    tile, tmp = acc[:, :n], np.empty((r, n), dtype=np.float32)
+    np.matmul(mats[0], src[:, shifts[0]:shifts[0] + n], out=tile)
+    for k in range(1, len(shifts)):
+        tile += np.matmul(mats[k], src[:, shifts[k]:shifts[k] + n], out=tmp)
+    if not direct:
+        dst[...] = acc.reshape(r, planes, hp, wp)[:, :, :h, :w]
+
+
+def _conv_forward(x, pads, kernel, bias, norms):
+    """The convolution of ``x``, one depth slab at a time; with ``norms``
+    (per sample, the ``_normalised_planes`` arguments after the planes) of
+    the normalised ``x``."""
     w = kernel.value.data
-    b, c, dp, hp, wp = xp.shape
-    out_ch, _, kd, kh, kw = w.shape
-    od, oh, ow = dp - kd + 1, hp - kh + 1, wp - kw + 1
-    mats, shifts, n = _shift_gemm_plan(w, hp, wp, (od, oh, ow))
-    out = np.empty((b, out_ch, od, oh, ow), dtype=np.float32)
-    # when output rows span whole grid rows the accumulator is the output
-    direct = (oh, ow) == (hp, wp)
-    acc = None if direct else np.empty((out_ch, od * hp * wp), dtype=np.float32)
-    for i in range(b):
-        xf = xp[i].reshape(c, -1)
-        buf = out[i].reshape(out_ch, -1) if direct else acc
-        # every offset lands on one tile before the next tile starts; each
-        # output element still sums its offsets in order 0..k^3-1
-        for t0, t1 in _column_tiles(n, out_ch):
-            tile = buf[:, t0:t1]
-            np.matmul(mats[0], xf[:, shifts[0] + t0:shifts[0] + t1], out=tile)
-            for k in range(1, len(shifts)):
-                tile += mats[k] @ xf[:, shifts[k] + t0:shifts[k] + t1]
-        if not direct:
-            out[i] = acc.reshape(out_ch, od, hp, wp)[:, :, :oh, :ow]
+    b, c, d, h, wdt = x.shape
+    out_ch = w.shape[0]
+    hp, wp = h + 2 * pads[1], wdt + 2 * pads[2]
+    mats, shifts = _shift_gemm_plan(w, hp, wp)
+    step = _slab_planes(max(c, out_ch), hp, wp)
+    out = np.empty((b, out_ch, d, h, wdt), dtype=np.float32)
+    for i in range(b if out.size else 0):
+        for lo, hi, grid in _grid_slabs(x[i], pads, step,
+                                        None if norms is None else norms[i]):
+            _slab_gemm(mats, shifts, grid, out[i, :, lo:hi])
     if bias is not None:
         out += bias.value.data
     return out
 
 
-def _conv_backward(g, xp, pads, kernel, bias):
-    """The input gradient of the convolution of the padded grid ``xp`` at
-    output gradient ``g``; the kernel and bias gradients are added to
-    ``kernel.grad`` and ``bias.grad``."""
+def _conv_backward(g, x, pads, kernel, bias, norms):
+    """The input gradient of ``_conv_forward`` at output gradient ``g``; the
+    kernel and bias gradients are added to ``kernel.grad`` and ``bias.grad``.
+
+    Each slab rebuilds the forward's grid of ``x`` and lays ``g``'s planes
+    on the same padded layout. The kernel gradient sums ``g @ grid^T`` per
+    offset over the slabs; the slab's input gradient is the convolution of
+    the padded ``g`` with the flipped, transposed kernel, written straight
+    into the unpadded gradient.
+    """
     w = kernel.value.data
-    b, c, dp, hp, wp = xp.shape
-    d, h, wdt = (e - 2 * p for e, p in zip((dp, hp, wp), pads))
+    b, c, d, h, wdt = x.shape
     out_ch = w.shape[0]
-    od, oh, ow = g.shape[2:]
-    mats, shifts, n = _shift_gemm_plan(w, hp, wp, (od, oh, ow))
-    gmats = np.zeros_like(mats)
-    gb = g.sum(axis=(0, 2, 3, 4), keepdims=True).reshape(1, -1, 1, 1, 1)
-    # g laid out on the padded grid, zero in the columns no output voxel owns
-    embed = (oh, ow) != (hp, wp)
-    gpad = np.zeros((out_ch, od, hp, wp), dtype=np.float32) if embed else None
-    # without padding the grid is the input, so gx accumulates in place
-    direct = not any(pads)
-    gx = (np.zeros if direct else np.empty)((b, c, d, h, wdt), dtype=np.float32)
-    gxf = None if direct else np.empty((c, dp * hp * wp), dtype=np.float32)
-    for i in range(b):
-        if embed:
-            gpad[:, :, :oh, :ow] = g[i]
-            gf = gpad.reshape(out_ch, -1)[:, :n]
-        else:
-            gf = g[i].reshape(out_ch, -1)
-        xf = xp[i].reshape(c, -1)
-        if direct:
-            gxf = gx[i].reshape(c, -1)
-        else:
-            gxf.fill(0.0)
-        # tiled like the forward: the kernel gradient sums over tiles, and
-        # each tile scatters into the input-gradient columns it was read from
-        for t0, t1 in _column_tiles(n, out_ch):
-            gf_tile = gf[:, t0:t1]
-            for k, s in enumerate(shifts):
-                gmats[k] += gf_tile @ xf[:, s + t0:s + t1].T
-                gxf[:, s + t0:s + t1] += mats[k].T @ gf_tile
-        if not direct:
-            gx[i] = gxf.reshape(c, dp, hp, wp)[:, pads[0]:pads[0] + d,
-                                               pads[1]:pads[1] + h,
-                                               pads[2]:pads[2] + wdt]
-    kernel.grad.data += np.moveaxis(gmats, 0, 2).reshape(w.shape)
+    hp, wp = h + 2 * pads[1], wdt + 2 * pads[2]
+    mats, shifts = _shift_gemm_plan(w, hp, wp)
+    # offset k of the flipped kernel is offset k^3 - 1 - k of the kernel
+    flipped = np.ascontiguousarray(mats[::-1].transpose(0, 2, 1))
+    # on g's grid, output voxel (z, y, x) sits at the centre offset's shift
+    # past column z*Hp*Wp + y*Wp + x, with zeros in the columns no voxel owns
+    centre = shifts[len(shifts) // 2]
+    # the two grids share the slab budget, unless the forward's slab
+    # already holds the whole sample: a small sample runs as one slab
+    step = _slab_planes(max(c, out_ch), hp, wp)
+    if step < d:
+        step = _slab_planes(c + out_ch, hp, wp)
+    # the kernel gradient, offsets first: (kd, kh, kw, C_out, C_in)
+    gw = np.zeros(w.shape[2:] + w.shape[:2], dtype=np.float32)
+    gx = np.empty(x.shape, dtype=np.float32)
+    for i in range(b if x.size else 0):
+        slabs = zip(_grid_slabs(x[i], pads, step,
+                                None if norms is None else norms[i]),
+                    _grid_slabs(g[i], pads, step))
+        for (lo, hi, xgrid), (_, _, ggrid) in slabs:
+            n = _slab_columns(hi - lo, h, wdt, hp, wp)
+            gf = ggrid.reshape(out_ch, -1)[:, centre:centre + n]
+            # every offset's product in one batched call
+            gw += np.matmul(gf, _offset_views(xgrid, w.shape[2:], n)
+                            .swapaxes(-1, -2))
+            _slab_gemm(flipped, shifts, ggrid, gx[i, :, lo:hi])
+    kernel.grad.data += np.moveaxis(gw, (0, 1, 2), (2, 3, 4))
     if bias is not None:
-        bias.grad.data += gb
+        bias.grad.data += g.sum(axis=(0, 2, 3, 4)).reshape(1, -1, 1, 1, 1)
     return gx
 
 
 # ---------------------------------------------------------------------------
 # normalization and activations
+
+
+class _NormStats(NamedTuple):
+    """GroupNorm statistics of a (B, C, ...) input in the grouped layout
+    (B, G, group_size, ...): ``mu`` (B, G, 1, 1) and ``istd`` (B, G, 1) per
+    (sample, group), ``scale`` = gamma * istd (B, G, group_size, 1) per
+    (sample, channel), and ``shift``, beta, (G, group_size, 1)."""
+
+    mu: np.ndarray
+    istd: np.ndarray
+    scale: np.ndarray
+    shift: np.ndarray
 
 
 def group_norm_leaky_relu(x: Tensor, gamma: Parameter, beta: Parameter,
@@ -319,13 +410,17 @@ def group_norm_leaky_relu(x: Tensor, gamma: Parameter, beta: Parameter,
                       saves=("inputs",))
 
     xc, stats = _norm_stats(x.data, gamma, beta, group_size, epsilon)
-    out = _normalised_grid(xc, stats, slope, (0, 0, 0))
+    z = _scale_shift(xc.reshape(stats.scale.shape[:3] + (-1,)), stats.scale,
+                     stats.shift)
+    _leaky_relu_in_place(z, np.float32(slope))
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
-        return (_norm_backward(x_val, g, stats, gamma, beta, slope),)
+        gx = g.copy()  # the engine's gradient is read-only here
+        _norm_backward(x_val, gx, stats, gamma, beta, slope)
+        return (gx,)
 
-    return record(op, Tensor(out), [x], backward_fn, params=(gamma, beta),
+    return record(op, Tensor(xc), [x], backward_fn, params=(gamma, beta),
                   saves=("inputs",))
 
 
@@ -344,90 +439,104 @@ def _check_norm(op, x, gamma, beta, group_size):
 
 def _norm_stats(x, gamma, beta, group_size, epsilon):
     """The centred copy ``x - mu`` of the non-empty array ``x`` (shape of
-    ``x``) and the group statistics ``(mu, istd, scale, shift)`` that
-    ``_normalised_grid`` and ``_norm_backward`` read, a few floats per group
-    or channel.
-
-    In the grouped layout ``(B, G, group_size, DHW)``: ``mu`` and ``istd``
-    per (sample, group), ``scale = gamma * istd`` per (sample, channel) and
-    ``shift`` (a view of beta) per channel.
-    """
+    ``x``) and the ``_NormStats`` that ``_normalised_planes`` and
+    ``_norm_backward`` read, a few floats per group or channel."""
     b, c = x.shape[:2]
     groups = c // group_size
     n = x.size // (b * groups)
     mu = x.reshape(b, groups, n).mean(axis=2)[:, :, None, None]
     # the centred copy gives the variance without the cancellation of
     # E[x^2] - E[x]^2, and then becomes the output
-    xc = _centred(x, mu)
+    xc = x.reshape(b, groups, group_size, -1) - mu
     var = _row_dots(xc.reshape(b, groups, n), xc.reshape(b, groups, n)) / n
     istd = (1.0 / np.sqrt(var + np.float32(epsilon)))[:, :, None]
     scale = (gamma.value.data.reshape(groups, group_size) * istd)[..., None]
     shift = beta.value.data.reshape(groups, group_size, 1)
-    return xc.reshape(x.shape), (mu, istd, scale, shift)
+    return xc.reshape(x.shape), _NormStats(mu, istd, scale, shift)
 
 
-def _centred(x, mu):
-    """``x - mu`` in the grouped layout ``(B, G, group_size, DHW)``."""
-    b, groups = mu.shape[:2]
-    return x.reshape(b, groups, x.shape[1] // groups, -1) - mu
+def _normalised_planes(planes, mu, scale, shift, slope):
+    """LeakyReLU(GroupNorm(x)) of one sample's planes ``planes`` (C, ...)
+    from its ``_NormStats`` (``mu``, ``scale`` for the sample), as a new
+    array.
 
-
-def _normalised_grid(xc, stats, slope, pads):
-    """LeakyReLU(GroupNorm(x)) from the centred copy ``xc`` (shape of ``x``)
-    and the statistics, formed in ``xc``'s own buffer and then placed in a
-    zero-padded grid (``_padded_grid``; ``xc`` itself without padding).
-
-    The forward and the backward's rebuild both go through here, so they
-    round alike. The passes run over the contiguous copy, in the grouped
-    layout: writing them straight into the grid's strided interior
-    measured slower than one copy into it.
+    The unit's forward, its reversible recompute and its backward's rebuild
+    all form the normalised input here, so they round alike (and like
+    ``group_norm_leaky_relu``, which runs the same steps on its centred
+    copy): the centred rows, the affine step in place, then the LeakyReLU.
     """
-    _mu, _istd, scale, shift = stats
-    z = xc.reshape(scale.shape[:3] + (-1,))
-    _scale_shift(z, scale, shift, out=z)
-    _leaky_relu_in_place(z, np.float32(slope))
-    return _padded_grid(xc, pads)
+    z = planes.reshape(scale.shape[:2] + (-1,)) - mu
+    _scale_shift(z, scale, shift)
+    return _leaky_relu(z, slope, out=np.empty_like(z)).reshape(planes.shape)
 
 
-def _norm_backward(x, g, stats, gamma, beta, slope):
-    """The input gradient of ``_normalised_grid`` at output gradient ``g``;
-    gamma's and beta's gradients are added to their ``grad``.
+def _norm_backward(x, gh, stats, gamma, beta, slope):
+    """The input gradient of ``_normalised_planes``, formed in place in the
+    gradient ``gh`` at its output; gamma's and beta's gradients are added to
+    their ``grad``.
 
-    The normalised tensor ``z`` is recomputed from the centred copy with the
-    forward's scale and shift; its sign picks each LeakyReLU factor, and its
-    buffer then holds the gradient at it, and then the input gradient.
+    Two passes over blocks of whole (sample, channel) rows, about
+    ``_TILE_BYTES`` of one row block each. The first recomputes each
+    block's ``z`` from ``x``, multiplies ``gh``'s rows by the LeakyReLU
+    factor of its sign (the gradient at ``z``), then forms each row's sums
+    of that and of it times ``x - mu`` over the whole row. The second, once
+    every group's sums are known, turns the rows into the input gradient.
+    The last block's centred rows are still at hand for it and the others
+    are recomputed, so a tensor of one block runs one pass.
     """
-    mu, istd, scale, shift = stats
-    b, groups, group_size = scale.shape[:3]
-    gshape = (b, groups, group_size, -1)
-    xc = _centred(x, mu)
-    n = group_size * xc.shape[3]
-    z = _scale_shift(xc, scale, shift, out=np.empty_like(xc))
+    b, groups, group_size = stats.scale.shape[:3]
+    c = groups * group_size
+    xr, gr = x.reshape(b, c, -1), gh.reshape(b, c, -1)
+    n = group_size * xr.shape[2]
+    # the statistics per (sample, channel) row
+    mu = np.repeat(stats.mu[..., 0], group_size, axis=1)
+    scale, shift = stats.scale.reshape(b, c, 1), stats.shift.reshape(c, 1)
+    blocks = [(i, slice(c0, c1)) for i in range(b)
+              for c0, c1 in _column_tiles(c, xr.shape[2])]
+    kept = blocks[-1]
     factors = np.array([slope, 1], dtype=np.float32)
-    gg = _leaky_relu_grad(z, factors, g.reshape(gshape), out=z)
-    # per (sample, channel) sums of gg and of gg * (x - mu)
-    sg = gg.sum(axis=3)
-    sgx = _row_dots(gg, xc)
+    sg = np.empty((b, c), dtype=np.float32)
+    sgx = np.empty((b, c), dtype=np.float32)
+    for i, rows in blocks:
+        gg = gr[i, rows]
+        # z, then its LeakyReLU factor, in one buffer freed before x - mu
+        z = _scale_shift(xr[i, rows] - mu[i, rows], scale[i, rows],
+                         shift[rows])
+        gg *= _leaky_relu_factor(z, factors, out=z)
+        del z
+        xc = xr[i, rows] - mu[i, rows]
+        sg[i, rows] = gg.sum(axis=1)
+        sgx[i, rows] = _row_dots(gg, xc)
+        if (i, rows) != kept:
+            del xc  # before the next block's
+    sg = sg.reshape(b, groups, group_size)
+    sgx = sgx.reshape(b, groups, group_size)
+    istd = stats.istd
     gam = gamma.value.data.reshape(groups, group_size)
     beta.grad.data += sg.sum(axis=0).reshape(beta.grad.shape)
     gamma.grad.data += (sgx * istd).sum(axis=0).reshape(gamma.grad.shape)
     # istd * (gamma*gg - mean(gamma*gg) - x_hat * mean(gamma*gg*x_hat))
-    # = a*gg + k*(x - mu) + c: a per channel, k and c per group, formed in
-    # gg's own buffer
+    # = a*gg + k*(x - mu) + c: a per channel, k and c per group
     m1 = (gam * sg).sum(axis=2, keepdims=True) / n
     m2 = (gam * sgx).sum(axis=2, keepdims=True) / n
-    gx = np.multiply(gg, scale, out=gg)
-    xc *= (-istd ** 3 * m2)[..., None]
-    gx += xc
-    gx += (-istd * m1)[..., None]
-    return gx.reshape(x.shape)
+    k = np.repeat(-istd ** 3 * m2, group_size, axis=1)
+    const = np.repeat(-istd * m1, group_size, axis=1)
+    for i, rows in reversed(blocks):
+        if (i, rows) != kept:
+            xc = xr[i, rows] - mu[i, rows]
+        gx = gr[i, rows]
+        gx *= scale[i, rows]
+        xc *= k[i, rows]
+        gx += xc
+        gx += const[i, rows]
+        del xc
 
 
-def _scale_shift(xc, scale, shift, out):
-    """``xc * scale + shift``, the GroupNorm affine step, into ``out``
-    (which may be ``xc``); the forward and the backward's recompute share
-    it, so both round alike."""
-    y = np.multiply(xc, scale, out=out)
+def _scale_shift(xc, scale, shift, out=None):
+    """``xc * scale + shift``, the GroupNorm affine step, into ``out`` (``xc``
+    itself if None); the forward and the backward's recompute share it, so
+    both round alike."""
+    y = np.multiply(xc, scale, out=xc if out is None else out)
     y += shift
     return y
 
@@ -438,36 +547,44 @@ def _row_dots(a, b):
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
+def _leaky_relu(x, s, out):
+    """LeakyReLU of float32 slope ``s`` of ``x`` into ``out``, another array:
+    for s <= 1 the branch taken is the larger of x and s*x (the smaller for
+    s > 1), so one product and one elementwise max replace the select."""
+    np.multiply(x, s, out=out)
+    (np.minimum if s > 1 else np.maximum)(x, out, out=out)
+    if s <= 0:
+        # here x = +-0 ties s*x = -+0 (numpy leaves the winner open) and
+        # 0 * inf is NaN, so x >= 0 takes x itself
+        np.copyto(out, x, where=x >= 0)
+    return out
+
+
 def _leaky_relu_in_place(z, s):
-    """LeakyReLU of float32 slope ``s`` over the contiguous ``z`` in place,
-    one ``_TILE_BYTES`` chunk at a time through a scratch of that size."""
+    """``_leaky_relu`` over the contiguous ``z`` in place, one
+    ``_TILE_BYTES`` chunk at a time through a scratch of that size."""
     flat = z.reshape(-1)
     scratch = np.empty(min(flat.size, _TILE_BYTES // 4), dtype=np.float32)
     for t0, t1 in _column_tiles(flat.size, 1):
-        x, out = flat[t0:t1], scratch[:t1 - t0]
-        # for s <= 1 the branch taken is the larger of x and s*x (the smaller
-        # for s > 1), so one product and one elementwise max replace the select
-        np.multiply(x, s, out=out)
-        (np.minimum if s > 1 else np.maximum)(x, out, out=out)
-        if s <= 0:
-            # here x = +-0 ties s*x = -+0 (numpy leaves the winner open) and
-            # 0 * inf is NaN, so x >= 0 takes x itself
-            np.copyto(out, x, where=x >= 0)
-        x[...] = out
+        x = flat[t0:t1]
+        x[...] = _leaky_relu(x, s, out=scratch[:t1 - t0])
 
 
-def _leaky_relu_grad(x, factors, g, out):
-    """``g`` times the factor of ``x``'s branch, ``factors = [s, 1]`` picked
-    by the sign test ``x >= 0``, into the contiguous ``out`` (which may be
-    ``x``): one ``take`` and one in-place product, no select over three
-    full-size arrays. It runs one ``_TILE_BYTES`` chunk at a time, because
-    ``take`` converts its indices to a full intp array (twice the float32
-    bytes), and ``mode="clip"`` lets it write into ``out`` unbuffered."""
-    xf, gf, of = x.reshape(-1), g.reshape(-1), out.reshape(-1)
-    for t0, t1 in _column_tiles(of.size, 1):
-        chunk = of[t0:t1]
-        factors.take((xf[t0:t1] >= 0).view(np.uint8), out=chunk, mode="clip")
-        chunk *= gf[t0:t1]
+def _leaky_relu_factor(x, factors, out):
+    """The LeakyReLU derivative at ``x``, ``factors = [s, 1]`` picked by the
+    sign test ``x >= 0``, into the contiguous float32 ``out`` (which may be
+    ``x``), with no select over full-size arrays.
+
+    The factor is formed exactly in ``out``'s bits: s + (x >= 0) * (1 - s)
+    in wrapping uint32 arithmetic on the two bit patterns is one or the
+    other, and a NaN, which fails the test, takes s. Beside ``out`` only
+    the boolean test is formed, a quarter of the float32 bytes.
+    """
+    s, one = (int(v) for v in factors.view(np.uint32))
+    step = np.uint32((one - s) % 2 ** 32)
+    bits = out.reshape(-1).view(np.uint32)
+    np.multiply((x.reshape(-1) >= 0).view(np.uint8), step, out=bits)
+    bits += np.uint32(s)
     return out
 
 

@@ -2,6 +2,7 @@
 synthetic data, and the training loop."""
 
 import csv
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from revvolnet.training import (AdamState, AugmentDraw, TrainingConfig,
                                 split_dataset, standardize, train,
                                 write_metrics_csv, snapshot_params,
                                 restore_params)
-from revvolnet.unet import ArchitectureSpec, build
+from revvolnet.unet import ArchitectureSpec, build, load_spec
 from revvolnet.verification import relative_error
 
 from conftest import randn5
@@ -524,3 +525,36 @@ class TestTrainLoop:
         assert [int(r["epoch"]) for r in rows] == list(range(len(result.history)))
         assert {"lr", "train_loss", "val_dice_wt", "val_dice_tc", "val_dice_et",
                 "moving_avg", "stored_activation_bytes", "peak_bytes"} <= set(rows[0])
+
+
+class TestDeskGradientEquivalence:
+    def test_reversible_matches_stored_after_three_steps(self):
+        # The desk network at 16^3 after a fixed 3 Adam steps, then one
+        # volume's parameter gradients in both modes, within criterion 2's
+        # bound: every unit's forward, recompute and rebuild must agree.
+        # Training first moves the zero-bias stem's output on this volume's
+        # standardized background off the LeakyReLU kink, where the two
+        # modes may take different one-sided derivatives (0.77 at
+        # initialisation, about 2e-7 after the steps).
+        spec = load_spec(Path(__file__).parents[1] / "specs" / "desk_reversible.spec")
+        network = build(spec, seed=0)
+        params = list(network.parameters())
+        rng = np.random.default_rng(2)
+        vols = [generate_synthetic(rng, size=16, modalities=spec.in_channels)
+                for _ in range(2)]
+        inputs = [Tensor(standardize(v.image)[None]) for v in vols]
+        config, state = TrainingConfig(), AdamState()
+        for step in range(3):
+            training.train_step(network, params, state, inputs[step % 2],
+                                vols[step % 2].masks[None], config.initial_lr,
+                                config.weight_decay)
+        grads = {}
+        for stored in (False, True):
+            for p in params:
+                p.zero_grad()
+            with Tape() as tape:
+                pred = network.forward(inputs[0], stored_activations=stored)
+                backprop(tape, dice_loss(pred, vols[0].masks[None]))
+            grads[stored] = [p.grad.data.copy() for p in params]
+        worst = max(relative_error(a, b) for a, b in zip(grads[False], grads[True]))
+        assert worst <= 1e-4, worst
