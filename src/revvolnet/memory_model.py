@@ -31,14 +31,15 @@ tape retains.
 M_B models this engine's per-block backward strategy as
 BLOCK_BACKWARD_HALF_BUFFERS half-width buffers, memtrack's count at the peak
 of one block's backward through the tape at batch 1 (a test pins the two
-together): the incoming gradient's two halves, and G's seed, a view of that
-gradient which G's own backward pass counts whole. The block's input halves
-are rebuilt in the boundary's output, so they stay in M_S. The sub-network,
-one ``conv3d`` op with a ``norm`` prologue, saves only its input and rebuilds
-its normalised activation in its backward; its output is dropped once the
-reconstruction has read it. Counted by tracemalloc, one width-10 block at
-32^3 allocates 4.95 halves beside the output and the incoming gradient,
-kernel scratch included (another test pins that).
+together): the incoming gradient's two halves, and the recomputed
+sub-network's output half. G's seed is a view of that gradient and adds
+nothing. The block's input halves are rebuilt in the boundary's output, so
+they stay in M_S. The sub-network, one ``conv3d`` op with a ``norm``
+prologue, saves only its input and rebuilds its normalised activation in its
+backward; its output is dropped once the reconstruction has read it.
+Counted by tracemalloc, one width-10 block at 32^3 allocates 2.26 halves
+beside the output and the incoming gradient, kernel scratch included
+(another test pins that).
 A non-reversible layer's backward transient is simply its
 activation-derivative buffer, so the max-term of the second formula runs
 over both kinds; with no sequences present it degenerates to max(M_D) and
@@ -54,7 +55,7 @@ from dataclasses import asdict, dataclass
 from . import memtrack
 
 BYTES = 4  # float32
-BLOCK_BACKWARD_HALF_BUFFERS = 4  # memtrack's count, see above
+BLOCK_BACKWARD_HALF_BUFFERS = 3  # memtrack's count, see above
 PARAM_COPIES = 4  # value, gradient and Adam's two moments
 
 
@@ -199,10 +200,11 @@ def measure_peak(run) -> int:
 def measure_peaks(run) -> tuple:
     """Peak bytes above entry while ``run`` executes, by two accountants.
 
-    The first is ``measure_peak``'s memtrack figure, which leaves out kernel
-    scratch and counts each Tensor, a Tensor over a view included, as new
-    bytes. The second is tracemalloc's, which counts each numpy buffer once
-    (with Python's own allocations) but only what is allocated after entry.
+    The first is ``measure_peak``'s memtrack figure, which counts each
+    buffer a Tensor or a pending gradient holds once, by the array that owns
+    it, and leaves out kernel scratch. The second is tracemalloc's, which
+    counts each numpy buffer once (with Python's own allocations) but only
+    what is allocated after entry.
     """
     tracemalloc.start()
     try:

@@ -93,7 +93,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tape import record
+from .tape import current_tape, record
 from .tensor import Parameter, ShapeError, Tensor
 
 # Bytes of one depth slab's matrices in the shift-GEMM convolution, and of
@@ -786,7 +786,11 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 def _slice_channels(x: Tensor, lo: int, hi: int) -> Tensor:
     in_shape = x.shape
-    out = Tensor(np.ascontiguousarray(x.data[:, lo:hi]))
+    part = x.data[:, lo:hi]
+    # Recorded, a slice is a copy: a view that some backward saves would
+    # keep its whole input alive. Unrecorded (the reversible forward) it is
+    # a view at batch 1.
+    out = Tensor(part.copy() if current_tape() is not None else part)
 
     def backward_fn(g, _inputs, _output):
         gx = np.zeros(in_shape, dtype=np.float32)

@@ -20,12 +20,16 @@ itself is visited; at completion no gradient buffer is live. A node's backward
 receives its input values and its output if it declared them, and ``None`` in
 their place otherwise, so a declaration that leaves out a value the backward
 reads fails loudly. A retained output is released after its node's own
-backward, which runs after every consumer's (an in-place op's, before it, see
-``record``); reading a released output raises ``MissingActivationError``.
+backward, which runs after every consumer's; reading a released output raises
+``MissingActivationError``.
 
-The pass reports to ``memtrack`` and in ``last_backward_stats`` the bytes of
-the gradient buffers it holds (the seed and every pending gradient, not those
-it returns for ``wrt``), each counted once by the array that owns it.
+The pass holds in ``memtrack`` each gradient buffer it keeps (the seed and
+every pending gradient, not those it returns for ``wrt``), and
+``last_backward_stats`` reports the bytes these holds add. memtrack counts
+a buffer once, by the array that owns it, however many Tensors and
+gradients refer to it, so a gradient that views a counted buffer adds
+nothing: a nested pass (a sub-network's, in the block backward) whose seed
+views the outer pass's gradient counts its seed as 0.
 
 ``FAULTS`` is the gradient checker's fault hook (``gradcheck
 --inject-fault``): for a node whose op name is a key, ``backward``
@@ -152,9 +156,10 @@ def record(op, out, inputs, backward_fn, *, params=(), saves=()):
     engine hands such an op a gradient buffer nothing else holds: it copies
     the buffer only when it may share memory with another pending gradient,
     a leaf gradient or the caller's seed. It releases the node's output
-    before the call, as no later backward reads it, so a caller that reads
-    a sequence's output after backprop, or calls ``sequence_backward``
-    directly, copies what it still needs first.
+    after the call, as it does every node's, so the output stays counted
+    while the op overwrites it; a caller that reads a sequence's output
+    after backprop, or calls ``sequence_backward`` directly, copies what it
+    still needs first.
     ``saves`` declares what it reads: with ``"inputs"`` it receives the value
     of every input, in order, and with ``"output"`` the op's own output; an
     undeclared value arrives as None (one None per input for the inputs).
@@ -211,71 +216,70 @@ def backward(tape: Tape, output: Tensor, seed: np.ndarray, wrt=()) -> list:
         raise ShapeError(f"gradient seed shape {seed.shape} does not match output shape {root.out_shape}")
 
     grads = {root: seed}
-    live = peak = 0  # bytes of the distinct gradient buffers held
+    # bytes the pass's own holds add to memtrack (see the module docstring)
+    live = peak = memtrack.GLOBAL.hold(seed)
     wrt = list(wrt)  # holds the identity keys alive; a generator is read once
     leaf_grads = {id(t): None for t in wrt}
 
-    def hold(*extra):
-        nonlocal live, peak
-        now = _buffer_bytes((*extra, *grads.values()))
-        memtrack.on_change(now - live)
-        live, peak = now, max(peak, now)
-
-    hold()
-    with no_record():
-        for node in reversed(tape.nodes):
-            g = grads.pop(node, None)
-            if g is None:
-                continue
-            if "inputs" in node.saves:
-                input_values = tuple(src.data if kind == "leaf" else src.output_value()
-                                     for kind, src in node.input_slots)
-            else:
-                input_values = (None,) * len(node.input_slots)
-            output_value = node.output_value() if "output" in node.saves else None
-            if node.op in IN_PLACE_OPS:
-                # the op overwrites its output, which nothing later reads
+    g = None
+    try:
+        with no_record():
+            for node in reversed(tape.nodes):
+                g = grads.pop(node, None)
+                if g is None:
+                    continue
+                if "inputs" in node.saves:
+                    input_values = tuple(src.data if kind == "leaf" else src.output_value()
+                                         for kind, src in node.input_slots)
+                else:
+                    input_values = (None,) * len(node.input_slots)
+                output_value = node.output_value() if "output" in node.saves else None
+                if node.op in IN_PLACE_OPS and any(
+                        o is not None and np.may_share_memory(g, o)
+                        for o in (seed, *grads.values(), *leaf_grads.values())):
+                    copy = g.copy()
+                    live += memtrack.GLOBAL.hold(copy) - memtrack.GLOBAL.drop(g)
+                    g = copy
+                in_grads = node.backward_fn(g, input_values, output_value)
+                del input_values, output_value
+                if len(in_grads) != len(node.input_slots):
+                    raise RuntimeError(
+                        f"backward of '{node.name}' returned {len(in_grads)} gradients "
+                        f"for {len(node.input_slots)} inputs"
+                    )
+                if node.op in FAULTS and in_grads[0] is not None:
+                    in_grads = (in_grads[0] * (1.0 + FAULTS[node.op]), *in_grads[1:])
+                    FAULTS_APPLIED.add(node.op)
+                for slot, ig in zip(node.input_slots, in_grads):
+                    if ig is None:
+                        continue
+                    if slot[0] == "leaf":
+                        key = id(slot[1])
+                        if key in leaf_grads:
+                            prev = leaf_grads[key]
+                            leaf_grads[key] = ig if prev is None else prev + ig
+                        continue
+                    prev = grads.get(slot[1])
+                    if prev is not None:
+                        ig = prev + ig  # a sum is a fresh buffer: refs may be shared
+                        live -= memtrack.GLOBAL.drop(prev)
+                    grads[slot[1]] = ig
+                    live += memtrack.GLOBAL.hold(ig)
+                peak = max(peak, live)
+                live -= memtrack.GLOBAL.drop(g)
+                # no local keeps a gradient alive into the next node's backward
+                g = in_grads = ig = prev = None
                 tape.release_node(node)
-                if any(o is not None and np.may_share_memory(g, o)
-                       for o in (seed, *grads.values(), *leaf_grads.values())):
-                    g = g.copy()
-            in_grads = node.backward_fn(g, input_values, output_value)
-            del input_values, output_value
-            if len(in_grads) != len(node.input_slots):
-                raise RuntimeError(
-                    f"backward of '{node.name}' returned {len(in_grads)} gradients "
-                    f"for {len(node.input_slots)} inputs"
-                )
-            if node.op in FAULTS and in_grads[0] is not None:
-                in_grads = (in_grads[0] * (1.0 + FAULTS[node.op]), *in_grads[1:])
-                FAULTS_APPLIED.add(node.op)
-            for slot, ig in zip(node.input_slots, in_grads):
-                if ig is None:
-                    continue
-                if slot[0] == "leaf":
-                    key = id(slot[1])
-                    if key in leaf_grads:
-                        prev = leaf_grads[key]
-                        leaf_grads[key] = ig if prev is None else prev + ig
-                    continue
-                prev = grads.get(slot[1])
-                # a sum is a fresh buffer: refs may be shared
-                grads[slot[1]] = ig if prev is None else prev + ig
-            hold(g)
-            del g, in_grads
-            hold()
-            tape.release_node(node)
+    except BaseException:
+        # let go of the gradients the pass still holds
+        for pending in (g, *grads.values()):
+            if pending is not None:
+                memtrack.GLOBAL.drop(pending)
+        raise
 
     assert not grads, "gradient buffers left over after backward"
     tape.last_backward_stats = {"peak_grad_bytes": peak, "final_grad_bytes": live}
     return [leaf_grads[id(t)] for t in wrt]
-
-
-def _buffer_bytes(arrays) -> int:
-    """Bytes of the distinct buffers behind ``arrays``, a view counted as the
-    array that owns its memory and each owner once."""
-    owners = (a.base if isinstance(a.base, np.ndarray) else a for a in arrays)
-    return sum({id(o): o.nbytes for o in owners}.values())
 
 
 def backprop(tape: Tape, loss: Tensor, wrt=()) -> list:

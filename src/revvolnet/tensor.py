@@ -1,7 +1,6 @@
 """Dense 5-axis float32 tensors and trainable parameters."""
 
 import itertools
-import weakref
 
 import numpy as np
 
@@ -36,8 +35,11 @@ class Tensor:
             )
         self.data = arr
         self._node_ref = None
-        memtrack.on_change(arr.nbytes)
-        weakref.finalize(self, memtrack.on_change, -arr.nbytes)
+        memtrack.GLOBAL.hold(arr)
+
+    def __del__(self):
+        if hasattr(self, "data"):  # unset when __init__ raised
+            memtrack.GLOBAL.drop(self.data)
 
     @property
     def shape(self):

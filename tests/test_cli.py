@@ -217,9 +217,9 @@ class TestEstimateMemory:
         assert "decoder_blocks" in proc.stderr
 
     @pytest.mark.parametrize("name,totals", [
-        ("desk_reversible", (7_187_344, 19_322_224)),
-        ("baseline_full", (108_396_624, 383_464_944)),
-        ("reversible_full", (394_268_784, 1_429_051_824)),
+        ("desk_reversible", (6_531_984, 19_322_224)),
+        ("baseline_full", (106_430_544, 383_464_944)),
+        ("reversible_full", (390_336_624, 1_429_051_824)),
     ])
     def test_shipped_spec_compare_totals_pinned(self, name, totals):
         # Every shipped spec has one block per level. At that depth both

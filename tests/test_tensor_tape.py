@@ -88,6 +88,41 @@ class TestMemtrack:
 
         assert memtrack.GLOBAL.measure(run) == 4000
 
+    def test_view_tensor_counts_its_owner_once(self):
+        base = memtrack.live_bytes()
+        t = Tensor.zeros((1, 4, 5, 5, 5))
+        half = Tensor(t.data[:, :2])
+        assert np.shares_memory(half.data, t.data)
+        assert memtrack.live_bytes() == base + t.nbytes
+        del t
+        assert memtrack.live_bytes() == base + 2000  # the owner's bytes
+        del half
+        assert memtrack.live_bytes() == base
+
+    def test_seed_that_views_a_counted_buffer_adds_nothing(self, rng):
+        # a nested pass's seed views the outer pass's gradient
+        x = Tensor(randn5(rng, (1, 2, 4, 4, 4)))
+        counted = Tensor(randn5(rng, (1, 4, 4, 4, 4)))
+        with Tape() as tape:
+            y = ops.sigmoid(x)
+        base = memtrack.live_bytes()
+        backward(tape, y, counted.data[:, :2])
+        assert tape.last_backward_stats["peak_grad_bytes"] == 0
+        assert memtrack.live_bytes() == base
+
+    def test_failed_backward_lets_go_of_its_gradients(self, rng):
+        x = Tensor(randn5(rng, (1, 2, 4, 4, 4)))
+        k = Parameter(randn5(rng, (2, 2, 3, 3, 3)))
+        with Tape() as tape:
+            h = leaky_relu(x)
+            loss = ops.reduce_sum(ops.conv3d(h, k, None))
+        tape.release_node(h.node())  # conv's backward needs h's value
+        del h
+        base = memtrack.live_bytes()
+        with pytest.raises(MissingActivationError):
+            backprop(tape, loss)
+        assert memtrack.live_bytes() == base
+
 
 class TestTapeAccounting:
     def test_retained_bytes_equals_sum_over_retained_nodes(self, rng):
