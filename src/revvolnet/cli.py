@@ -315,7 +315,8 @@ def build_parser():
                         "this op (any recorded op name; test hook)")
     p.set_defaults(fn=cmd_gradcheck)
 
-    p = sub.add_parser("invert", help="reversible block round-trip trials")
+    p = sub.add_parser("invert", help="reversible block round trips through "
+                                      "the training block backward")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--width", type=_positive_int, default=8)

@@ -59,6 +59,11 @@ can, since each pass streams the whole activation:
   then ``*= g``; per-row sums of that gradient ``gz`` and of ``gz * (x -
   mu)``, each over the whole row; and, once every group's sums are known,
   ``gx = a*gz + k*(x - mu) + c``, with a per channel and k, c per group.
+  No network records it. It stays as the bit-exact reference the ``norm``
+  prologue is composed against, and for its special-value tests, which an
+  identity 1x1x1 kernel behind the prologue would spoil: ``0 * inf`` in the
+  channel matmul spreads one channel's inf as NaN (``eye(3) @ [inf, 1, -0]``
+  is ``[inf, nan, nan]``), and ``-0 + 0 = +0`` loses a zero's sign.
 - ``conv3d(x, kernel, bias, norm=Norm(...))``, the paper's
   GN-LeakyReLU-conv unit as one op, bit for bit
   ``conv3d(group_norm_leaky_relu(x, *norm), kernel, bias)`` (the backward
@@ -532,13 +537,12 @@ def _norm_backward(x, gh, stats, gamma, beta, slope):
         del xc
 
 
-def _scale_shift(xc, scale, shift, out=None):
-    """``xc * scale + shift``, the GroupNorm affine step, into ``out`` (``xc``
-    itself if None); the forward and the backward's recompute share it, so
-    both round alike."""
-    y = np.multiply(xc, scale, out=xc if out is None else out)
-    y += shift
-    return y
+def _scale_shift(xc, scale, shift):
+    """``xc * scale + shift``, the GroupNorm affine step, in place in ``xc``;
+    the forward and the backward's recompute share it, so both round alike."""
+    xc *= scale
+    xc += shift
+    return xc
 
 
 def _row_dots(a, b):
@@ -809,21 +813,11 @@ def split_channels(x: Tensor, at: int):
     return _slice_channels(x, 0, at), _slice_channels(x, at, c)
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str):
-    if a.shape != b.shape:
-        raise ShapeError(f"{op} requires equal shapes, got {a.shape} and {b.shape}")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
+    if a.shape != b.shape:
+        raise ShapeError(f"add requires equal shapes, got {a.shape} and {b.shape}")
     out = Tensor(a.data + b.data)
     return record("add", out, [a, b], lambda g, _i, _o: (g, g))
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    out = Tensor(a.data - b.data)
-    return record("sub", out, [a, b], lambda g, _i, _o: (g, -g))
 
 
 def reduce_sum(x: Tensor) -> Tensor:

@@ -12,6 +12,8 @@ blocks in reverse: it reconstructs each block's inputs, re-executes F and G
 once with recording on a short-lived local tape to obtain exact parameter and
 input gradients, and releases everything before moving to the previous block.
 Transient memory is therefore bounded by a single block regardless of depth.
+The inverse exists once, in ``block_backward``, that step for one block; the
+inversion checks run it with zero gradients.
 """
 
 import numpy as np
@@ -109,16 +111,6 @@ def block_forward(block: ReversibleBlock, x1: Tensor, x2: Tensor):
     return y1, y2
 
 
-def block_inverse(block: ReversibleBlock, y1: Tensor, y2: Tensor):
-    if y1.shape != y2.shape:
-        raise ShapeError(
-            f"block_inverse halves must match, got {y1.shape} and {y2.shape}"
-        )
-    x2 = ops.sub(y2, block.g(y1))
-    x1 = ops.sub(y1, block.f(x2))
-    return x1, x2
-
-
 class ReversibleSequence(Module):
     """Chain of reversible blocks of one channel width.
 
@@ -133,10 +125,9 @@ class ReversibleSequence(Module):
     def forward(self, x: Tensor) -> Tensor:
         with no_record():
             y = self._run_forward(x)
-        seq = self
 
         def backward_fn(grad_out, _inputs, output):
-            return (sequence_backward(seq, grad_out, output),)
+            return (sequence_backward(self, grad_out, output),)
 
         return record("reversible_sequence", y, [x], backward_fn,
                       params=tuple(self.parameters()), saves=("output",))
@@ -158,30 +149,56 @@ class ReversibleSequence(Module):
         return ops.concat_channels(x1, x2)
 
 
-def sequence_backward(seq: ReversibleSequence, grad_out: np.ndarray, y) -> np.ndarray:
-    """Gradient of a reversible sequence given only its output, computed in
-    the buffers of ``y`` and ``grad_out``.
+def block_backward(block: ReversibleBlock, y1: Tensor, y2: Tensor,
+                   g1: np.ndarray, g2: np.ndarray) -> None:
+    """A block's inverse and backward in one step, in place, as in RevNet's
+    Algorithm 1: x2 = y2 - G(y1), then x1 = y1 - F(x2), rebuilt in the
+    buffers of ``y1`` and ``y2``; the input gradient halves in those of the
+    output gradient halves ``g1`` and ``g2``; F's and G's parameter
+    gradients added. With zero gradient halves it is the inverse alone.
 
-    Walks the blocks in reverse. For each block the two sub-networks are
-    re-executed exactly once on short-lived local tapes: G's recording both
-    yields the reconstruction term y2 - G(y1) and, seeded with the incoming
-    gradient of y2, the gradient flowing into y1; F's recording then yields
+    Each sub-network is re-executed exactly once on a short-lived local tape:
+    G's recording both yields the reconstruction term y2 - G(y1) and, seeded
+    with ``g2``, the gradient flowing into y1; F's recording then yields
     x1 = y1 - F(x2) and the gradient flowing into x2. The tapes record only
     the sub-network, and the subtraction is plain numpy, so no tape slot
     holds the consumed half. Nor does anything hold the sub-network's output
     once the subtraction has read it: it lives only in a one-item list whose
     ``pop`` hands ``backward`` the last reference, which ``backward`` drops
     after finding its root node (no backward reads it; the conv saves its
-    input). The reconstructed pair becomes the "output" of the preceding
-    block, so no whole-sequence buffer ever exists.
+    input). Each rebuilt half overwrites the half it comes from once no tape
+    reads that half.
+    """
+    if y1.shape != y2.shape:
+        raise ShapeError(
+            f"block_backward halves must match, got {y1.shape} and {y2.shape}"
+        )
+    with Tape() as tg:
+        gy1 = [block.g(y1)]
+    np.subtract(y2.data, gy1[0].data, out=y2.data)  # y2 now holds x2
+    (dy1,) = backward(tg, gy1.pop(), g2, wrt=[y1])
+    g1 += dy1
+    del dy1
 
-    It works in place, as RevNet's Algorithm 1 does. The gradient halves are
-    channel views of ``grad_out`` that seed the sub-networks' backward and
-    take each gradient sum, so ``grad_out`` is returned as the input
-    gradient. y1 and y2 are Tensors over channel views of ``y`` (copies when
-    the batch exceeds 1), and each rebuilt half overwrites, in its Tensor,
-    the half it comes from once no tape reads that half. A caller that still
-    needs ``y`` or ``grad_out`` copies it first; the tape engine hands it a
+    with Tape() as tf:
+        fx2 = [block.f(y2)]
+    # G's backward, the last reader of y1, is done
+    np.subtract(y1.data, fx2[0].data, out=y1.data)  # y1 now holds x1
+    (dx2,) = backward(tf, fx2.pop(), g1, wrt=[y2])
+    g2 += dx2
+
+
+def sequence_backward(seq: ReversibleSequence, grad_out: np.ndarray, y) -> np.ndarray:
+    """Gradient of a reversible sequence given only its output, computed in
+    the buffers of ``y`` and ``grad_out``: ``block_backward`` for each block,
+    last block first. Each reconstructed pair becomes the "output" of the
+    preceding block, so no whole-sequence buffer ever exists.
+
+    The gradient halves are channel views of ``grad_out`` that seed the
+    sub-networks' backward and take each gradient sum, so ``grad_out`` is
+    returned as the input gradient. y1 and y2 are Tensors over channel views
+    of ``y`` (copies when the batch exceeds 1). A caller that still needs
+    ``y`` or ``grad_out`` copies it first; the tape engine hands it a
     gradient buffer nothing else holds (see ``tape.record``).
     """
     y_data = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float32)
@@ -191,27 +208,12 @@ def sequence_backward(seq: ReversibleSequence, grad_out: np.ndarray, y) -> np.nd
             f"sequence gradient shape {grad_out.shape} does not match "
             f"output shape {y_data.shape}"
         )
-    if not seq.blocks:
+    if not seq.blocks:  # at batch > 1 the halves below would be copies
         return grad_out
     half = y_data.shape[1] // 2
     # each block's output halves, then, rebuilt in place, its input halves
     y1, y2 = Tensor(y_data[:, :half]), Tensor(y_data[:, half:])
     g1, g2 = grad_out[:, :half], grad_out[:, half:]
-
     for block in reversed(seq.blocks):
-        with Tape() as tg:
-            gy1 = [block.g(y1)]
-        np.subtract(y2.data, gy1[0].data, out=y2.data)  # y2 now holds x2
-        (dy1,) = backward(tg, gy1.pop(), g2, wrt=[y1])
-        g1 += dy1
-        del dy1
-
-        with Tape() as tf:
-            fx2 = [block.f(y2)]
-        # G's backward, the last reader of y1, is done
-        np.subtract(y1.data, fx2[0].data, out=y1.data)  # y1 now holds x1
-        (dx2,) = backward(tf, fx2.pop(), g1, wrt=[y2])
-        g2 += dx2
-        del dx2
-
+        block_backward(block, y1, y2, g1, g2)
     return grad_out

@@ -1,11 +1,7 @@
-import os
-
-# Single-threaded BLAS by default: deterministic reduction order and stable
-# step timings, matching the CLI. This must happen before numpy loads.
-_threads = os.environ.get("REVVOLNET_THREADS", "1")
-for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
-             "NUMEXPR_NUM_THREADS"):
-    os.environ.setdefault(_var, _threads)
+# Imported first: the CLI module pins BLAS to REVVOLNET_THREADS (default 1)
+# as it loads, which must happen before numpy loads. One thread gives the
+# tests the CLI's deterministic reduction order and stable step timings.
+import revvolnet.cli  # noqa: F401
 
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402

@@ -39,7 +39,7 @@ FAULT_CASES = {"conv3d": ("conv3d", "conv_unit"),
                "group_norm_leaky_relu": ("group_norm_leaky_relu",),
                "sigmoid": ("sigmoid",),
                "max_pool2": ("max_pool2",), "upsample2": ("upsample2",),
-               "upsample_merge": ("upsample_merge",), "add": ("add_sub",),
+               "upsample_merge": ("upsample_merge",), "add": ("add",),
                "slice_channels": ("split_concat",),
                "concat_channels": ("split_concat",)}
 

@@ -12,9 +12,9 @@ from revvolnet import memory_model
 from revvolnet.memory_model import (estimate_nonreversible,
                                     estimate_partially_reversible,
                                     measure_peak)
-from revvolnet.tape import Tape, backprop
+from revvolnet.tape import Tape
 from revvolnet.tensor import Tensor
-from revvolnet.training import AdamState, adam_step, dice_loss, train_step
+from revvolnet.training import AdamState, train_step
 from revvolnet.unet import (ArchitectureSpec, ConvLayer, Network, build,
                             load_spec, parameter_count)
 
@@ -42,13 +42,8 @@ def training_step_closure(net, shape, stored, seed=0):
     state = AdamState()
 
     def run():
-        for p in params:
-            p.zero_grad()
-        with Tape() as tape:
-            pred = net.forward(x, stored_activations=stored)
-            loss = dice_loss(pred, target)
-            backprop(tape, loss)
-        adam_step(params, state, 1e-4, 1e-5)
+        train_step(net, params, state, x, target, 1e-4, 1e-5,
+                   stored_activations=stored)
 
     return run
 

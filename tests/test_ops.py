@@ -1039,7 +1039,7 @@ class TestFiniteDifferences:
             "conv3d", "conv1x1x1", "group_norm_leaky_relu", "sigmoid",
             "max_pool2", "upsample2",
             "upsample_merge", "reduce_sum",
-            "split_concat", "add_sub", "weighted_sum", "conv_unit",
+            "split_concat", "add", "weighted_sum", "conv_unit",
             "dice_loss"]
 
     def test_sum_of_conv_gradient_on_batched_input(self, rng):

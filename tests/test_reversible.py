@@ -6,9 +6,9 @@ import weakref
 import numpy as np
 import pytest
 
-from revvolnet import memory_model, memtrack, ops
+from revvolnet import memory_model, memtrack, ops, reversible, verification
 from revvolnet.reversible import (Module, ReversibleBlock, ReversibleSequence,
-                                  block_forward, block_inverse, make_block)
+                                  block_backward, block_forward, make_block)
 from revvolnet.tape import Tape, backprop, no_record
 from revvolnet.tensor import Parameter, ShapeError, Tensor
 from revvolnet.verification import (inversion_trials, relative_error,
@@ -58,6 +58,11 @@ def zero_block(channels, rng):
     return block
 
 
+def zero_halves(y1):
+    """Zero output gradient halves: block_backward then only inverts."""
+    return np.zeros((2,) + y1.shape, np.float32)
+
+
 class TestBlock:
     def test_zero_subnets_give_identity(self, rng):
         block = zero_block(8, rng)
@@ -81,24 +86,26 @@ class TestBlock:
         block = ReversibleBlock(KernelOnly(1.0), KernelOnly(2.0))
         y1 = Tensor(np.full((1, 1, 1, 1, 1), 3.0, np.float32))
         y2 = Tensor(np.full((1, 1, 1, 1, 1), 8.0, np.float32))
-        with no_record():
-            x1, x2 = block_inverse(block, y1, y2)
-        assert (x1.item(), x2.item()) == (1.0, 2.0)
+        block_backward(block, y1, y2, *zero_halves(y1))
+        assert (y1.item(), y2.item()) == (1.0, 2.0)
 
     def test_zero_subnets_inverse_identity(self, rng):
         block = zero_block(6, rng)
         y1 = Tensor(randn5(rng, (2, 3, 2, 2, 2)))
         y2 = Tensor(randn5(rng, (2, 3, 2, 2, 2)))
-        with no_record():
-            x1, x2 = block_inverse(block, y1, y2)
-        np.testing.assert_array_equal(x1.data, y1.data)
-        np.testing.assert_array_equal(x2.data, y2.data)
+        x1, x2 = y1.data.copy(), y2.data.copy()
+        block_backward(block, y1, y2, *zero_halves(y1))
+        np.testing.assert_array_equal(y1.data, x1)
+        np.testing.assert_array_equal(y2.data, x2)
 
     def test_mismatched_halves_rejected(self, rng):
         block = zero_block(8, rng)
         with pytest.raises(ShapeError):
             block_forward(block, Tensor(randn5(rng, (1, 4, 4, 4, 4))),
                           Tensor(randn5(rng, (1, 4, 2, 4, 4))))
+        y1, y2 = (Tensor(randn5(rng, (1, 4, d, 4, 4))) for d in (4, 2))
+        with pytest.raises(ShapeError):
+            block_backward(block, y1, y2, *zero_halves(y1))
 
     def test_round_trip_oracle(self, rng):
         worst = 0.0
@@ -108,11 +115,31 @@ class TestBlock:
             x2 = Tensor(randn5(rng, (1, 4, 8, 8, 8)))
             with no_record():
                 y1, y2 = block_forward(block, x1, x2)
-                r1, r2 = block_inverse(block, y1, y2)
+            block_backward(block, y1, y2, *zero_halves(y1))
             worst = max(worst,
-                        float(np.abs(r1.data - x1.data).max()),
-                        float(np.abs(r2.data - x2.data).max()))
+                        float(np.abs(y1.data - x1.data).max()),
+                        float(np.abs(y2.data - x2.data).max()))
         assert worst <= 1e-4
+
+    def test_inversion_checks_run_the_training_backward(self, rng,
+                                                        monkeypatch):
+        # the inversion trials and the sequence backward call one function,
+        # looked up where each of them finds it
+        calls = []
+
+        def spy(*args):
+            calls.append(args[0])
+            return block_backward(*args)
+
+        monkeypatch.setattr(reversible, "block_backward", spy)
+        monkeypatch.setattr(verification, "block_backward", spy)
+        inversion_trials(trials=2, width=4, spatial=2)
+        assert len(calls) == 2
+        calls.clear()
+        seq = toy_sequence(3, 8, rng)
+        y = Tensor(randn5(rng, (1, 8, 2, 2, 2)))
+        reversible.sequence_backward(seq, randn5(rng, y.shape), y)
+        assert calls == seq.blocks[::-1]
 
 
 class TestSequenceForward:
@@ -192,6 +219,19 @@ class TestSequenceBackward:
         y = Tensor(randn5(rng, (1, 8, 4, 4, 4)))
         with pytest.raises(ShapeError):
             sequence_backward(seq, np.zeros((1, 8, 2, 4, 4), np.float32), y)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_empty_sequence_backward_holds_nothing(self, rng, batch):
+        # at batch 2 the Tensors over y's halves would be copies
+        from revvolnet.reversible import sequence_backward
+
+        y = Tensor(randn5(rng, (batch, 8, 4, 4, 4)))
+        grad = randn5(rng, y.shape)
+        expected = grad.copy()
+        peak = memtrack.GLOBAL.measure(
+            lambda: sequence_backward(ReversibleSequence([]), grad, y))
+        assert peak == 0
+        np.testing.assert_array_equal(grad, expected)
 
     def test_backward_transient_peak_is_depth_independent(self, rng):
         peaks = {}

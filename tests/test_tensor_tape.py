@@ -153,7 +153,7 @@ class TestTapeAccounting:
                     read.update(src for kind, src in node.input_slots
                                 if kind == "node")
             plumbing = [n for n in tape.nodes if n.op in (
-                "upsample2", "concat_channels", "slice_channels", "add", "sub")]
+                "upsample2", "concat_channels", "slice_channels", "add")]
             assert {n.op for n in plumbing} == ops_seen
             for node in plumbing:
                 assert (node.retained_out is not None) == (node in read), node.name
