@@ -54,6 +54,35 @@ def _nonnegative_int(text):
     return value
 
 
+def _even_width(text):
+    value = _positive_int(text)
+    if value % 2:
+        raise argparse.ArgumentTypeError(
+            f"want an even width, two channel halves, got {text!r}")
+    return value
+
+
+def _fault(text):
+    name, _, scale = text.partition("=")
+    try:
+        return name, float(scale) if scale else 0.02
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"want OP or OP=SCALE with a numeric SCALE, got {text!r}") from None
+
+
+def _check_extents(spec, shape, what):
+    """``unet.check_divisible``, its error naming ``what``, the flag or file
+    the shape came from."""
+    from .tensor import ShapeError
+    from .unet import check_divisible
+
+    try:
+        check_divisible(spec, shape)
+    except ShapeError as exc:
+        raise ValueError(f"{what}: {exc}") from None
+
+
 def _emit(doc):
     print(json.dumps(doc, indent=2))
 
@@ -67,8 +96,8 @@ def cmd_gradcheck(args):
         spec = load_spec(args.spec)
         width = spec.levels[0] if spec.reversible else 2 * spec.levels[0]
     if args.inject_fault:
-        name, _, scale = args.inject_fault.partition("=")
-        tape.FAULTS[name] = float(scale) if scale else 0.02
+        name, scale = args.inject_fault
+        tape.FAULTS[name] = scale
         log.warning("fault injection active on op %r", name)
     try:
         results = verification.run_op_gradchecks(seed=args.seed)
@@ -146,8 +175,9 @@ def cmd_estimate_memory(args):
     from .unet import build, load_spec
 
     spec = load_spec(args.spec)
-    network = build(spec, seed=args.seed)
     input_shape = (args.batch, spec.in_channels) + args.input_shape
+    _check_extents(spec, input_shape, "--input-shape")
+    network = build(spec, seed=args.seed)
     report = memory_model.estimate(network, input_shape)
     if args.measure:
         _, report.measured_peak_bytes, _ = _step_peak(network, input_shape,
@@ -179,23 +209,15 @@ def _make_dataset(args, spec, seed):
     """The volumes ``train`` or ``eval`` runs on, once the spec's output
     regions and every volume's modalities and extents are checked against
     each other; a mismatch raises ``ValueError`` naming the field or file."""
-    from .tensor import ShapeError
     from .training import REGIONS, generate_synthetic, load_dataset
-    from .unet import check_divisible
 
     if spec.out_regions != len(REGIONS):
         raise ValueError(
             f"spec out_regions={spec.out_regions}: the masks hold "
             f"{len(REGIONS)} regions ({', '.join(REGIONS)})")
-
-    def check(shape, what):
-        try:
-            check_divisible(spec, shape)
-        except ShapeError as exc:
-            raise ValueError(f"{what}: {exc}") from None
-
     if args.synthetic is not None:
-        check((1, spec.in_channels) + (args.size,) * 3, f"--size {args.size}")
+        _check_extents(spec, (1, spec.in_channels) + (args.size,) * 3,
+                       f"--size {args.size}")
         rng = np.random.default_rng(seed)
         return [generate_synthetic(rng, size=args.size,
                                    modalities=spec.in_channels)
@@ -206,7 +228,7 @@ def _make_dataset(args, spec, seed):
             raise ValueError(
                 f"{volume.source}: {volume.image.shape[0]} modalities, but "
                 f"the spec's in_channels is {spec.in_channels}")
-        check((1,) + volume.image.shape, volume.source)
+        _check_extents(spec, (1,) + volume.image.shape, volume.source)
     return volumes
 
 
@@ -265,8 +287,9 @@ def cmd_bench(args):
     from .unet import build, load_spec
 
     spec = load_spec(args.spec)
-    network = build(spec, seed=args.seed)
     shape = (1, spec.in_channels) + args.input_shape
+    _check_extents(spec, shape, "--input-shape")
+    network = build(spec, seed=args.seed)
 
     def mode(stored):
         times, peak, numpy_peak = _step_peak(network, shape, args.seed,
@@ -309,8 +332,8 @@ def build_parser():
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--depth", type=_nonnegative_int, default=3,
                    help="reversible sequence depth; 0 skips the sequence check")
-    p.add_argument("--width", type=_positive_int, default=8)
-    p.add_argument("--inject-fault", metavar="OP[=SCALE]",
+    p.add_argument("--width", type=_even_width, default=8)
+    p.add_argument("--inject-fault", type=_fault, metavar="OP[=SCALE]",
                    help="corrupt the first input gradient of every node of "
                         "this op (any recorded op name; test hook)")
     p.set_defaults(fn=cmd_gradcheck)
@@ -319,7 +342,7 @@ def build_parser():
                                       "the training block backward")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=100)
-    p.add_argument("--width", type=_positive_int, default=8)
+    p.add_argument("--width", type=_even_width, default=8)
     p.add_argument("--spatial", type=_positive_int, default=8)
     p.set_defaults(fn=cmd_invert)
 

@@ -46,6 +46,15 @@ over both kinds; with no sequences present it degenerates to max(M_D) and
 the two totals coincide. Both formulas assume a non-branching chain; the report
 additionally carries the max over concurrently live gradient buffers on the
 real graph so the delta of the naive max-term is documented.
+
+The closed forms leave out three things. Kernel scratch: a unit's slab
+grids, accumulator and product, which memtrack does not see and
+tracemalloc does. Allocator slack. And the reversible forward's last
+transient: each sequence ends with ``concat_channels`` of its two output
+halves, a fresh full-width buffer built while the last block's outputs and
+the sequence's input are still alive. memtrack's desk reversible peak sits
+there, in ``dec0``, 262,144 B above the model less M_P. This is documented,
+not modelled.
 """
 
 import json

@@ -10,9 +10,9 @@ retains and hands over only those values, so closures capture parameters
 and small saved statistics only. The closures carry no test hook: the
 gradient checker corrupts gradients by op name in ``tape.backward``. Empty
 tensors (batch 0 or a zero spatial extent) run through the general kernels;
-GroupNorm statistics are undefined there, so ``group_norm_leaky_relu``
-keeps a branch for them and ``conv3d`` skips its ``norm`` prologue, which
-maps an empty tensor to itself.
+GroupNorm statistics are undefined there, so the normalisation's setup
+gives none and both ``group_norm_leaky_relu`` and ``conv3d``'s ``norm``
+prologue map an empty tensor to itself.
 
 Convolution has one padding rule: stride 1 and "same" zero padding, so
 every kernel extent must be odd (3x3x3 units, 1x1x1 channel changes) and
@@ -43,13 +43,15 @@ can, since each pass streams the whole activation:
 
 - ``group_norm_leaky_relu``, the paper's GroupNorm then LeakyReLU as one
   op (In-Place ABN's idea, Rota Bulò et al. 2018). Forward: the group
-  means, one centred copy ``x - mu``, the sum of its squares by one BLAS
-  dot per group (no product array, and no cancellation of E[x^2] - E[x]^2
-  at a large mean), a per-channel scale and shift in place on the centred
-  copy, then the LeakyReLU in place on it, chunk by chunk through one chunk
-  of scratch: one product ``s*x`` and one elementwise maximum (minimum for
-  s > 1), no boolean select; a slope <= 0 adds one masked copy to stay
-  exact at signed zeros and infinities. It saves only its input.
+  means, one centred copy ``x - mu`` whose sum of squares, by one BLAS dot
+  per group, gives the variance (no product array, and no cancellation of
+  E[x^2] - E[x]^2 at a large mean), freed before the output exists; then
+  each sample through ``_normalised_planes``, the helper every ConvUnit
+  runs: its centred rows, the per-channel scale and shift in place, then
+  the LeakyReLU straight into the op's output, as one product ``s*x`` and
+  one elementwise maximum (minimum for s > 1), no boolean select; a slope
+  <= 0 adds one masked copy to stay exact at signed zeros and infinities.
+  It saves only its input.
   Backward, in one gradient-sized buffer that becomes the input gradient
   (a copy of ``g``; in a unit, the conv's input gradient), in blocks of
   whole (sample, channel) rows: each block's centred rows and ``z``
@@ -59,23 +61,24 @@ can, since each pass streams the whole activation:
   then ``*= g``; per-row sums of that gradient ``gz`` and of ``gz * (x -
   mu)``, each over the whole row; and, once every group's sums are known,
   ``gx = a*gz + k*(x - mu) + c``, with a per channel and k, c per group.
-  No network records it. It stays as the bit-exact reference the ``norm``
-  prologue is composed against, and for its special-value tests, which an
-  identity 1x1x1 kernel behind the prologue would spoil: ``0 * inf`` in the
-  channel matmul spreads one channel's inf as NaN (``eye(3) @ [inf, 1, -0]``
-  is ``[inf, nan, nan]``), and ``-0 + 0 = +0`` loses a zero's sign.
+  No network records it. It stays as the whole-sample reference the
+  slabbed ``norm`` prologue is composed against, and for its special-value
+  tests, which an identity 1x1x1 kernel behind the prologue would spoil:
+  ``0 * inf`` in the channel matmul spreads one channel's inf as NaN
+  (``eye(3) @ [inf, 1, -0]`` is ``[inf, nan, nan]``), and ``-0 + 0 = +0``
+  loses a zero's sign. Since it normalises through the network's helper,
+  those tests check the code every unit runs.
 - ``conv3d(x, kernel, bias, norm=Norm(...))``, the paper's
   GN-LeakyReLU-conv unit as one op, bit for bit
   ``conv3d(group_norm_leaky_relu(x, *norm), kernel, bias)`` (the backward
   recompute of memory-efficient DenseNets, Pleiss et al. 2017). It records
   as ``conv3d`` and saves only ``x``, so the tape keeps one activation per
-  unit. Forward: the group statistics as above, the whole centred copy
-  freed before the output exists, then each slab's new input planes
-  normalised and copied into its grid. Backward: each slab's grid rebuilt
-  from ``x`` and the statistics by the same helper, so the forward, the
-  reversible recompute and the rebuild round alike; the conv backward into
-  the unpadded input gradient; then the normalisation backward above in
-  that gradient's buffer.
+  unit. Forward: the group statistics by the same setup as above, then
+  each slab's new input planes normalised and copied into its grid.
+  Backward: each slab's grid rebuilt from ``x`` and the statistics by the
+  same helper, so the forward, the reversible recompute and the rebuild
+  round alike; the conv backward into the unpadded input gradient; then
+  the normalisation backward above in that gradient's buffer.
 - ``max_pool2``: the forward takes pairwise maxima over strided views. The
   backward walks the eight block positions in scan order with a mask of
   blocks not yet routed, and writes ``g`` into a strided view of a zeroed
@@ -141,18 +144,11 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
     _check_axes(x, "conv3d input")
     pads = _conv_pads(x.shape, kernel, bias)
     params = (kernel,) if bias is None else (kernel, bias)
+    stats = norms = None
     if norm is not None:
         _check_norm("conv3d", x, norm.gamma, norm.beta, norm.group_size)
         params += (norm.gamma, norm.beta)
-    # the normalisation maps an empty tensor to itself
-    stats = norms = None
-    if norm is not None and x.element_count:
-        # the whole centred copy is freed here, before the output exists
-        stats = _norm_stats(x.data, norm.gamma, norm.beta, norm.group_size,
-                            norm.epsilon)[1]
-        # per sample, the arguments of _normalised_planes after the planes
-        norms = [(stats.mu[i], stats.scale[i], stats.shift,
-                  np.float32(norm.slope)) for i in range(x.shape[0])]
+        stats, norms = _norm_setup(x.data, norm)
     out = Tensor(_conv_forward(x.data, pads, kernel, bias, norms))
 
     def backward_fn(g, inputs, _output):
@@ -398,34 +394,29 @@ def group_norm_leaky_relu(x: Tensor, gamma: Parameter, beta: Parameter,
     affine map gamma * x_hat + beta, then LeakyReLU of ``slope``, as one op
     that keeps only ``x``.
 
-    ``group_size`` is the number of channels per group. The LeakyReLU runs in
-    place on the op's own normalised buffer, and the backward recomputes that
-    buffer from ``x`` in the forward's operation order, so no tape slot holds
-    the normalised tensor. At ``slope=1`` the op is GroupNorm, bit for bit.
+    ``group_size`` is the number of channels per group. Each sample is
+    normalised straight into the output by ``_normalised_planes``, the
+    helper the ``conv3d`` prologue runs, and the backward recomputes it from
+    ``x`` in the same operation order, so no tape slot holds the normalised
+    tensor. At ``slope=1`` the op is GroupNorm, bit for bit.
     """
     op = "group_norm_leaky_relu"
     _check_axes(x, f"{op} input")
     _check_norm(op, x, gamma, beta, group_size)
-    if x.element_count == 0:
-        out = Tensor(np.zeros_like(x.data))
-        # declares what the general path does, so an empty-batch trace
-        # retains what a real step does
-        return record(op, out, [x],
-                      lambda g, _i, _o: (np.zeros_like(g),), params=(gamma, beta),
-                      saves=("inputs",))
-
-    xc, stats = _norm_stats(x.data, gamma, beta, group_size, epsilon)
-    z = _scale_shift(xc.reshape(stats.scale.shape[:3] + (-1,)), stats.scale,
-                     stats.shift)
-    _leaky_relu_in_place(z, np.float32(slope))
+    stats, norms = _norm_setup(x.data, Norm(gamma, beta, group_size, epsilon,
+                                            slope))
+    out = np.empty(x.shape, dtype=np.float32)
+    for i, args in enumerate(norms or ()):
+        _normalised_planes(x.data[i], *args, out=out[i])
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
         gx = g.copy()  # the engine's gradient is read-only here
-        _norm_backward(x_val, gx, stats, gamma, beta, slope)
+        if stats is not None:
+            _norm_backward(x_val, gx, stats, gamma, beta, slope)
         return (gx,)
 
-    return record(op, Tensor(xc), [x], backward_fn, params=(gamma, beta),
+    return record(op, Tensor(out), [x], backward_fn, params=(gamma, beta),
                   saves=("inputs",))
 
 
@@ -442,37 +433,46 @@ def _check_norm(op, x, gamma, beta, group_size):
         )
 
 
-def _norm_stats(x, gamma, beta, group_size, epsilon):
-    """The centred copy ``x - mu`` of the non-empty array ``x`` (shape of
-    ``x``) and the ``_NormStats`` that ``_normalised_planes`` and
-    ``_norm_backward`` read, a few floats per group or channel."""
+def _norm_setup(x, norm):
+    """The ``_NormStats`` of the array ``x`` under ``norm``, a few floats
+    per group or channel, and per sample the arguments of
+    ``_normalised_planes`` after the planes; ``(None, None)`` for an empty
+    ``x``, which the normalisation maps to itself."""
+    if not x.size:
+        return None, None
     b, c = x.shape[:2]
-    groups = c // group_size
+    groups = c // norm.group_size
     n = x.size // (b * groups)
     mu = x.reshape(b, groups, n).mean(axis=2)[:, :, None, None]
-    # the centred copy gives the variance without the cancellation of
-    # E[x^2] - E[x]^2, and then becomes the output
-    xc = x.reshape(b, groups, group_size, -1) - mu
-    var = _row_dots(xc.reshape(b, groups, n), xc.reshape(b, groups, n)) / n
-    istd = (1.0 / np.sqrt(var + np.float32(epsilon)))[:, :, None]
-    scale = (gamma.value.data.reshape(groups, group_size) * istd)[..., None]
-    shift = beta.value.data.reshape(groups, group_size, 1)
-    return xc.reshape(x.shape), _NormStats(mu, istd, scale, shift)
+    # a centred copy gives the variance without the cancellation of
+    # E[x^2] - E[x]^2; it is freed before any output exists
+    xc = (x.reshape(b, groups, norm.group_size, -1) - mu).reshape(b, groups, n)
+    var = _row_dots(xc, xc) / n
+    istd = (1.0 / np.sqrt(var + np.float32(norm.epsilon)))[:, :, None]
+    scale = (norm.gamma.value.data.reshape(groups, norm.group_size)
+             * istd)[..., None]
+    shift = norm.beta.value.data.reshape(groups, norm.group_size, 1)
+    slope = np.float32(norm.slope)
+    return _NormStats(mu, istd, scale, shift), [
+        (mu[i], scale[i], shift, slope) for i in range(b)]
 
 
-def _normalised_planes(planes, mu, scale, shift, slope):
+def _normalised_planes(planes, mu, scale, shift, slope, out=None):
     """LeakyReLU(GroupNorm(x)) of one sample's planes ``planes`` (C, ...)
-    from its ``_NormStats`` (``mu``, ``scale`` for the sample), as a new
-    array.
+    from its ``_NormStats`` (``mu``, ``scale`` for the sample), into
+    ``out`` (a new array if None).
 
-    The unit's forward, its reversible recompute and its backward's rebuild
-    all form the normalised input here, so they round alike (and like
-    ``group_norm_leaky_relu``, which runs the same steps on its centred
-    copy): the centred rows, the affine step in place, then the LeakyReLU.
+    The unit's forward, its reversible recompute, its backward's rebuild and
+    ``group_norm_leaky_relu`` all form the normalised input here, so they
+    round alike: the centred rows, the affine step in place, then the
+    LeakyReLU.
     """
     z = planes.reshape(scale.shape[:2] + (-1,)) - mu
     _scale_shift(z, scale, shift)
-    return _leaky_relu(z, slope, out=np.empty_like(z)).reshape(planes.shape)
+    if out is None:
+        out = np.empty(planes.shape, dtype=np.float32)
+    _leaky_relu(z, slope, out=out.reshape(z.shape))
+    return out
 
 
 def _norm_backward(x, gh, stats, gamma, beta, slope):
@@ -562,16 +562,6 @@ def _leaky_relu(x, s, out):
         # 0 * inf is NaN, so x >= 0 takes x itself
         np.copyto(out, x, where=x >= 0)
     return out
-
-
-def _leaky_relu_in_place(z, s):
-    """``_leaky_relu`` over the contiguous ``z`` in place, one
-    ``_TILE_BYTES`` chunk at a time through a scratch of that size."""
-    flat = z.reshape(-1)
-    scratch = np.empty(min(flat.size, _TILE_BYTES // 4), dtype=np.float32)
-    for t0, t1 in _column_tiles(flat.size, 1):
-        x = flat[t0:t1]
-        x[...] = _leaky_relu(x, s, out=scratch[:t1 - t0])
 
 
 def _leaky_relu_factor(x, factors, out):

@@ -421,8 +421,8 @@ def _read_record(path) -> np.ndarray:
 def load_dataset(directory):
     """Volumes listed in ``manifest.txt``, one ``IMAGE MASKS`` pair of file
     names per line. An image record is (1, M, D, H, W) and its masks record
-    (1, 3, D, H, W); anything else raises ``ValueError`` naming the file or
-    the manifest line."""
+    (1, 3, D, H, W) of binary, nested regions (wt >= tc >= et); anything
+    else raises ``ValueError`` naming the file or the manifest line."""
     manifest = os.path.join(directory, "manifest.txt")
     volumes = []
     with open(manifest, "r", encoding="utf-8") as fh:
@@ -445,8 +445,14 @@ def load_dataset(directory):
                 raise ValueError(
                     f"{msk_path}: masks record must be {want} to match its "
                     f"image, got {masks.shape}")
-            volumes.append(LabeledVolume(image=image[0], masks=masks[0],
-                                         source=img_path))
+            volume = LabeledVolume(image=image[0], masks=masks[0],
+                                   source=img_path)
+            if not np.isin(masks, (0, 1)).all():
+                raise ValueError(f"{msk_path}: masks must be 0 or 1")
+            if not volume.check_nesting():
+                raise ValueError(
+                    f"{msk_path}: masks must nest, {' >= '.join(REGIONS)}")
+            volumes.append(volume)
     if not volumes:
         raise ValueError(f"dataset manifest {manifest} lists no volumes")
     return volumes

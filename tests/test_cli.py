@@ -45,10 +45,14 @@ FAULT_CASES = {"conv3d": ("conv3d", "conv_unit"),
 
 
 def run_cli(*args, timeout=600, env=None):
+    # the child imports the package from this checkout, installed or not
+    path = os.pathsep.join(filter(None, [str(Path(__file__).parents[1] / "src"),
+                                         os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "revvolnet", *args],
         capture_output=True, text=True, timeout=timeout,
-        env={**os.environ, "REVVOLNET_THREADS": "1", **(env or {})},
+        env={**os.environ, "REVVOLNET_THREADS": "1", "PYTHONPATH": path,
+             **(env or {})},
     )
     return proc
 
@@ -387,6 +391,22 @@ class TestTrainEval:
         assert "training on" not in proc.stderr
         assert not (tmp_path / "run").exists()
 
+    def test_non_binary_masks_are_usage_error(self, tmp_path, tiny_spec):
+        import numpy as np
+
+        from revvolnet.training import generate_synthetic, save_dataset
+
+        rng = np.random.default_rng(0)
+        vols = [generate_synthetic(rng, size=8) for _ in range(3)]
+        vols[0].masks *= 255
+        save_dataset(vols, tmp_path / "data")
+        proc = run_cli("train", "--spec", tiny_spec, "--data",
+                       str(tmp_path / "data"), "--out", str(tmp_path / "run"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "case000_masks.rvt: masks must be 0 or 1" in proc.stderr
+        assert not (tmp_path / "run").exists()
+
     def test_dataset_modality_count_mismatch_is_usage_error(self, tmp_path,
                                                             tiny_spec):
         import numpy as np
@@ -580,7 +600,29 @@ BAD_COUNTS = [
 ]
 
 
+# (command line, the flag its error must name): values each command checks
+# before it builds a network
+DESK = str(Path(__file__).parents[1] / "specs" / "desk_reversible.spec")
+BAD_VALUES = [
+    (["bench", "--spec", DESK, "--input-shape", "6,6,6"], "--input-shape"),
+    (["estimate-memory", "--spec", DESK, "--input-shape", "6,6,6"],
+     "--input-shape"),
+    (["invert", "--width", "7"], "--width"),
+    (["gradcheck", "--width", "7"], "--width"),
+    (["gradcheck", "--inject-fault", "conv3d=abc"], "--inject-fault"),
+]
+
+
 class TestUsage:
+    @pytest.mark.parametrize("argv, flag", BAD_VALUES,
+                             ids=[" ".join(a[:1] + a[-2:]) for a, _ in BAD_VALUES])
+    def test_bad_value_is_named_up_front(self, argv, flag):
+        proc = run_cli(*argv)
+        assert proc.returncode == 2
+        assert flag in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
     @pytest.mark.parametrize("argv, flag", BAD_COUNTS,
                              ids=[" ".join(a[:1] + a[-2:]) for a, _ in BAD_COUNTS])
     def test_count_out_of_range_is_usage_error(self, argv, flag):

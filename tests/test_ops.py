@@ -321,14 +321,14 @@ class TestGroupNorm:
 
 
 class TestLeakyRelu:
-    """The LeakyReLU kernels of ``group_norm_leaky_relu``: the in-place
-    forward and the factor-times-gradient backward."""
+    """The LeakyReLU kernels that ``_normalised_planes`` and
+    ``_norm_backward`` run for every normalisation: the forward into an
+    array of its own and the factor-times-gradient backward."""
 
     @staticmethod
     def _forward(x, slope):
-        y = np.array(x, np.float32)
-        ops._leaky_relu_in_place(y, np.float32(slope))
-        return y
+        x = np.array(x, np.float32)
+        return ops._leaky_relu(x, np.float32(slope), out=np.empty_like(x))
 
     @staticmethod
     def _backward(x, g, slope):
@@ -471,8 +471,8 @@ class TestGroupNormLeakyRelu:
 
     @pytest.mark.parametrize("slope", [0.01, -0.5])
     def test_chunked_kernels_match_composition(self, rng, slope):
-        # 76,800 elements: more than one chunk of the LeakyReLU forward, the
-        # last one partial, with special lanes in each
+        # 76,800 elements, two samples of 38,400 normalised one at a time,
+        # with special lanes in each
         arrays = self._arrays(rng, 2, spatial=(16, 12, 20))
         fused = self._run(lambda t, gp, bp: ops.group_norm_leaky_relu(
             t, gp, bp, 2, 1e-5, slope), *arrays)
@@ -480,6 +480,26 @@ class TestGroupNormLeakyRelu:
         for got, want in zip(fused, composed):
             np.testing.assert_array_equal(got.view(np.uint32),
                                           want.view(np.uint32))
+
+    def test_empty_batch_records_what_a_real_batch_does(self, rng):
+        # batch 0 runs the op's one path: it records its node, keeps its
+        # producer's output as a real batch would, and its backward gives
+        # an empty gradient and leaves the affine gradients alone
+        x0 = Tensor(np.zeros((0, 4, 3, 3, 3), np.float32))
+        gamma = Parameter(randn5(rng, (1, 4, 1, 1, 1), scale=1.0))
+        beta = Parameter(randn5(rng, (1, 4, 1, 1, 1), scale=1.0))
+        gamma.grad.data[...] = 1.5
+        beta.grad.data[...] = -2.5
+        with Tape() as tape:
+            x = ops.add(x0, x0)
+            y = ops.group_norm_leaky_relu(x, gamma, beta, 2)
+            assert [n.op for n in tape.nodes] == ["add", "group_norm_leaky_relu"]
+            assert tape.nodes[-1].saves == ("inputs",)
+            assert tape.nodes[0].retained_out is not None
+            (gx,) = backward(tape, y, np.zeros(y.shape, np.float32), wrt=[x0])
+        assert gx.shape == x0.shape
+        np.testing.assert_array_equal(gamma.grad.data, 1.5)
+        np.testing.assert_array_equal(beta.grad.data, -2.5)
 
     def test_conv_unit_retains_only_the_conv_input(self, rng):
         unit = ConvUnit(4, 6, rng, group_size=2)
@@ -543,6 +563,33 @@ class TestConvUnit:
         monkeypatch.setattr(ops, "_TILE_BYTES", 4 * (10 + 6) * hp * wp * 2)
         assert ops._slab_planes(10 + 6, hp, wp) == 2
         self._check_composition(rng, batch, k, slope)
+
+    def test_one_normalisation_forward(self, rng, monkeypatch):
+        # group_norm_leaky_relu and the conv3d prologue normalise through
+        # one helper, looked up in ops: the op once per sample, the
+        # prologue once per depth slab, for the planes the slab adds
+        calls = []
+
+        def spy(planes, *args, **kwargs):
+            calls.append(planes.shape)
+            return normalised_planes(planes, *args, **kwargs)
+
+        normalised_planes = ops._normalised_planes
+        monkeypatch.setattr(ops, "_normalised_planes", spy)
+        x = Tensor(randn5(rng, (2, 4, 6, 7, 8), scale=1.0))
+        gamma = Parameter(randn5(rng, (1, 4, 1, 1, 1), scale=1.0))
+        beta = Parameter(randn5(rng, (1, 4, 1, 1, 1), scale=1.0))
+        kernel = Parameter(randn5(rng, (6, 4, 3, 3, 3), scale=1.0))
+        with no_record():
+            ops.group_norm_leaky_relu(x, gamma, beta, 2)
+            assert calls == [(4, 6, 7, 8)] * 2
+            calls.clear()
+            # forward slabs of 2 output planes, reading input planes
+            # [0, 3), [3, 5) and [5, 6) as they enter
+            monkeypatch.setattr(ops, "_TILE_BYTES", 4 * 6 * 9 * 10 * 2)
+            assert ops._slab_planes(6, 9, 10) == 2
+            ops.conv3d(x, kernel, norm=ops.Norm(gamma, beta, 2))
+        assert calls == [(4, 3, 7, 8), (4, 2, 7, 8), (4, 1, 7, 8)] * 2
 
     def _check_composition(self, rng, batch, k, slope):
         # GroupNorm+LeakyReLU then conv3d, as two recorded ops; the unit
@@ -855,8 +902,7 @@ class TestKernelScratch:
         """LeakyReLU as an op of its own: an output buffer apart from its
         input, which it keeps for a backward that forms a fresh gradient."""
         s = np.float32(slope)
-        y = x.data.copy()
-        ops._leaky_relu_in_place(y, s)
+        y = ops._leaky_relu(x.data, s, out=np.empty_like(x.data))
         factors = np.array([s, 1], np.float32)
 
         def backward_fn(g, inputs, _output):

@@ -336,6 +336,19 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="manifest.txt line 3: want two"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("fault, message", [
+        ("scaled", "masks must be 0 or 1"),
+        ("reversed", "masks must nest, wt >= tc >= et")])
+    def test_masks_must_be_binary_and_nested(self, tmp_path, fault, message):
+        # one volume's masks saved times 255, or with the regions reversed
+        vols = tiny_dataset(n=2, size=8)
+        vols[1].masks = (vols[1].masks * 255 if fault == "scaled"
+                         else vols[1].masks[::-1].copy())
+        save_dataset(vols, tmp_path)
+        with pytest.raises(ValueError,
+                           match=f"case001_masks.rvt: {message}"):
+            load_dataset(tmp_path)
+
     def test_truncated_record_names_its_file(self, tmp_path):
         save_dataset(tiny_dataset(n=1, size=8), tmp_path)
         path = tmp_path / "case000_masks.rvt"
