@@ -26,6 +26,14 @@ import time
 
 import numpy as np
 
+from . import memory_model, tape, verification
+from .tensor import ShapeError, Tensor
+from .training import (REGIONS, AdamState, TrainingConfig, evaluate,
+                       generate_synthetic, load_config, load_dataset,
+                       restore_params, train, train_step, write_metrics_csv)
+from .unet import (build, check_divisible, load_checkpoint, load_spec,
+                   save_checkpoint)
+
 log = logging.getLogger("revvolnet")
 
 USAGE_ERROR = 2
@@ -74,9 +82,6 @@ def _fault(text):
 def _check_extents(spec, shape, what):
     """``unet.check_divisible``, its error naming ``what``, the flag or file
     the shape came from."""
-    from .tensor import ShapeError
-    from .unet import check_divisible
-
     try:
         check_divisible(spec, shape)
     except ShapeError as exc:
@@ -88,9 +93,6 @@ def _emit(doc):
 
 
 def cmd_gradcheck(args):
-    from . import tape, verification
-    from .unet import load_spec
-
     width = args.width
     if args.spec:
         spec = load_spec(args.spec)
@@ -109,7 +111,7 @@ def cmd_gradcheck(args):
         tape.FAULTS_APPLIED.clear()
     if missed:
         raise ValueError(f"--inject-fault: no op records under {name!r}")
-    seq_pass = args.depth == 0 or seq["worst"] <= 1e-4
+    seq_pass = args.depth == 0 or seq["worst"] <= verification.TOLERANCE
     doc = {
         "seed": args.seed,
         "ops": {r.name: {"worst_rel_error": r.worst_rel_error, "pass": r.passed}
@@ -129,13 +131,12 @@ def cmd_gradcheck(args):
 
 
 def cmd_invert(args):
-    from . import verification
-
     worst = verification.inversion_trials(seed=args.seed, trials=args.trials,
                                           width=args.width, spatial=args.spatial)
     doc = {"seed": args.seed, "trials": args.trials, "width": args.width,
            "spatial": args.spatial, "max_abs_error": worst,
-           "tolerance": 1e-4, "pass": worst <= 1e-4}
+           "tolerance": verification.TOLERANCE,
+           "pass": worst <= verification.TOLERANCE}
     _emit(doc)
     return 0 if doc["pass"] else VERIFY_ERROR
 
@@ -146,10 +147,6 @@ def _step_peak(network, input_shape, seed, stored=False, timed_steps=0):
 
     Returns the timed steps' seconds, the memtrack peak and the numpy peak.
     """
-    from . import memory_model
-    from .tensor import Tensor
-    from .training import AdamState, train_step
-
     rng = np.random.default_rng(seed)
     x = Tensor(rng.standard_normal(input_shape, dtype=np.float32) * 0.1)
     target = (rng.random((input_shape[0], network.spec.out_regions)
@@ -171,17 +168,15 @@ def _step_peak(network, input_shape, seed, stored=False, timed_steps=0):
 
 
 def cmd_estimate_memory(args):
-    from . import memory_model
-    from .unet import build, load_spec
-
     spec = load_spec(args.spec)
     input_shape = (args.batch, spec.in_channels) + args.input_shape
     _check_extents(spec, input_shape, "--input-shape")
     network = build(spec, seed=args.seed)
     report = memory_model.estimate(network, input_shape)
     if args.measure:
-        _, report.measured_peak_bytes, _ = _step_peak(network, input_shape,
-                                                      args.seed)
+        (_, report.measured_peak_bytes,
+         report.measured_numpy_peak_bytes) = _step_peak(network, input_shape,
+                                                        args.seed)
 
     doc = json.loads(report.to_json())
     doc["input_shape"] = list(input_shape)
@@ -209,8 +204,6 @@ def _make_dataset(args, spec, seed):
     """The volumes ``train`` or ``eval`` runs on, once the spec's output
     regions and every volume's modalities and extents are checked against
     each other; a mismatch raises ``ValueError`` naming the field or file."""
-    from .training import REGIONS, generate_synthetic, load_dataset
-
     if spec.out_regions != len(REGIONS):
         raise ValueError(
             f"spec out_regions={spec.out_regions}: the masks hold "
@@ -233,10 +226,6 @@ def _make_dataset(args, spec, seed):
 
 
 def cmd_train(args):
-    from .training import (TrainingConfig, load_config, restore_params,
-                           train, write_metrics_csv)
-    from .unet import build, load_spec, save_checkpoint
-
     spec = load_spec(args.spec)
     config = load_config(args.config) if args.config else TrainingConfig()
     if args.seed is not None:
@@ -271,9 +260,6 @@ def cmd_train(args):
 
 
 def cmd_eval(args):
-    from .training import evaluate
-    from .unet import load_checkpoint
-
     network = load_checkpoint(args.checkpoint)
     # a stream apart from train's, which draws from the bare seed: eval
     # --synthetic must not score a same-seed run on its own training volumes
@@ -284,8 +270,6 @@ def cmd_eval(args):
 
 
 def cmd_bench(args):
-    from .unet import build, load_spec
-
     spec = load_spec(args.spec)
     shape = (1, spec.in_channels) + args.input_shape
     _check_extents(spec, shape, "--input-shape")

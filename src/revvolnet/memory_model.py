@@ -85,13 +85,15 @@ class MemoryReport:
     total_prev_bytes: int
     terms: list
     breakdown: dict
-    measured_peak_bytes: int | None = None
+    measured_peak_bytes: int | None = None  # memtrack's, see measure_peaks
+    measured_numpy_peak_bytes: int | None = None  # tracemalloc's
 
     def to_json(self) -> str:
         doc = {
             "total_nonrev_bytes": self.total_nonrev_bytes,
             "total_prev_bytes": self.total_prev_bytes,
             "measured_peak_bytes": self.measured_peak_bytes,
+            "measured_numpy_peak_bytes": self.measured_numpy_peak_bytes,
             "breakdown": self.breakdown,
             "terms": [asdict(t) for t in self.terms],
         }
@@ -113,6 +115,9 @@ class MemoryReport:
         lines.append(f"partially reversible total:            {self.total_prev_bytes}")
         if self.measured_peak_bytes is not None:
             lines.append(f"measured peak:                         {self.measured_peak_bytes}")
+        if self.measured_numpy_peak_bytes is not None:
+            lines.append(f"measured numpy peak:                   "
+                         f"{self.measured_numpy_peak_bytes}")
         return "\n".join(lines)
 
 

@@ -60,6 +60,7 @@ can, since each pass streams the whole activation:
   patterns (wrapping uint32 arithmetic, no select and no index array),
   then ``*= g``; per-row sums of that gradient ``gz`` and of ``gz * (x -
   mu)``, each over the whole row; and, once every group's sums are known,
+  each block's centred rows recomputed once more and
   ``gx = a*gz + k*(x - mu) + c``, with a per channel and k, c per group.
   No network records it. It stays as the whole-sample reference the
   slabbed ``norm`` prologue is composed against, and for its special-value
@@ -73,12 +74,15 @@ can, since each pass streams the whole activation:
   ``conv3d(group_norm_leaky_relu(x, *norm), kernel, bias)`` (the backward
   recompute of memory-efficient DenseNets, Pleiss et al. 2017). It records
   as ``conv3d`` and saves only ``x``, so the tape keeps one activation per
-  unit. Forward: the group statistics by the same setup as above, then
-  each slab's new input planes normalised and copied into its grid.
-  Backward: each slab's grid rebuilt from ``x`` and the statistics by the
-  same helper, so the forward, the reversible recompute and the rebuild
-  round alike; the conv backward into the unpadded input gradient; then
-  the normalisation backward above in that gradient's buffer.
+  unit. A ConvUnit builds its ``Norm`` once and hands it to every call.
+  Each call's setup, the same as above, gives one record, ``_NormStats``:
+  that ``Norm``, the group statistics and the float32 slope. Everything
+  after reads only it. Forward: each slab's new input planes normalised
+  and copied into its grid. Backward: each slab's grid rebuilt from ``x``
+  by the same helper, so the forward, the reversible recompute and the
+  rebuild round alike; the conv backward into the unpadded input
+  gradient; then the normalisation backward above in that gradient's
+  buffer.
 - ``max_pool2``: the forward takes pairwise maxima over strided views. The
   backward walks the eight block positions in scan order with a mask of
   blocks not yet routed, and writes ``g`` into a strided view of a zeroed
@@ -121,7 +125,8 @@ def _check_axes(t, what: str):
 
 class Norm(NamedTuple):
     """The arguments of ``group_norm_leaky_relu`` after ``x``: the
-    normalisation ``conv3d`` applies to its input when given one."""
+    normalisation ``conv3d`` applies to its input when given one. A
+    ``ConvUnit`` holds one, with its GroupNorm parameters."""
 
     gamma: Parameter
     beta: Parameter
@@ -144,18 +149,18 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
     _check_axes(x, "conv3d input")
     pads = _conv_pads(x.shape, kernel, bias)
     params = (kernel,) if bias is None else (kernel, bias)
-    stats = norms = None
+    stats = None
     if norm is not None:
         _check_norm("conv3d", x, norm.gamma, norm.beta, norm.group_size)
         params += (norm.gamma, norm.beta)
-        stats, norms = _norm_setup(x.data, norm)
-    out = Tensor(_conv_forward(x.data, pads, kernel, bias, norms))
+        stats = _norm_setup(x.data, norm)
+    out = Tensor(_conv_forward(x.data, pads, kernel, bias, stats))
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
-        gx = _conv_backward(g, x_val, pads, kernel, bias, norms)
+        gx = _conv_backward(g, x_val, pads, kernel, bias, stats)
         if stats is not None:
-            _norm_backward(x_val, gx, stats, norm.gamma, norm.beta, norm.slope)
+            _norm_backward(x_val, gx, stats)
         return (gx,)
 
     return record("conv3d", out, [x], backward_fn, params=params,
@@ -237,27 +242,29 @@ def _column_tiles(n, rows):
         yield t0, min(t0 + step, n)
 
 
-def _grid_slabs(v, pads, step, norm=None):
-    """The depth slabs of one sample ``v`` (C, D, H, W), ``step`` output
-    planes each (the last may be shorter).
+def _grid_slabs(x, i, pads, step, stats=None):
+    """The depth slabs of sample ``i`` of ``x`` (B, C, D, H, W), ``step``
+    output planes each (the last may be shorter).
 
     Yields ``(lo, hi, grid)``: ``grid`` is the (C, hi - lo + 2*pd, Hp, Wp)
     zero-padded block of input planes [lo - pd, hi + pd) that output planes
-    [lo, hi) read, zero outside the volume. ``norm``, the arguments of
-    ``_normalised_planes`` after the planes, normalises them as they enter.
-    Without padding the grid is ``v``'s own planes (or their normalised
-    copy). Otherwise it is one buffer for all slabs: the 2*pd planes that
+    [lo, hi) read, zero outside the volume. With ``stats``, ``x``'s
+    ``_NormStats``, the planes are normalised as they enter. Without
+    padding the grid is the sample's own planes (or their normalised copy).
+    Otherwise it is one buffer for all slabs: the 2*pd planes that
     neighbouring slabs share are moved to its front, not rebuilt.
     """
+    v = x[i]
     c, d, h, w = v.shape
     pd, ph, pw = pads
+
+    def enter(planes):
+        return planes if stats is None else _normalised_planes(planes, stats, i)
+
     if not any(pads):
         for lo in range(0, d, step):
             hi = min(lo + step, d)
-            planes = v[:, lo:hi]
-            if norm is not None:
-                planes = _normalised_planes(planes, *norm)
-            yield lo, hi, planes
+            yield lo, hi, enter(v[:, lo:hi])
         return
     buf = np.zeros((c, min(step, d) + 2 * pd, h + 2 * ph, w + 2 * pw),
                    dtype=np.float32)
@@ -276,8 +283,7 @@ def _grid_slabs(v, pads, step, norm=None):
         grid[:, first:a - lo + pd] = 0
         if b > a:
             inner = grid[:, a - lo + pd:b - lo + pd, ph:ph + h, pw:pw + w]
-            inner[...] = (v[:, a:b] if norm is None
-                          else _normalised_planes(v[:, a:b], *norm))
+            inner[...] = enter(v[:, a:b])
         grid[:, max(a, b) - lo + pd:] = 0
         yield lo, hi, grid
 
@@ -306,10 +312,9 @@ def _slab_gemm(mats, shifts, grid, dst):
         dst[...] = acc.reshape(r, planes, hp, wp)[:, :, :h, :w]
 
 
-def _conv_forward(x, pads, kernel, bias, norms):
-    """The convolution of ``x``, one depth slab at a time; with ``norms``
-    (per sample, the ``_normalised_planes`` arguments after the planes) of
-    the normalised ``x``."""
+def _conv_forward(x, pads, kernel, bias, stats):
+    """The convolution of ``x``, one depth slab at a time; with ``stats``,
+    ``x``'s ``_NormStats``, of the normalised ``x``."""
     w = kernel.value.data
     b, c, d, h, wdt = x.shape
     out_ch = w.shape[0]
@@ -318,15 +323,14 @@ def _conv_forward(x, pads, kernel, bias, norms):
     step = _slab_planes(max(c, out_ch), hp, wp)
     out = np.empty((b, out_ch, d, h, wdt), dtype=np.float32)
     for i in range(b if out.size else 0):
-        for lo, hi, grid in _grid_slabs(x[i], pads, step,
-                                        None if norms is None else norms[i]):
+        for lo, hi, grid in _grid_slabs(x, i, pads, step, stats):
             _slab_gemm(mats, shifts, grid, out[i, :, lo:hi])
     if bias is not None:
         out += bias.value.data
     return out
 
 
-def _conv_backward(g, x, pads, kernel, bias, norms):
+def _conv_backward(g, x, pads, kernel, bias, stats):
     """The input gradient of ``_conv_forward`` at output gradient ``g``; the
     kernel and bias gradients are added to ``kernel.grad`` and ``bias.grad``.
 
@@ -355,9 +359,8 @@ def _conv_backward(g, x, pads, kernel, bias, norms):
     gw = np.zeros(w.shape[2:] + w.shape[:2], dtype=np.float32)
     gx = np.empty(x.shape, dtype=np.float32)
     for i in range(b if x.size else 0):
-        slabs = zip(_grid_slabs(x[i], pads, step,
-                                None if norms is None else norms[i]),
-                    _grid_slabs(g[i], pads, step))
+        slabs = zip(_grid_slabs(x, i, pads, step, stats),
+                    _grid_slabs(g, i, pads, step))
         for (lo, hi, xgrid), (_, _, ggrid) in slabs:
             n = _slab_columns(hi - lo, h, wdt, hp, wp)
             gf = ggrid.reshape(out_ch, -1)[:, centre:centre + n]
@@ -376,15 +379,19 @@ def _conv_backward(g, x, pads, kernel, bias, norms):
 
 
 class _NormStats(NamedTuple):
-    """GroupNorm statistics of a (B, C, ...) input in the grouped layout
-    (B, G, group_size, ...): ``mu`` (B, G, 1, 1) and ``istd`` (B, G, 1) per
-    (sample, group), ``scale`` = gamma * istd (B, G, group_size, 1) per
-    (sample, channel), and ``shift``, beta, (G, group_size, 1)."""
+    """Everything the normalisation of one (B, C, ...) input reads, held
+    once per op call: its ``Norm``, and the GroupNorm statistics in the
+    grouped layout (B, G, group_size, ...), ``mu`` (B, G, 1, 1) and ``istd``
+    (B, G, 1) per (sample, group), ``scale`` = gamma * istd
+    (B, G, group_size, 1) per (sample, channel), ``shift``, beta,
+    (G, group_size, 1), and ``slope``, the float32 LeakyReLU slope."""
 
+    norm: Norm
     mu: np.ndarray
     istd: np.ndarray
     scale: np.ndarray
     shift: np.ndarray
+    slope: np.float32
 
 
 def group_norm_leaky_relu(x: Tensor, gamma: Parameter, beta: Parameter,
@@ -403,17 +410,16 @@ def group_norm_leaky_relu(x: Tensor, gamma: Parameter, beta: Parameter,
     op = "group_norm_leaky_relu"
     _check_axes(x, f"{op} input")
     _check_norm(op, x, gamma, beta, group_size)
-    stats, norms = _norm_setup(x.data, Norm(gamma, beta, group_size, epsilon,
-                                            slope))
+    stats = _norm_setup(x.data, Norm(gamma, beta, group_size, epsilon, slope))
     out = np.empty(x.shape, dtype=np.float32)
-    for i, args in enumerate(norms or ()):
-        _normalised_planes(x.data[i], *args, out=out[i])
+    for i in range(0 if stats is None else x.shape[0]):
+        _normalised_planes(x.data[i], stats, i, out=out[i])
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
         gx = g.copy()  # the engine's gradient is read-only here
         if stats is not None:
-            _norm_backward(x_val, gx, stats, gamma, beta, slope)
+            _norm_backward(x_val, gx, stats)
         return (gx,)
 
     return record(op, Tensor(out), [x], backward_fn, params=(gamma, beta),
@@ -435,11 +441,10 @@ def _check_norm(op, x, gamma, beta, group_size):
 
 def _norm_setup(x, norm):
     """The ``_NormStats`` of the array ``x`` under ``norm``, a few floats
-    per group or channel, and per sample the arguments of
-    ``_normalised_planes`` after the planes; ``(None, None)`` for an empty
-    ``x``, which the normalisation maps to itself."""
+    per group or channel; None for an empty ``x``, which the normalisation
+    maps to itself."""
     if not x.size:
-        return None, None
+        return None
     b, c = x.shape[:2]
     groups = c // norm.group_size
     n = x.size // (b * groups)
@@ -452,42 +457,40 @@ def _norm_setup(x, norm):
     scale = (norm.gamma.value.data.reshape(groups, norm.group_size)
              * istd)[..., None]
     shift = norm.beta.value.data.reshape(groups, norm.group_size, 1)
-    slope = np.float32(norm.slope)
-    return _NormStats(mu, istd, scale, shift), [
-        (mu[i], scale[i], shift, slope) for i in range(b)]
+    return _NormStats(norm, mu, istd, scale, shift, np.float32(norm.slope))
 
 
-def _normalised_planes(planes, mu, scale, shift, slope, out=None):
-    """LeakyReLU(GroupNorm(x)) of one sample's planes ``planes`` (C, ...)
-    from its ``_NormStats`` (``mu``, ``scale`` for the sample), into
-    ``out`` (a new array if None).
+def _normalised_planes(planes, stats, i, out=None):
+    """LeakyReLU(GroupNorm(x)) of planes ``planes`` (C, ...) of sample ``i``
+    of the input whose ``_NormStats`` are ``stats``, into ``out`` (a new
+    array if None).
 
     The unit's forward, its reversible recompute, its backward's rebuild and
     ``group_norm_leaky_relu`` all form the normalised input here, so they
     round alike: the centred rows, the affine step in place, then the
     LeakyReLU.
     """
-    z = planes.reshape(scale.shape[:2] + (-1,)) - mu
-    _scale_shift(z, scale, shift)
+    z = planes.reshape(stats.scale.shape[1:3] + (-1,)) - stats.mu[i]
+    _scale_shift(z, stats.scale[i], stats.shift)
     if out is None:
         out = np.empty(planes.shape, dtype=np.float32)
-    _leaky_relu(z, slope, out=out.reshape(z.shape))
+    _leaky_relu(z, stats.slope, out=out.reshape(z.shape))
     return out
 
 
-def _norm_backward(x, gh, stats, gamma, beta, slope):
-    """The input gradient of ``_normalised_planes``, formed in place in the
-    gradient ``gh`` at its output; gamma's and beta's gradients are added to
-    their ``grad``.
+def _norm_backward(x, gh, stats):
+    """The input gradient of ``_normalised_planes`` over all of ``x``, whose
+    ``_NormStats`` are ``stats``, formed in place in the gradient ``gh`` at
+    its output; the gradients of ``stats.norm``'s gamma and beta are added
+    to their ``grad``.
 
     Two passes over blocks of whole (sample, channel) rows, about
     ``_TILE_BYTES`` of one row block each. The first recomputes each
     block's ``z`` from ``x``, multiplies ``gh``'s rows by the LeakyReLU
     factor of its sign (the gradient at ``z``), then forms each row's sums
     of that and of it times ``x - mu`` over the whole row. The second, once
-    every group's sums are known, turns the rows into the input gradient.
-    The last block's centred rows are still at hand for it and the others
-    are recomputed, so a tensor of one block runs one pass.
+    every group's sums are known, recomputes each block's centred rows and
+    turns the rows into the input gradient.
     """
     b, groups, group_size = stats.scale.shape[:3]
     c = groups * group_size
@@ -498,8 +501,7 @@ def _norm_backward(x, gh, stats, gamma, beta, slope):
     scale, shift = stats.scale.reshape(b, c, 1), stats.shift.reshape(c, 1)
     blocks = [(i, slice(c0, c1)) for i in range(b)
               for c0, c1 in _column_tiles(c, xr.shape[2])]
-    kept = blocks[-1]
-    factors = np.array([slope, 1], dtype=np.float32)
+    factors = np.array([stats.slope, 1], dtype=np.float32)
     sg = np.empty((b, c), dtype=np.float32)
     sgx = np.empty((b, c), dtype=np.float32)
     for i, rows in blocks:
@@ -512,11 +514,11 @@ def _norm_backward(x, gh, stats, gamma, beta, slope):
         xc = xr[i, rows] - mu[i, rows]
         sg[i, rows] = gg.sum(axis=1)
         sgx[i, rows] = _row_dots(gg, xc)
-        if (i, rows) != kept:
-            del xc  # before the next block's
+        del xc  # before the next block's
     sg = sg.reshape(b, groups, group_size)
     sgx = sgx.reshape(b, groups, group_size)
     istd = stats.istd
+    gamma, beta = stats.norm.gamma, stats.norm.beta
     gam = gamma.value.data.reshape(groups, group_size)
     beta.grad.data += sg.sum(axis=0).reshape(beta.grad.shape)
     gamma.grad.data += (sgx * istd).sum(axis=0).reshape(gamma.grad.shape)
@@ -526,9 +528,8 @@ def _norm_backward(x, gh, stats, gamma, beta, slope):
     m2 = (gam * sgx).sum(axis=2, keepdims=True) / n
     k = np.repeat(-istd ** 3 * m2, group_size, axis=1)
     const = np.repeat(-istd * m1, group_size, axis=1)
-    for i, rows in reversed(blocks):
-        if (i, rows) != kept:
-            xc = xr[i, rows] - mu[i, rows]
+    for i, rows in blocks:
+        xc = xr[i, rows] - mu[i, rows]
         gx = gr[i, rows]
         gx *= scale[i, rows]
         xc *= k[i, rows]
@@ -635,28 +636,22 @@ def max_pool2(x: Tensor) -> Tensor:
                   saves=("inputs", "output"))
 
 
-_interp_cache = {}
-
-
 def _interp_matrix(n_in: int) -> np.ndarray:
     """Row-stochastic (2n x n) trilinear upsampling weights for one axis.
 
     Output voxel centers sit at input coordinate (o + 0.5) / 2 - 0.5,
     clamped into the valid range (the align-corners-false convention).
+    Row o weighs its two neighbours i0 = floor(src) and i1 = min(i0 + 1,
+    n - 1) by 1 - frac and frac; at the clamped ends they are one column,
+    which gets 1 - frac first, then frac.
     """
-    m = _interp_cache.get(n_in)
-    if m is not None:
-        return m
-    n_out = 2 * n_in
-    m = np.zeros((n_out, n_in), dtype=np.float32)
-    for o in range(n_out):
-        src = max((o + 0.5) / 2.0 - 0.5, 0.0)
-        i0 = int(np.floor(src))
-        i1 = min(i0 + 1, n_in - 1)
-        frac = np.float32(src - i0)
-        m[o, i0] += np.float32(1.0) - frac
-        m[o, i1] += frac
-    _interp_cache[n_in] = m
+    o = np.arange(2 * n_in)
+    src = np.maximum((o + 0.5) / 2.0 - 0.5, 0.0)
+    i0 = np.floor(src).astype(np.intp)
+    frac = (src - i0).astype(np.float32)
+    m = np.zeros((2 * n_in, n_in), dtype=np.float32)
+    np.add.at(m, (o, i0), np.float32(1.0) - frac)
+    np.add.at(m, (o, np.minimum(i0 + 1, n_in - 1)), frac)
     return m
 
 

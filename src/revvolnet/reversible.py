@@ -24,21 +24,25 @@ from .tensor import Parameter, ShapeError, Tensor
 
 
 class Module:
-    """Minimal parameter container."""
+    """Minimal parameter container: its parameters are the Parameters among
+    its attributes, those of its sub-Modules, and those held in lists and
+    tuples, at any depth, in attribute order."""
 
     def parameters(self):
-        for value in vars(self).values():
-            if isinstance(value, Parameter):
-                yield value
-            elif isinstance(value, Module):
-                yield from value.parameters()
-            elif isinstance(value, (list, tuple)):
-                for item in value:
-                    if isinstance(item, Module):
-                        yield from item.parameters()
+        return _parameters(vars(self).values())
 
     def __call__(self, x):
         return self.forward(x)
+
+
+def _parameters(values):
+    for value in values:
+        if isinstance(value, Parameter):
+            yield value
+        elif isinstance(value, Module):
+            yield from value.parameters()
+        elif isinstance(value, (list, tuple)):
+            yield from _parameters(value)
 
 
 def he_kernel(rng, out_ch, in_ch, k, name=None) -> Parameter:
@@ -54,6 +58,11 @@ class ConvUnit(Module):
     ``ops.conv3d`` op with a ``norm`` prologue, which keeps only the unit's
     input and rebuilds the normalised activation in its backward.
 
+    ``norm``, the unit's ``ops.Norm``, holds the GroupNorm affine
+    parameters and the group size, epsilon and slope; it is built once and
+    handed to every call, so its parameters come first: gamma, beta,
+    kernel, bias.
+
     The standard residual sub-network used for both F and G, and at full
     width for the non-reversible baseline stacks.
     """
@@ -65,22 +74,18 @@ class ConvUnit(Module):
                 f"{name}: input channels ({in_channels}) not divisible by "
                 f"group size ({group_size})"
             )
-        self.group_size = group_size
-        self.slope = slope
-        self.epsilon = epsilon
-        self.gamma = Parameter(np.ones((1, in_channels, 1, 1, 1), dtype=np.float32),
-                               id=f"{name}.gamma")
-        self.beta = Parameter(np.zeros((1, in_channels, 1, 1, 1), dtype=np.float32),
-                              id=f"{name}.beta")
+        gamma = Parameter(np.ones((1, in_channels, 1, 1, 1), dtype=np.float32),
+                          id=f"{name}.gamma")
+        beta = Parameter(np.zeros((1, in_channels, 1, 1, 1), dtype=np.float32),
+                         id=f"{name}.beta")
+        self.norm = ops.Norm(gamma, beta, group_size, epsilon, slope)
         self.kernel = he_kernel(rng, out_channels, in_channels, kernel_size,
                                 name=f"{name}.kernel")
         self.bias = Parameter(np.zeros((1, out_channels, 1, 1, 1), dtype=np.float32),
                               id=f"{name}.bias")
 
     def forward(self, x: Tensor) -> Tensor:
-        norm = ops.Norm(self.gamma, self.beta, self.group_size, self.epsilon,
-                        self.slope)
-        return ops.conv3d(x, self.kernel, self.bias, norm=norm)
+        return ops.conv3d(x, self.kernel, self.bias, norm=self.norm)
 
 
 class ReversibleBlock(Module):

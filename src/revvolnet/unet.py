@@ -230,13 +230,12 @@ def _run_step(step, x, skips, stored):
 
 
 class Network(Module):
-    def __init__(self, spec: ArchitectureSpec, steps, registry):
+    """The steps of ``spec``'s network; its parameters are those of the
+    steps' modules, in step order."""
+
+    def __init__(self, spec: ArchitectureSpec, steps):
         self.spec = spec
         self.steps = steps
-        self.registry = registry  # ordered {param id: Parameter}
-
-    def parameters(self):
-        return iter(self.registry.values())
 
     def forward(self, x: Tensor, stored_activations: bool = False) -> Tensor:
         if x.shape[1] != self.spec.in_channels:
@@ -352,14 +351,7 @@ def build(spec: ArchitectureSpec, seed: int = 0) -> Network:
                   ConvLayer(widths[0], spec.out_regions, spec.head_kernel_size,
                             rng, "head")))
     steps.append(("sigmoid", "output"))
-
-    registry = {}
-    for step in steps:
-        obj = step[2] if len(step) > 2 else None
-        if isinstance(obj, Module):
-            for p in obj.parameters():
-                registry[p.id] = p
-    return Network(spec, steps, registry)
+    return Network(spec, steps)
 
 
 def parameter_count(network: Network) -> int:

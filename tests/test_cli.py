@@ -141,6 +141,9 @@ class TestEstimateMemory:
         doc = first_json(proc.stdout)
         assert sorted(doc) == SCHEMA["estimate-memory"]
         assert sorted(doc["compare"]) == SCHEMA["estimate-memory.compare"]
+        # without --measure no step runs
+        assert doc["measured_peak_bytes"] is None
+        assert doc["measured_numpy_peak_bytes"] is None
         assert sorted(doc["terms"][0]) == SCHEMA["estimate-memory.term"]
         cmp = doc["compare"]
         assert cmp["reversible_total_bytes"] < cmp["baseline_total_bytes"]
@@ -152,7 +155,9 @@ class TestEstimateMemory:
                        "--input-shape", "8,8,8", "--measure", "--compare")
         assert proc.returncode == 0, proc.stderr
         doc = first_json(proc.stdout)
-        assert doc["measured_peak_bytes"] > 0
+        for key in ("measured_peak_bytes", "measured_numpy_peak_bytes"):
+            assert type(doc[key]) is int and doc[key] > 0, key
+        assert "measured numpy peak:" in proc.stdout
 
     def test_schema_stable_across_runs(self, tmp_path):
         spec = tmp_path / "base.spec"
@@ -279,7 +284,7 @@ class TestTrainEval:
         # (config seed 0), then eval --synthetic 5 (--seed 0)
         import numpy as np
 
-        from revvolnet import cli, training, unet
+        from revvolnet import cli, unet
 
         made = []
         make_dataset = cli._make_dataset
@@ -294,10 +299,11 @@ class TestTrainEval:
         def stop(*_args, **_kwargs):
             raise Stop
 
+        # the CLI module holds its own names of these functions
         monkeypatch.setattr(cli, "_make_dataset", spy)
-        monkeypatch.setattr(training, "train", stop)
-        monkeypatch.setattr(training, "evaluate", stop)
-        monkeypatch.setattr(unet, "load_checkpoint",
+        monkeypatch.setattr(cli, "train", stop)
+        monkeypatch.setattr(cli, "evaluate", stop)
+        monkeypatch.setattr(cli, "load_checkpoint",
                             lambda _prefix: unet.build(unet.load_spec(tiny_spec)))
         for argv in (["train", "--spec", tiny_spec, "--synthetic", "25",
                       "--size", "12", "--out", str(tmp_path / "run")],

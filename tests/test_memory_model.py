@@ -30,8 +30,7 @@ def single_conv_network():
     rng = np.random.default_rng(0)
     layer = ConvLayer(1, 1, 3, rng, "solo")
     spec = ArchitectureSpec(levels=[2, 4], group_size=1)
-    registry = {p.id: p for p in layer.parameters()}
-    return Network(spec, [("conv", "solo", layer)], registry)
+    return Network(spec, [("conv", "solo", layer)])
 
 
 def training_step_closure(net, shape, stored, seed=0):
@@ -63,7 +62,7 @@ class TestHandAccounting:
 
     def test_empty_network_is_zero(self):
         spec = ArchitectureSpec(levels=[2, 4], group_size=1)
-        empty = Network(spec, [], {})
+        empty = Network(spec, [])
         report = estimate_nonreversible(empty, (1, 1, 8, 8, 8))
         assert report.total_nonrev_bytes == 0
         assert report.total_prev_bytes == 0
@@ -340,7 +339,8 @@ class TestReportFormats:
 
         doc = json.loads(report.to_json())
         assert set(doc) == {"total_nonrev_bytes", "total_prev_bytes",
-                            "measured_peak_bytes", "breakdown", "terms"}
+                            "measured_peak_bytes",
+                            "measured_numpy_peak_bytes", "breakdown", "terms"}
         assert set(doc["terms"][0]) == {"layer", "kind", "activation_bytes",
                                         "param_bytes", "derivative_bytes",
                                         "backward_transient_bytes", "saved"}

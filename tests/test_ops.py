@@ -769,6 +769,30 @@ class TestUpsample2:
             basis[idx] = 0.0
             assert gx[idx] == pytest.approx(want, rel=1e-5, abs=1e-6)
 
+    def test_interp_matrix_rows_follow_the_formula(self):
+        # row o weighs floor(src) by 1 - frac and the next column, clamped,
+        # by frac; at the clamped ends both weights land in one column
+        for n in range(1, 65):
+            want = np.zeros((2 * n, n), dtype=np.float32)
+            for o in range(2 * n):
+                src = max((o + 0.5) / 2.0 - 0.5, 0.0)
+                i0 = int(np.floor(src))
+                frac = np.float32(src - i0)
+                want[o, i0] += np.float32(1.0) - frac
+                want[o, min(i0 + 1, n - 1)] += frac
+            got = ops._interp_matrix(n)
+            assert got.dtype == np.float32
+            np.testing.assert_array_equal(got.view(np.uint32),
+                                          want.view(np.uint32), err_msg=str(n))
+
+    def test_interp_matrix_is_not_shared(self):
+        # each call builds its own matrix, so writing into one leaves the
+        # next call's untouched
+        first = ops._interp_matrix(4)
+        assert ops._interp_matrix(4) is not first
+        first[...] = 0
+        np.testing.assert_array_equal(ops._interp_matrix(4).sum(axis=1), 1.0)
+
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("shape", [(2, 2, 0, 3, 5), (2, 2, 3, 5, 0)])
     def test_zero_depth_and_width(self, shape):

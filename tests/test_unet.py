@@ -10,7 +10,7 @@ from revvolnet import ops
 from revvolnet.reversible import ConvUnit, Module
 from revvolnet.tape import no_record
 from revvolnet.tensor import Parameter, ShapeError, Tensor
-from revvolnet.unet import (ArchitectureSpec, _run_step, build,
+from revvolnet.unet import (ArchitectureSpec, ConvLayer, _run_step, build,
                             forward_full_volume, load_checkpoint, load_spec,
                             parameter_count, parse_spec_text, save_checkpoint,
                             spec_to_text)
@@ -128,6 +128,26 @@ class TestStructure:
             expect = 3 if path == "encoder" else 2
             assert len(seq.blocks) == expect
 
+    def test_parameters_follow_the_steps(self, rng):
+        # the network holds no parameter list of its own: a step's new
+        # layer is what it trains and saves
+        net = build(ArchitectureSpec(levels=[4, 8], group_size=2), seed=0)
+        kind, name, old = net.steps[0]
+        new = ConvLayer(4, 4, 1, rng, "stem")
+        net.steps[0] = (kind, name, new)
+        params = list(net.parameters())
+        assert params[0] is new.kernel and params[1] is new.bias
+        assert not any(p is q for p in params for q in old.parameters())
+
+    def test_conv_unit_parameters_are_norm_then_conv(self, rng):
+        unit = ConvUnit(4, 6, rng, group_size=2, name="u")
+        params = list(unit.parameters())
+        want = [unit.norm.gamma, unit.norm.beta, unit.kernel, unit.bias]
+        assert len(params) == 4
+        assert all(p is q for p, q in zip(params, want))
+        assert [p.id for p in params] == ["u.gamma", "u.beta", "u.kernel",
+                                          "u.bias"]
+
     def test_shape_algebra_halves_and_restores(self):
         spec = ArchitectureSpec(levels=[10, 20, 40], group_size=5)
         net = build(spec, seed=0)
@@ -158,7 +178,7 @@ class TestStructure:
                  for u in conv_units(step[2])]
         # two units per block: 2 blocks at each of 2 encoder levels, 1 decoder
         assert len(units) == 2 * (2 * 2 + 1)
-        assert all(u.epsilon == 0.5 for u in units)
+        assert all(u.norm.epsilon == 0.5 for u in units)
 
     def test_trace_output_matches_real_forward(self, rng):
         for reversible in (True, False):
@@ -329,6 +349,21 @@ class TestCheckpoints:
             tensorio.write_tensor(fh, np.zeros((1, 1, 1, 1, 1)))
         with pytest.raises(ValueError, match="ckpt.rvt: bytes after the last"):
             load_checkpoint(tmp_path / "ckpt")
+
+    def test_desk_manifest_is_pinned(self, tmp_path):
+        def conv(name):
+            return [f"{name}.kernel", f"{name}.bias"]
+
+        def block(name):
+            return [f"{name}.b0.{sub}.{p}" for sub in "fg"
+                    for p in ("gamma", "beta", "kernel", "bias")]
+
+        want = (conv("stem") + block("enc0") + conv("down0") + block("enc1")
+                + conv("down1") + block("enc2") + conv("merge1")
+                + block("dec1") + conv("merge0") + block("dec0")
+                + conv("head"))
+        save_checkpoint(build(load_spec(DESK_SPEC), seed=0), tmp_path / "ckpt")
+        assert (tmp_path / "ckpt.manifest").read_text().split() == want
 
     def test_manifest_lists_ids_in_registry_order(self, tmp_path):
         net = build(ArchitectureSpec(levels=[4, 8], group_size=2), seed=0)
