@@ -323,7 +323,7 @@ def build_parser():
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("invert", help="reversible block round trips through "
-                                      "the training block backward")
+                                      "the training forward and backward")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_positive_int, default=100)
     p.add_argument("--width", type=_even_width, default=8)

@@ -47,14 +47,14 @@ the two totals coincide. Both formulas assume a non-branching chain; the report
 additionally carries the max over concurrently live gradient buffers on the
 real graph so the delta of the naive max-term is documented.
 
-The closed forms leave out three things. Kernel scratch: a unit's slab
-grids, accumulator and product, which memtrack does not see and
-tracemalloc does. Allocator slack. And the reversible forward's last
-transient: each sequence ends with ``concat_channels`` of its two output
-halves, a fresh full-width buffer built while the last block's outputs and
-the sequence's input are still alive. memtrack's desk reversible peak sits
-there, in ``dec0``, 262,144 B above the model less M_P. This is documented,
-not modelled.
+The closed forms leave out two things: kernel scratch (a unit's slab
+grids, accumulator and product), which memtrack does not see and
+tracemalloc does, and allocator slack. A reversible sequence couples in
+place in its input's buffer, so its forward adds no buffer beside the
+sub-network's output half. memtrack's desk reversible step at 32^3,
+batch 1, measured after a warm-up step that allocates M_P, reads exactly
+the model less M_P plus the 4 B loss scalar, at 1, 2 and 4 blocks per
+level (a test pins this).
 """
 
 import json
@@ -114,6 +114,9 @@ class MemoryReport:
         lines.append(f"stored-activation total (eq. sum+max): {self.total_nonrev_bytes}")
         lines.append(f"partially reversible total:            {self.total_prev_bytes}")
         if self.measured_peak_bytes is not None:
+            # the measurement starts after a warm-up step has allocated M_P
+            lines.append(f"model less M_P:                        "
+                         f"{self.total_prev_bytes - self.breakdown['sum_m_p_bytes']}")
             lines.append(f"measured peak:                         {self.measured_peak_bytes}")
         if self.measured_numpy_peak_bytes is not None:
             lines.append(f"measured numpy peak:                   "

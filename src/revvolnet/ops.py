@@ -105,7 +105,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tape import current_tape, record
+from .tape import record
 from .tensor import Parameter, ShapeError, Tensor
 
 # Bytes of one depth slab's matrices in the shift-GEMM convolution, and of
@@ -775,11 +775,8 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
 
 def _slice_channels(x: Tensor, lo: int, hi: int) -> Tensor:
     in_shape = x.shape
-    part = x.data[:, lo:hi]
-    # Recorded, a slice is a copy: a view that some backward saves would
-    # keep its whole input alive. Unrecorded (the reversible forward) it is
-    # a view at batch 1.
-    out = Tensor(part.copy() if current_tape() is not None else part)
+    # a copy: a view that some backward saves would keep its whole input alive
+    out = Tensor(x.data[:, lo:hi].copy())
 
     def backward_fn(g, _inputs, _output):
         gx = np.zeros(in_shape, dtype=np.float32)

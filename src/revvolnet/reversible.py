@@ -7,13 +7,15 @@ them additively:
               y2 = x2 + G(y1)                  x1 = y1 - F(x2)
 
 Because the inverse is closed-form, a chain of blocks (a reversible sequence)
-only has to keep its final output on the tape. The backward pass walks the
-blocks in reverse: it reconstructs each block's inputs, re-executes F and G
-once with recording on a short-lived local tape to obtain exact parameter and
-input gradients, and releases everything before moving to the previous block.
-Transient memory is therefore bounded by a single block regardless of depth.
-The inverse exists once, in ``block_backward``, that step for one block; the
-inversion checks run it with zero gradients.
+only has to keep its final output on the tape, and needs no buffer but its
+input's: the forward couples in place in it, and the backward rebuilds each
+block's inputs in place in it. The backward pass walks the blocks in reverse:
+it reconstructs each block's inputs, re-executes F and G once with recording
+on a short-lived local tape to obtain exact parameter and input gradients,
+and releases everything before moving to the previous block. Transient
+memory is therefore bounded by a single block regardless of depth. The
+inverse exists once, in ``block_backward``, that step for one block; the
+inversion checks run it, through ``sequence_backward``, with zero gradients.
 """
 
 import numpy as np
@@ -119,7 +121,14 @@ def block_forward(block: ReversibleBlock, x1: Tensor, x2: Tensor):
 class ReversibleSequence(Module):
     """Chain of reversible blocks of one channel width.
 
-    ``forward`` registers a single tape node retaining only the final output;
+    ``forward`` couples in its input's buffer, which becomes its output: for
+    each sample, over the channel halves of that buffer (contiguous views at
+    any batch size), x1 += F(x2), then x2 += G(x1), block by block. It
+    registers a single tape node retaining only that output, whose backward,
+    ``sequence_backward``, rebuilds each block's inputs in the same buffer.
+    So a sequence holds one buffer, whatever its depth. A caller that reads
+    ``x`` after the forward copies it first.
+
     ``forward_stored`` records every interior op and serves as the
     stored-activation reference implementation.
     """
@@ -128,30 +137,33 @@ class ReversibleSequence(Module):
         self.blocks = list(blocks)
 
     def forward(self, x: Tensor) -> Tensor:
+        half = _half_width(x)
+        y = x.data
         with no_record():
-            y = self._run_forward(x)
+            for i in range(y.shape[0]):
+                x1, x2 = Tensor(y[i:i + 1, :half]), Tensor(y[i:i + 1, half:])
+                for block in self.blocks:
+                    x1.data += block.f(x2).data
+                    x2.data += block.g(x1).data
 
         def backward_fn(grad_out, _inputs, output):
             return (sequence_backward(self, grad_out, output),)
 
-        return record("reversible_sequence", y, [x], backward_fn,
+        return record("reversible_sequence", Tensor(y), [x], backward_fn,
                       params=tuple(self.parameters()), saves=("output",))
 
     def forward_stored(self, x: Tensor) -> Tensor:
-        return self._run_forward(x)
-
-    def _run_forward(self, x: Tensor) -> Tensor:
-        c = x.shape[1]
-        if c % 2:
-            raise ShapeError(f"reversible sequence needs an even channel count, got {c}")
-        if not self.blocks:
-            # Identity; still a fresh tensor so the caller owns its buffer.
-            out = Tensor(x.data.copy())
-            return record("identity", out, [x], lambda g, _i, _o: (g,))
-        x1, x2 = ops.split_channels(x, c // 2)
+        x1, x2 = ops.split_channels(x, _half_width(x))
         for block in self.blocks:
             x1, x2 = block_forward(block, x1, x2)
         return ops.concat_channels(x1, x2)
+
+
+def _half_width(x: Tensor) -> int:
+    c = x.shape[1]
+    if c % 2:
+        raise ShapeError(f"reversible sequence needs an even channel count, got {c}")
+    return c // 2
 
 
 def block_backward(block: ReversibleBlock, y1: Tensor, y2: Tensor,

@@ -50,7 +50,7 @@ from .tensor import ShapeError, Tensor
 FAULTS = {}
 FAULTS_APPLIED = set()
 SAVES = ("inputs", "output")  # what a backward may declare that it reads
-IN_PLACE_OPS = ("reversible_sequence",)  # may overwrite their gradient, see record
+IN_PLACE_OPS = ("reversible_sequence",)  # overwrite their input and gradient, see record
 
 
 class MissingActivationError(RuntimeError):
@@ -159,7 +159,12 @@ def record(op, out, inputs, backward_fn, *, params=(), saves=()):
     after the call, as it does every node's, so the output stays counted
     while the op overwrites it; a caller that reads a sequence's output
     after backprop, or calls ``sequence_backward`` directly, copies what it
-    still needs first.
+    still needs first. Such an op's forward works in place too: the
+    sequence's output is its input's buffer, so a caller that still reads
+    the input after the forward, or records it under an op whose backward
+    does, copies it first. In a network none does: each sequence's input is
+    the output of a ``conv3d`` or ``upsample_merge``, which saves its input,
+    not its output.
     ``saves`` declares what it reads: with ``"inputs"`` it receives the value
     of every input, in order, and with ``"output"`` the op's own output; an
     undeclared value arrives as None (one None per input for the inputs).

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import ops
-from .reversible import ReversibleSequence, block_backward, block_forward, make_block
+from .reversible import ReversibleSequence, make_block, sequence_backward
 from .tape import Tape, backprop, no_record
 from .tensor import Parameter, Tensor
 from .training import dice_loss
@@ -271,22 +271,18 @@ def toy_block(channels, rng, scale=0.1):
 
 def inversion_trials(seed: int = 0, trials: int = 100, width: int = 8,
                      spatial: int = 8) -> float:
-    """Max abs round-trip error of block_forward, then block_backward with
-    zero gradients, over random blocks and single-volume inputs."""
+    """Max abs round-trip error of a one-block sequence's forward, then its
+    backward with a zero gradient (the training path both ways), over random
+    blocks and single-volume inputs."""
     rng = np.random.default_rng(seed)
-    half = width // 2
     worst = 0.0
     for _ in range(trials):
-        block = toy_block(width, rng)
-        x1 = Tensor((rng.standard_normal((1, half, spatial, spatial, spatial))
-                     * 0.1).astype(np.float32))
-        x2 = Tensor((rng.standard_normal((1, half, spatial, spatial, spatial))
-                     * 0.1).astype(np.float32))
-        with no_record():
-            y1, y2 = block_forward(block, x1, x2)
-        block_backward(block, y1, y2, *np.zeros((2,) + y1.shape, np.float32))
-        err = max(np.abs(y1.data - x1.data).max(), np.abs(y2.data - x2.data).max())
-        worst = max(worst, float(err))
+        seq = ReversibleSequence([toy_block(width, rng)])
+        x = (rng.standard_normal((1, width) + (spatial,) * 3) * 0.1
+             ).astype(np.float32)
+        y = seq.forward(Tensor(x.copy()))
+        sequence_backward(seq, np.zeros_like(x), y)
+        worst = max(worst, float(np.abs(y.data - x).max()))
     return worst
 
 

@@ -92,6 +92,21 @@ class TestBuildAndForward:
         np.testing.assert_allclose(double[0], single[0], atol=1e-6)
         np.testing.assert_allclose(double[1], single[0], atol=1e-6)
 
+    def test_caller_volume_is_untouched(self, rng):
+        # every sequence couples in place in its input, which is never the
+        # caller's volume: that enters through the stem conv
+        from revvolnet.training import AdamState, train_step
+
+        net = build(ArchitectureSpec(levels=[4, 8], group_size=2), seed=0)
+        v = randn5(rng, (2, 4, 8, 8, 8))
+        x = Tensor(v.copy())
+        forward_full_volume(net, x)
+        np.testing.assert_array_equal(x.data, v)
+        target = (rng.random((2, 3, 8, 8, 8)) < 0.3).astype(np.float32)
+        train_step(net, list(net.parameters()), AdamState(), x, target,
+                   1e-3, 0.0)
+        np.testing.assert_array_equal(x.data, v)
+
     def test_indivisible_volume_rejected_with_divisor(self):
         net = build(ArchitectureSpec(levels=[4, 8, 16], group_size=2), seed=0)
         with pytest.raises(ShapeError, match="divisible by 4"):
