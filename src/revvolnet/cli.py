@@ -31,8 +31,8 @@ from .tensor import ShapeError, Tensor
 from .training import (REGIONS, AdamState, TrainingConfig, evaluate,
                        generate_synthetic, load_config, load_dataset,
                        restore_params, train, train_step, write_metrics_csv)
-from .unet import (build, check_divisible, load_checkpoint, load_spec,
-                   save_checkpoint)
+from .unet import (build, check_divisible, forward_full_volume,
+                   load_checkpoint, load_spec, save_checkpoint)
 
 log = logging.getLogger("revvolnet")
 
@@ -177,6 +177,11 @@ def cmd_estimate_memory(args):
         (_, report.measured_peak_bytes,
          report.measured_numpy_peak_bytes) = _step_peak(network, input_shape,
                                                         args.seed)
+        volume = Tensor(np.random.default_rng(args.seed).standard_normal(
+            input_shape, dtype=np.float32))
+        (report.measured_inference_peak_bytes,
+         report.measured_inference_numpy_peak_bytes) = memory_model.measure_peaks(
+            lambda: forward_full_volume(network, volume))
 
     doc = json.loads(report.to_json())
     doc["input_shape"] = list(input_shape)
@@ -337,7 +342,11 @@ def build_parser():
     p.add_argument("--compare", action="store_true",
                    help="also estimate the flipped-reversibility twin")
     p.add_argument("--measure", action="store_true",
-                   help="run one real training step and report its peak")
+                   help="run one real training step and one whole-volume "
+                        "inference at the same input shape and report the "
+                        "peaks of each; the inference peaks leave out "
+                        "checkpoint loading, the parameters and the input "
+                        "volume itself")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(fn=cmd_estimate_memory)
 

@@ -87,6 +87,9 @@ class MemoryReport:
     breakdown: dict
     measured_peak_bytes: int | None = None  # memtrack's, see measure_peaks
     measured_numpy_peak_bytes: int | None = None  # tracemalloc's
+    # the same two of one forward_full_volume at the input shape
+    measured_inference_peak_bytes: int | None = None
+    measured_inference_numpy_peak_bytes: int | None = None
 
     def to_json(self) -> str:
         doc = {
@@ -94,6 +97,9 @@ class MemoryReport:
             "total_prev_bytes": self.total_prev_bytes,
             "measured_peak_bytes": self.measured_peak_bytes,
             "measured_numpy_peak_bytes": self.measured_numpy_peak_bytes,
+            "measured_inference_peak_bytes": self.measured_inference_peak_bytes,
+            "measured_inference_numpy_peak_bytes":
+                self.measured_inference_numpy_peak_bytes,
             "breakdown": self.breakdown,
             "terms": [asdict(t) for t in self.terms],
         }
@@ -121,6 +127,12 @@ class MemoryReport:
         if self.measured_numpy_peak_bytes is not None:
             lines.append(f"measured numpy peak:                   "
                          f"{self.measured_numpy_peak_bytes}")
+        if self.measured_inference_peak_bytes is not None:
+            lines.append(f"measured inference peak:               "
+                         f"{self.measured_inference_peak_bytes}")
+        if self.measured_inference_numpy_peak_bytes is not None:
+            lines.append(f"measured inference numpy peak:         "
+                         f"{self.measured_inference_numpy_peak_bytes}")
         return "\n".join(lines)
 
 

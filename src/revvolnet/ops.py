@@ -89,16 +89,20 @@ can, since each pass streams the whole activation:
   gradient.
 - ``upsample2``: one contiguous batched matmul per axis (W, H, then D, each
   reading a reshaped view of the previous result, so nothing is transposed
-  or copied); the backward applies the transposed matrices in reverse.
+  or copied), over groups of (sample, channel) slices of about
+  ``_TILE_BYTES``, the D pass written straight into the output; the
+  backward applies the transposed matrices in reverse, over the whole
+  array.
 - ``upsample_merge``: the 1x1x1 conv of ``concat(skip, upsample2(d))``
   without the concatenation, as ``W_s @ skip + upsample2(W_u @ d) + b``.
-  Forward: one channel GEMM at low resolution, the three upsampling
-  matmuls on its ``C_out`` channels, one GEMM over the skip, two in-place
-  adds. Backward: the upsampling adjoint once, on ``g``; one GEMM per input
-  gradient and one per kernel slice, the kernel slice for ``d`` at low
-  resolution; one sum for the bias. It saves its inputs, the skip and
-  ``d``, which in a reversible U-Net are sequence outputs the tape keeps
-  anyway.
+  Forward: one channel GEMM at low resolution, the grouped upsampling of
+  its ``C_out`` channels into the output, then ``W_s @ skip`` added into
+  it per sample in column chunks of about ``_TILE_BYTES``, then the bias;
+  the output is the one full-resolution buffer. Backward: the upsampling
+  adjoint once, on ``g``; one GEMM per input gradient and one per kernel
+  slice, the kernel slice for ``d`` at low resolution; one sum for the
+  bias. It saves its inputs, the skip and ``d``, which in a reversible
+  U-Net are sequence outputs the tape keeps anyway.
 """
 
 from typing import NamedTuple
@@ -237,7 +241,7 @@ def _slab_planes(rows, hp, wp):
 def _column_tiles(n, rows):
     """Column ranges [t0, t1) covering [0, n), about ``_TILE_BYTES`` of a
     ``rows``-row float32 matrix each; the last one may be shorter."""
-    step = max(1, _TILE_BYTES // (4 * rows))
+    step = max(1, _TILE_BYTES // max(1, 4 * rows))
     for t0 in range(0, n, step):
         yield t0, min(t0 + step, n)
 
@@ -660,13 +664,25 @@ def _upsample_data(x: np.ndarray) -> np.ndarray:
 
     One contiguous batched matmul per axis, W then H then D; each result is
     already in the layout the next one reads, so nothing is transposed.
+    The output is allocated once and is the one full-size buffer: the
+    passes run over groups of (sample, channel) slices, each group's W and
+    H results about ``_TILE_BYTES`` together (at least one slice), and the
+    D pass writes straight into the group's slices of the output. Each
+    slice gets the matrix products one whole-array pass gives it, so the
+    result is the same bit for bit whatever the grouping.
     """
     b, c, d, h, w = x.shape
     md, mh, mw = _interp_matrix(d), _interp_matrix(h), _interp_matrix(w)
-    y = x.reshape(b * c * d * h, w) @ mw.T
-    y = np.matmul(mh, y.reshape(b * c * d, h, 2 * w))
-    y = np.matmul(md, y.reshape(b * c, d, 4 * h * w))
-    return y.reshape(b, c, 2 * d, 2 * h, 2 * w)
+    out = np.empty((b, c, 2 * d, 2 * h, 2 * w), dtype=np.float32)
+    slices = x.reshape(b * c, d * h, w)
+    planes = out.reshape(b * c, 2 * d, 4 * h * w)
+    step = max(1, _TILE_BYTES // max(1, 4 * 6 * d * h * w))
+    for s0 in range(0, b * c, step):
+        n = min(step, b * c - s0)
+        y = slices[s0:s0 + n].reshape(n * d * h, w) @ mw.T
+        y = np.matmul(mh, y.reshape(n * d, h, 2 * w))
+        np.matmul(md, y.reshape(n, d, 4 * h * w), out=planes[s0:s0 + n])
+    return out
 
 
 def _upsample_adjoint(g: np.ndarray) -> np.ndarray:
@@ -702,9 +718,21 @@ def upsample_merge(skip: Tensor, d: Tensor, kernel: Parameter,
     input columns. A 1x1x1 conv mixes channels and the upsampling mixes
     voxels, so they commute, and the interpolation rows sum to one, so the
     bias passes through. ``d`` is mixed down to the output width at low
-    resolution, and only that is upsampled; the backward applies the
-    upsampling adjoint once, to ``g``, and writes the two kernel gradients
-    into their column slices of ``kernel.grad``.
+    resolution, and only that, ``u = W_u @ d``, is upsampled.
+
+    The forward holds one full-resolution buffer, the output:
+    ``_upsample_data`` writes ``u``'s upsampling into it group by group of
+    (sample, channel) slices, ``u`` is dropped, and ``W_s @ skip`` is added
+    into it per sample, one chunk of about ``_TILE_BYTES`` of output
+    columns (runs of depth planes) at a time; the bias comes last. Every
+    element gets the float32 operations of the whole-array sum, in the
+    same order. The backward applies the upsampling adjoint once, to ``g``,
+    and writes the two kernel gradients into their column slices of
+    ``kernel.grad``. It still forms whole-size products (the adjoint's, the
+    skip gradient ``W_s^T @ g``) and the kernel gradient ``g @ skip^T`` as
+    one product: splitting that product's columns would reorder its sums
+    and change the gradient's bits, and training peaks in the reversible
+    block backward, not here.
     """
     _check_axes(skip, "upsample_merge skip")
     _check_axes(d, "upsample_merge input")
@@ -730,7 +758,11 @@ def upsample_merge(skip: Tensor, d: Tensor, kernel: Parameter,
 
     u = np.matmul(w_u, d.data.reshape(b, cd, n_lo))
     y = _upsample_data(u.reshape(b, out_ch, dd, dh, dw))
-    y += np.matmul(w_s, skip.data.reshape(b, cs, n_hi)).reshape(y.shape)
+    del u
+    yf, sf = y.reshape(b, out_ch, n_hi), skip.data.reshape(b, cs, n_hi)
+    for i in range(b):
+        for t0, t1 in _column_tiles(n_hi, out_ch):
+            yf[i, :, t0:t1] += w_s @ sf[i, :, t0:t1]
     y += bias.value.data
     out = Tensor(y)
     kernel_ref, bias_ref = kernel, bias

@@ -141,9 +141,11 @@ class TestEstimateMemory:
         doc = first_json(proc.stdout)
         assert sorted(doc) == SCHEMA["estimate-memory"]
         assert sorted(doc["compare"]) == SCHEMA["estimate-memory.compare"]
-        # without --measure no step runs
+        # without --measure no step and no inference runs
         assert doc["measured_peak_bytes"] is None
         assert doc["measured_numpy_peak_bytes"] is None
+        assert doc["measured_inference_peak_bytes"] is None
+        assert doc["measured_inference_numpy_peak_bytes"] is None
         assert sorted(doc["terms"][0]) == SCHEMA["estimate-memory.term"]
         cmp = doc["compare"]
         assert cmp["reversible_total_bytes"] < cmp["baseline_total_bytes"]
@@ -158,6 +160,24 @@ class TestEstimateMemory:
         for key in ("measured_peak_bytes", "measured_numpy_peak_bytes"):
             assert type(doc[key]) is int and doc[key] > 0, key
         assert "measured numpy peak:" in proc.stdout
+
+    def test_measure_reports_whole_volume_inference(self):
+        # the paper's field-of-view claim as the CLI reads it: at desk 32^3
+        # one forward_full_volume peaks below one training step, by both
+        # accountants, and the table prints both figures
+        proc = run_cli("estimate-memory", "--spec", DESK,
+                       "--input-shape", "32,32,32", "--measure")
+        assert proc.returncode == 0, proc.stderr
+        doc = first_json(proc.stdout)
+        tracked = doc["measured_inference_peak_bytes"]
+        numpy_peak = doc["measured_inference_numpy_peak_bytes"]
+        assert type(tracked) is int and type(numpy_peak) is int
+        assert 0 < tracked <= numpy_peak
+        assert tracked < doc["measured_peak_bytes"]
+        assert numpy_peak < doc["measured_numpy_peak_bytes"]
+        lines = [line.split() for line in proc.stdout.splitlines()]
+        assert ["measured", "inference", "peak:", str(tracked)] in lines
+        assert ["measured", "inference", "numpy", "peak:", str(numpy_peak)] in lines
 
     def test_schema_stable_across_runs(self, tmp_path):
         spec = tmp_path / "base.spec"

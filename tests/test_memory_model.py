@@ -357,7 +357,10 @@ class TestReportFormats:
         doc = json.loads(report.to_json())
         assert set(doc) == {"total_nonrev_bytes", "total_prev_bytes",
                             "measured_peak_bytes",
-                            "measured_numpy_peak_bytes", "breakdown", "terms"}
+                            "measured_numpy_peak_bytes",
+                            "measured_inference_peak_bytes",
+                            "measured_inference_numpy_peak_bytes",
+                            "breakdown", "terms"}
         assert set(doc["terms"][0]) == {"layer", "kind", "activation_bytes",
                                         "param_bytes", "derivative_bytes",
                                         "backward_transient_bytes", "saved"}

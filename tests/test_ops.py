@@ -710,6 +710,23 @@ def trilinear_oracle(x):
     return out
 
 
+def whole_upsample(x):
+    """Trilinear 2x upsampling with every pass over the whole array: one
+    matmul per axis, W then H then D, across all (sample, channel) slices
+    at once. The grouped kernel must equal it bit for bit."""
+    b, c, d, h, w = x.shape
+    md, mh, mw = (ops._interp_matrix(n) for n in (d, h, w))
+    y = x.reshape(b * c * d * h, w) @ mw.T
+    y = np.matmul(mh, y.reshape(b * c * d, h, 2 * w))
+    y = np.matmul(md, y.reshape(b * c, d, 4 * h * w))
+    return y.reshape(b, c, 2 * d, 2 * h, 2 * w)
+
+
+def bits(a):
+    """float32 bit patterns: equal bits, not just equal values (-0 != +0)."""
+    return a.view(np.uint32)
+
+
 class TestUpsample2:
     def test_constant_preserved(self):
         x = Tensor(np.full((1, 2, 2, 2, 2), -1.25, np.float32))
@@ -747,6 +764,25 @@ class TestUpsample2:
             y = ops.upsample2(Tensor(x.copy()))
         want = trilinear_oracle(x.astype(np.float64))
         np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("tile", [16, 2000, None])
+    @pytest.mark.parametrize("shape", [(0, 3, 2, 2, 2), (1, 3, 5, 7, 9),
+                                       (2, 6, 1, 1, 1), (1, 20, 3, 4, 2),
+                                       (2, 3, 5, 3, 4), (1, 3, 16, 16, 16)])
+    def test_groups_equal_the_whole_array_formula(self, rng, monkeypatch,
+                                                  shape, tile):
+        # _TILE_BYTES sets the slice groups, 24 B per input voxel of a slice:
+        # 16 runs one slice at a time; 2000 groups of 3 of (1, 20, 3, 4, 2)'s
+        # 20 slices, the last one short; the default puts every slice of
+        # the small shapes in one group, and groups of 2 of (1, 3, 16^3)'s 3
+        if tile is not None:
+            monkeypatch.setattr(ops, "_TILE_BYTES", tile)
+        x = randn5(rng, shape, scale=1.0)
+        with no_record():
+            y = ops.upsample2(Tensor(x.copy()))
+        want = whole_upsample(x)
+        assert y.shape == want.shape
+        assert np.array_equal(bits(y.data), bits(want))
 
     @pytest.mark.parametrize("shape", [(2, 3, 1, 2, 3), (2, 2, 5, 3, 1),
                                        (2, 1, 3, 5, 2)])
@@ -810,6 +846,21 @@ def merge_oracle(skip, d, w, b):
     return np.einsum("oc,bc...->bo...", w[:, :, 0, 0, 0], cat) + b
 
 
+def whole_merge(skip, d, w, b):
+    """The merge forward with every product whole: ``W_s @ skip`` formed
+    beside ``upsample2(W_u @ d)`` and added to it, then the bias. The
+    chunked kernel must equal it bit for bit."""
+    n, cs = skip.shape[:2]
+    cd, co = d.shape[1], w.shape[0]
+    w2 = w.reshape(co, cs + cd)
+    u = np.matmul(w2[:, cs:], d.reshape(n, cd, np.prod(d.shape[2:])))
+    y = whole_upsample(u.reshape((n, co) + d.shape[2:]))
+    y += np.matmul(w2[:, :cs],
+                   skip.reshape(n, cs, np.prod(skip.shape[2:]))).reshape(y.shape)
+    y += b
+    return y
+
+
 class TestUpsampleMerge:
     @staticmethod
     def _arrays(rng, batch, cs=3, cd=4, co=2, low=(2, 3, 1)):
@@ -828,6 +879,37 @@ class TestUpsampleMerge:
         want = merge_oracle(*(a.astype(np.float64) for a in (skip, d, w, b)))
         assert y.shape == want.shape
         np.testing.assert_allclose(y.data, want, rtol=0, atol=1e-5)
+
+    @pytest.mark.parametrize("tile", [16, 2000, None])
+    @pytest.mark.parametrize("batch,low", [(0, (2, 3, 1)), (1, (3, 5, 7)),
+                                           (2, (3, 5, 7)), (2, (1, 1, 1)),
+                                           (1, (8, 8, 8))])
+    def test_forward_equals_whole_array_formula(self, rng, monkeypatch,
+                                                batch, low, tile):
+        # _TILE_BYTES sets the skip's column chunks, 8 B a column for two
+        # output channels: 16 adds two columns at a time; 2000 adds
+        # 250-column chunks, which do not divide (3, 5, 7)'s 840; the
+        # default adds each sample in one chunk
+        if tile is not None:
+            monkeypatch.setattr(ops, "_TILE_BYTES", tile)
+        skip, d, w, b = self._arrays(rng, batch, low=low)
+        with no_record():
+            y = ops.upsample_merge(Tensor(skip), Tensor(d), Parameter(w),
+                                   Parameter(b))
+        want = whole_merge(skip, d, w, b)
+        assert y.shape == want.shape
+        assert np.array_equal(bits(y.data), bits(want))
+
+    def test_desk_merge_equals_whole_array_formula(self, rng):
+        # the level-0 desk merge at batch 2 and the default tile: groups of
+        # 2 of the 20 upsampled slices, and 6,553-column chunks, which do
+        # not divide a sample's 32^3 columns
+        skip, d, w, b = self._arrays(rng, 2, cs=10, cd=20, co=10,
+                                     low=(16, 16, 16))
+        with no_record():
+            y = ops.upsample_merge(Tensor(skip), Tensor(d), Parameter(w),
+                                   Parameter(b))
+        assert np.array_equal(bits(y.data), bits(whole_merge(skip, d, w, b)))
 
     @pytest.mark.parametrize("batch", [1, 2, 0])
     def test_backward_is_the_adjoint(self, rng, batch):
@@ -990,16 +1072,49 @@ class TestKernelScratch:
         assert self._peak_ratio(ops.max_pool2, rng) < 2.0
 
     def test_upsample2(self, rng):
+        # 14.02x measured, of an output 8x the input: the backward's
+        # adjoint forms whole-size products
         assert self._peak_ratio(ops.upsample2, rng) < 24.0
 
     def test_upsample_merge(self, rng):
-        # the level-0 desk merge, 20 -> 10 and 10 -> 10 channels; the
-        # 1x1x1 conv3d(concat(x, upsample2(d))) composition peaks at 7.6x
+        # the level-0 desk merge, 20 -> 10 and 10 -> 10 channels: 2.38x
+        # measured, set by the backward; the 1x1x1
+        # conv3d(concat(x, upsample2(d))) composition peaks at 7.6x
         d = Tensor(randn5(rng, (1, 20, 16, 16, 16), scale=1.0))
         k = Parameter(randn5(rng, (10, 30, 1, 1, 1), scale=1.0))
         b = Parameter(randn5(rng, (1, 10, 1, 1, 1), scale=1.0))
         assert self._peak_ratio(lambda t: ops.upsample_merge(t, d, k, b),
                                 rng) < 2.5
+
+    @staticmethod
+    def _forward_ratio(fn):
+        """tracemalloc peak of one unrecorded forward, as a multiple of its
+        output bytes; the output itself is allocated inside."""
+        tracemalloc.start()
+        try:
+            with no_record():
+                y = fn()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        return peak / y.nbytes
+
+    def test_upsample2_forward_holds_one_output(self, rng):
+        # 1x20x16^3: 1.08x measured, the output and one group's W and H
+        # results; 1.50x when each pass ran over the whole array
+        d = Tensor(randn5(rng, (1, 20, 16, 16, 16), scale=1.0))
+        assert self._forward_ratio(lambda: ops.upsample2(d)) < 1.15
+
+    def test_upsample_merge_forward_holds_one_output(self, rng):
+        # the level-0 desk merge: 1.28x measured, the output, W_u @ d
+        # (0.125x) and one upsampling group; 2.13x when the upsampling ran
+        # over the whole array and W_s @ skip was formed whole beside it
+        skip = Tensor(randn5(rng, (1, 10, 32, 32, 32), scale=1.0))
+        d = Tensor(randn5(rng, (1, 20, 16, 16, 16), scale=1.0))
+        k = Parameter(randn5(rng, (10, 30, 1, 1, 1), scale=1.0))
+        b = Parameter(randn5(rng, (1, 10, 1, 1, 1), scale=1.0))
+        assert self._forward_ratio(
+            lambda: ops.upsample_merge(skip, d, k, b)) < 1.35
 
     def test_weighted_sum_forms_no_float64_copy(self, rng):
         # a float64 copy of the input alone would be 2x its bytes
