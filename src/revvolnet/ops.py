@@ -83,25 +83,29 @@ can, since each pass streams the whole activation:
   rebuild round alike; the conv backward into the unpadded input
   gradient; then the normalisation backward above in that gradient's
   buffer.
-- ``max_pool2``: the forward takes pairwise maxima over strided views. The
-  backward walks the eight block positions in scan order with a mask of
-  blocks not yet routed, and writes ``g`` into a strided view of a zeroed
-  gradient.
+- ``max_pool2``: the forward takes pairwise maxima over strided views, z
+  then y then x, one chunk of output depth planes at a time: the chunk's
+  z and y maxima, about ``_TILE_BYTES`` together, then its x maxima
+  straight into the output. The backward walks
+  the eight block positions in scan order with a mask of blocks not yet
+  routed, and writes ``g`` into a strided view of a zeroed gradient.
 - ``upsample2``: one contiguous batched matmul per axis (W, H, then D, each
   reading a reshaped view of the previous result, so nothing is transposed
-  or copied), over groups of (sample, channel) slices of about
-  ``_TILE_BYTES``, the D pass written straight into the output; the
-  backward applies the transposed matrices in reverse, over the whole
-  array.
+  or copied), over groups of (sample, channel) slices whose three results
+  come to about ``_TILE_BYTES``, the D pass written straight into the
+  output; the backward applies the transposed matrices in reverse, over
+  the whole array.
 - ``upsample_merge``: the 1x1x1 conv of ``concat(skip, upsample2(d))``
   without the concatenation, as ``W_s @ skip + upsample2(W_u @ d) + b``.
-  Forward: one channel GEMM at low resolution, the grouped upsampling of
-  its ``C_out`` channels into the output, then ``W_s @ skip`` added into
-  it per sample in column chunks of about ``_TILE_BYTES``, then the bias;
-  the output is the one full-resolution buffer. Backward: the upsampling
-  adjoint once, on ``g``; one GEMM per input gradient and one per kernel
-  slice, the kernel slice for ``d`` at low resolution; one sum for the
-  bias. It saves its inputs, the skip and ``d``, which in a reversible
+  Forward: ``W_s @ skip`` written into the output per sample in column
+  chunks of about ``_TILE_BYTES``, then one channel GEMM at low
+  resolution and the grouped upsampling of its ``C_out`` channels added
+  into the output, then the bias; the output is the one full-resolution
+  buffer. Unrecorded inference passes ``out=skip.data``, the skip's own
+  buffer, so its merges allocate no full-resolution buffer at all.
+  Backward: the upsampling adjoint once, on ``g``; one GEMM per input
+  gradient and one per kernel slice, the kernel slice for ``d`` at low
+  resolution; one sum for the bias. It saves its inputs, the skip and ``d``, which in a reversible
   U-Net are sequence outputs the tape keeps anyway.
 """
 
@@ -588,10 +592,15 @@ def _leaky_relu_factor(x, factors, out):
 
 
 def sigmoid(x: Tensor) -> Tensor:
-    """Logistic function 1 / (1 + exp(-x))."""
+    """Logistic function 1 / (1 + exp(-x)), each step in place in the
+    output's one buffer."""
     _check_axes(x, "sigmoid input")
+    o = np.negative(x.data)
     with np.errstate(over="ignore"):
-        out = Tensor(1.0 / (1.0 + np.exp(-x.data)))
+        np.exp(o, out=o)
+    o += 1
+    np.divide(1.0, o, out=o)
+    out = Tensor(o)
 
     def backward_fn(g, _inputs, output):
         return (g * output * (1.0 - output),)
@@ -612,12 +621,20 @@ def max_pool2(x: Tensor) -> Tensor:
         raise ShapeError(f"max_pool2 requires even spatial extents, got {x.shape[2:]}")
     d2, h2, w2 = d // 2, h // 2, w // 2
 
-    # three pairwise maxima over strided views (z, then y, then x); no copy
-    # of the input is formed, and a NaN in a block still wins
-    v = x.data.reshape(b, c, d2, 2, h2, 2, w2, 2)
-    m = np.maximum(v[:, :, :, 0], v[:, :, :, 1])
-    m = np.maximum(m[:, :, :, :, 0], m[:, :, :, :, 1])
-    out = Tensor(np.ascontiguousarray(np.maximum(m[..., 0], m[..., 1])))
+    # three pairwise maxima over strided views (z, then y, then x), one
+    # chunk of output depth planes at a time, the last straight into the
+    # output; no copy of the input is formed, and a NaN in a block still wins
+    planes = b * c * d2
+    v = x.data.reshape(planes, 2, h2, 2, w2, 2)
+    pooled = np.empty((planes, h2, w2), dtype=np.float32)
+    # a chunk's z and y maxima are 4 and 2 output planes per output plane
+    step = max(1, _TILE_BYTES // max(1, 4 * 6 * h2 * w2))
+    for p0 in range(0, planes, step):
+        m = v[p0:p0 + step]
+        m = np.maximum(m[:, 0], m[:, 1])
+        m = np.maximum(m[:, :, 0], m[:, :, 1])
+        np.maximum(m[..., 0], m[..., 1], out=pooled[p0:p0 + step])
+    out = Tensor(pooled.reshape(b, c, d2, h2, w2))
 
     def backward_fn(g, inputs, output):
         (x_val,) = inputs
@@ -659,29 +676,39 @@ def _interp_matrix(n_in: int) -> np.ndarray:
     return m
 
 
-def _upsample_data(x: np.ndarray) -> np.ndarray:
-    """Trilinear 2x upsampling of a (B, C, D, H, W) array.
+def _upsample_data(x: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarray:
+    """Trilinear 2x upsampling of a (B, C, D, H, W) array; with ``add_to``,
+    a contiguous float32 array of the result's shape, the upsampling is
+    added into it, and it is returned.
 
     One contiguous batched matmul per axis, W then H then D; each result is
     already in the layout the next one reads, so nothing is transposed.
-    The output is allocated once and is the one full-size buffer: the
-    passes run over groups of (sample, channel) slices, each group's W and
-    H results about ``_TILE_BYTES`` together (at least one slice), and the
-    D pass writes straight into the group's slices of the output. Each
-    slice gets the matrix products one whole-array pass gives it, so the
-    result is the same bit for bit whatever the grouping.
+    The output is the one full-size buffer: the passes run over groups of
+    (sample, channel) slices, each group's W, H and D results about
+    ``_TILE_BYTES`` together (at least one slice). The D pass writes
+    straight into the group's slices of the output, or into a group-sized
+    temporary that is then added into ``add_to``'s. Each slice gets the
+    matrix products one whole-array pass gives it, so the result is the
+    same bit for bit whatever the grouping.
     """
     b, c, d, h, w = x.shape
     md, mh, mw = _interp_matrix(d), _interp_matrix(h), _interp_matrix(w)
-    out = np.empty((b, c, 2 * d, 2 * h, 2 * w), dtype=np.float32)
+    out = add_to
+    if out is None:
+        out = np.empty((b, c, 2 * d, 2 * h, 2 * w), dtype=np.float32)
     slices = x.reshape(b * c, d * h, w)
     planes = out.reshape(b * c, 2 * d, 4 * h * w)
-    step = max(1, _TILE_BYTES // max(1, 4 * 6 * d * h * w))
+    # the W, H and D results are 2, 4 and 8 times a slice
+    step = max(1, _TILE_BYTES // max(1, 4 * 14 * d * h * w))
     for s0 in range(0, b * c, step):
         n = min(step, b * c - s0)
         y = slices[s0:s0 + n].reshape(n * d * h, w) @ mw.T
         y = np.matmul(mh, y.reshape(n * d, h, 2 * w))
-        np.matmul(md, y.reshape(n, d, 4 * h * w), out=planes[s0:s0 + n])
+        y = y.reshape(n, d, 4 * h * w)
+        if add_to is None:
+            np.matmul(md, y, out=planes[s0:s0 + n])
+        else:
+            planes[s0:s0 + n] += md @ y
     return out
 
 
@@ -710,7 +737,7 @@ def upsample2(x: Tensor) -> Tensor:
 
 
 def upsample_merge(skip: Tensor, d: Tensor, kernel: Parameter,
-                   bias: Parameter) -> Tensor:
+                   bias: Parameter, out: np.ndarray | None = None) -> Tensor:
     """The 1x1x1 ``conv3d(concat_channels(skip, upsample2(d)), kernel, bias)``
     without the concatenation: ``W_s @ skip + upsample2(W_u @ d) + bias``.
 
@@ -720,19 +747,28 @@ def upsample_merge(skip: Tensor, d: Tensor, kernel: Parameter,
     bias passes through. ``d`` is mixed down to the output width at low
     resolution, and only that, ``u = W_u @ d``, is upsampled.
 
-    The forward holds one full-resolution buffer, the output:
-    ``_upsample_data`` writes ``u``'s upsampling into it group by group of
-    (sample, channel) slices, ``u`` is dropped, and ``W_s @ skip`` is added
-    into it per sample, one chunk of about ``_TILE_BYTES`` of output
-    columns (runs of depth planes) at a time; the bias comes last. Every
-    element gets the float32 operations of the whole-array sum, in the
-    same order. The backward applies the upsampling adjoint once, to ``g``,
-    and writes the two kernel gradients into their column slices of
-    ``kernel.grad``. It still forms whole-size products (the adjoint's, the
-    skip gradient ``W_s^T @ g``) and the kernel gradient ``g @ skip^T`` as
-    one product: splitting that product's columns would reorder its sums
-    and change the gradient's bits, and training peaks in the reversible
-    block backward, not here.
+    ``out``, if given, is the array the output is written into: a
+    C-contiguous float32 array of the output's shape that is either the
+    skip's own buffer or shares no memory with either input. Written into
+    the skip, the merge consumes it, so the caller passes it only when
+    nothing reads the skip afterwards: not when a tape records the merge,
+    whose backward reads it.
+
+    The forward holds one full-resolution buffer, the output: ``W_s @
+    skip`` is written into it per sample, one chunk of about
+    ``_TILE_BYTES`` of output columns (runs of depth planes) at a time,
+    each chunk's skip columns read before they are overwritten; then
+    ``_upsample_data`` adds ``u``'s upsampling into it group by group of
+    (sample, channel) slices; the bias comes last. Every element gets the
+    float32 operations of the whole-array sum ``(W_s @ skip + up) + b``,
+    which IEEE addition makes ``(up + W_s @ skip) + b`` bit for bit. The
+    backward applies the upsampling adjoint once, to ``g``, and writes the
+    two kernel gradients into their column slices of ``kernel.grad``. It
+    still forms whole-size products (the adjoint's, the skip gradient
+    ``W_s^T @ g``) and the kernel gradient ``g @ skip^T`` as one product:
+    splitting that product's columns would reorder its sums and change the
+    gradient's bits, and training peaks in the reversible block backward,
+    not here.
     """
     _check_axes(skip, "upsample_merge skip")
     _check_axes(d, "upsample_merge input")
@@ -752,19 +788,32 @@ def upsample_merge(skip: Tensor, d: Tensor, kernel: Parameter,
         raise ShapeError(
             f"upsample_merge bias shape {bias.value.shape} does not match "
             f"out_channels={out_ch}")
+    shape = (b, out_ch, sd, sh, sw)
+    if out is None:
+        out = np.empty(shape, dtype=np.float32)
+    elif (out.shape != shape or out.dtype != np.float32
+          or not out.flags.c_contiguous):
+        raise ShapeError(
+            f"upsample_merge out must be a C-contiguous float32 array of shape "
+            f"{shape}, got {out.dtype} {out.shape}")
+    elif (np.may_share_memory(out, d.data)
+          or (np.may_share_memory(out, skip.data) and out is not skip.data)):
+        raise ValueError(
+            "upsample_merge out must be the skip's own buffer or share no "
+            "memory with the inputs")
     w2 = w.reshape(out_ch, cs + cd)
     w_s, w_u = w2[:, :cs], w2[:, cs:]
     n_hi, n_lo = sd * sh * sw, dd * dh * dw
 
-    u = np.matmul(w_u, d.data.reshape(b, cd, n_lo))
-    y = _upsample_data(u.reshape(b, out_ch, dd, dh, dw))
-    del u
-    yf, sf = y.reshape(b, out_ch, n_hi), skip.data.reshape(b, cs, n_hi)
+    yf, sf = out.reshape(b, out_ch, n_hi), skip.data.reshape(b, cs, n_hi)
     for i in range(b):
         for t0, t1 in _column_tiles(n_hi, out_ch):
-            yf[i, :, t0:t1] += w_s @ sf[i, :, t0:t1]
-    y += bias.value.data
-    out = Tensor(y)
+            # in the skip's buffer, each chunk reads only the columns it writes
+            np.matmul(w_s, sf[i, :, t0:t1], out=yf[i, :, t0:t1])
+    u = np.matmul(w_u, d.data.reshape(b, cd, n_lo))
+    _upsample_data(u.reshape(b, out_ch, dd, dh, dw), add_to=out)
+    out += bias.value.data
+    out = Tensor(out)
     kernel_ref, bias_ref = kernel, bias
 
     def backward_fn(g, inputs, _output):

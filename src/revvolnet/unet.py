@@ -12,9 +12,10 @@ Each reversible decoder level starts with one ``merge`` step,
 ``ops.upsample_merge``: the ``merge*`` conv of the skip concatenated with
 the upsampled coarser output, computed as ``W_s @ skip + up(W_u @ d) + b``.
 It reads only the two sequence outputs, which the tape keeps anyway, so no
-full-resolution concatenation is formed or retained. The twin keeps its
-``up*`` and ``cat*`` steps: its first GroupNorm normalises the
-concatenated tensor, so that tensor must exist.
+full-resolution concatenation is formed or retained; unrecorded, it writes
+its output into the skip's buffer. The twin keeps its ``up*`` and ``cat*``
+steps: its first GroupNorm normalises the concatenated tensor, so that
+tensor must exist.
 
 A network is stored as a flat list of steps, ``(kind, name, ...)`` tuples:
 
@@ -208,7 +209,14 @@ class TraceEntry:
 
 
 def _run_step(step, x, skips, stored):
-    """Execute one step of the list; the single interpreter of step kinds."""
+    """Execute one step of the list; the single interpreter of step kinds.
+
+    A ``merge`` step pops its skip from ``skips``. With no tape recording,
+    nothing reads that skip again, so the merge writes its output into the
+    skip's buffer; under a tape the merge's backward reads the skip, so it
+    gets a fresh output. A caller that keeps a skip's array across an
+    unrecorded merge (as an earlier step's output) copies it first.
+    """
     kind = step[0]
     if kind in ("conv", "stack"):
         return step[2](x)
@@ -222,8 +230,9 @@ def _run_step(step, x, skips, stored):
     if kind == "concat_skip":
         return ops.concat_channels(skips.pop(step[2]), x)
     if kind == "merge":
-        layer = step[2]
-        return ops.upsample_merge(skips.pop(step[3]), x, layer.kernel, layer.bias)
+        layer, skip = step[2], skips.pop(step[3])
+        out = skip.data if tape_mod.current_tape() is None else None
+        return ops.upsample_merge(skip, x, layer.kernel, layer.bias, out=out)
     if kind == "sigmoid":
         return ops.sigmoid(x)
     raise RuntimeError(f"unknown step kind {kind!r}")  # pragma: no cover
@@ -369,7 +378,14 @@ def check_divisible(spec: ArchitectureSpec, shape) -> None:
 
 
 def forward_full_volume(network: Network, volume: Tensor) -> Tensor:
-    """Single-pass inference over a whole volume (no tape, no recording)."""
+    """Single-pass inference over a whole volume (no tape, no recording).
+
+    Unrecorded, the steps that can work in place do: each reversible
+    sequence couples in its input's buffer and each merge writes into its
+    skip's, so at each resolution the decoder reuses the encoder's
+    buffers. The caller's volume is only read, by the stem.
+    The output equals ``network.forward`` under a tape bit for bit.
+    """
     check_divisible(network.spec, volume.shape)
     with tape_mod.no_record():
         return network.forward(volume)

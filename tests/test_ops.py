@@ -686,6 +686,32 @@ class TestMaxPool2:
         assert gx[1, 2, 2, 3, 4] == probe[1, 2, 1, 1, 2]
         assert gx[1, 2, 3, 2, 5] == 0.0
 
+    @pytest.mark.parametrize("tile", [144, 432, 1008, None])
+    def test_chunks_equal_the_whole_array_formula(self, rng, monkeypatch,
+                                                  tile):
+        # the forward takes its maxima one chunk of output depth planes at a
+        # time, 144 B of z and y maxima a plane here: one plane a chunk, 3
+        # and 7 (neither divides the depth of 5, and chunks straddle
+        # channels and samples), or by default the whole input at once
+        if tile is not None:
+            monkeypatch.setattr(ops, "_TILE_BYTES", tile)
+        x = randn5(rng, (2, 3, 10, 4, 6), scale=1.0)
+        x[0, 0, 0:2, 0:2, 0:2] = np.nan                   # all-NaN block
+        x[0, 2, 9, 3, 5] = np.nan                         # NaN scanned last
+        x[1, 0, 4:6, 2:4, 2:4] = np.array([0.0, -0.0] * 4).reshape(2, 2, 2)
+        x[1, 1, 6:8, 0:2, 4:6] = -0.0                     # all -0
+        x[1, 2, 2:4, 0:2, 0:2] = np.array([-0.0, 0.0] * 4).reshape(2, 2, 2)
+        with no_record():
+            y = ops.max_pool2(Tensor(x))
+        v = x.reshape(2, 3, 5, 2, 2, 2, 3, 2)
+        m = np.maximum(v[:, :, :, 0], v[:, :, :, 1])
+        m = np.maximum(m[:, :, :, :, 0], m[:, :, :, :, 1])
+        want = np.maximum(m[..., 0], m[..., 1])
+        assert y.data.flags.c_contiguous
+        assert np.array_equal(bits(y.data), bits(want))
+        assert np.isnan(y.data[0, 0, 0, 0, 0]) and np.isnan(y.data[0, 2, 4, 1, 2])
+        assert y.data[1, 1, 3, 0, 2] == 0.0
+
 
 def trilinear_oracle(x):
     """Per-voxel float64 trilinear upsampling by 2 (align-corners-false,
@@ -911,6 +937,52 @@ class TestUpsampleMerge:
                                    Parameter(b))
         assert np.array_equal(bits(y.data), bits(whole_merge(skip, d, w, b)))
 
+    @pytest.mark.parametrize("tile", [16, 2000, None])
+    @pytest.mark.parametrize("batch,low", [(0, (2, 3, 1)), (1, (3, 5, 7)),
+                                           (2, (3, 5, 7)), (2, (1, 1, 1))])
+    def test_forward_into_skip_equals_fresh_buffer(self, rng, monkeypatch,
+                                                   batch, low, tile):
+        # written into the skip's own buffer, each column chunk of W_s @ skip
+        # reads its skip columns before it overwrites them: the chunks of
+        # test_forward_equals_whole_array_formula, at two skip channels
+        if tile is not None:
+            monkeypatch.setattr(ops, "_TILE_BYTES", tile)
+        skip, d, w, b = self._arrays(rng, batch, cs=2, low=low)
+        st = Tensor(skip.copy())
+        with no_record():
+            fresh = ops.upsample_merge(Tensor(skip), Tensor(d), Parameter(w),
+                                       Parameter(b))
+            y = ops.upsample_merge(st, Tensor(d), Parameter(w), Parameter(b),
+                                   out=st.data)
+        assert y.data is st.data
+        assert np.array_equal(bits(y.data), bits(fresh.data))
+        assert np.array_equal(bits(fresh.data), bits(whole_merge(skip, d, w, b)))
+
+    def test_desk_merge_into_skip_equals_fresh_buffer(self, rng):
+        skip, d, w, b = self._arrays(rng, 2, cs=10, cd=20, co=10,
+                                     low=(16, 16, 16))
+        st = Tensor(skip.copy())
+        with no_record():
+            y = ops.upsample_merge(st, Tensor(d), Parameter(w), Parameter(b),
+                                   out=st.data)
+        assert y.data is st.data
+        assert np.array_equal(bits(y.data), bits(whole_merge(skip, d, w, b)))
+
+    def test_out_must_fit_and_not_alias(self, rng):
+        skip, d, w, b = self._arrays(rng, 1, cs=4, co=2)
+        args = (Tensor(skip), Tensor(d), Parameter(w), Parameter(b))
+        y = np.zeros((1, 2) + skip.shape[2:], np.float32)
+        for bad in (y[:, :1], y.astype(np.float64), y.transpose(0, 1, 4, 3, 2)):
+            with pytest.raises(ShapeError, match="out must be"):
+                ops.upsample_merge(*args, out=bad)
+        # a slice of the skip that is not its buffer, and a view of d
+        with pytest.raises(ValueError, match="skip's own buffer"):
+            ops.upsample_merge(*args, out=args[0].data[:, :2])
+        buf = np.zeros(y.size, np.float32)
+        dt = Tensor(buf[:d.size].reshape(d.shape))
+        with pytest.raises(ValueError, match="skip's own buffer"):
+            ops.upsample_merge(args[0], dt, *args[2:], out=buf.reshape(y.shape))
+
     @pytest.mark.parametrize("batch", [1, 2, 0])
     def test_backward_is_the_adjoint(self, rng, batch):
         # <L(s, d), g> = <s, gs> + <d, gd> for the linear part L (no bias),
@@ -1071,6 +1143,18 @@ class TestKernelScratch:
     def test_max_pool2(self, rng):
         assert self._peak_ratio(ops.max_pool2, rng) < 2.0
 
+    def test_max_pool2_forward_maxima_in_chunks(self, rng):
+        # 1x10x32^3: 3.00x of the output measured, the output and one
+        # chunk's z and y maxima; 6.42x when they were formed whole
+        x = Tensor(randn5(rng, (1, 10, 32, 32, 32), scale=1.0))
+        assert self._forward_ratio(lambda: ops.max_pool2(x)) < 3.5
+
+    def test_sigmoid_forward_holds_one_output(self, rng):
+        # each step in place in the output: 1.00x measured, 2.00x when
+        # exp(-x) was formed beside it
+        x = Tensor(randn5(rng, (1, 10, 32, 32, 32), scale=1.0))
+        assert self._forward_ratio(lambda: ops.sigmoid(x)) < 1.1
+
     def test_upsample2(self, rng):
         # 14.02x measured, of an output 8x the input: the backward's
         # adjoint forms whole-size products
@@ -1115,6 +1199,16 @@ class TestKernelScratch:
         b = Parameter(randn5(rng, (1, 10, 1, 1, 1), scale=1.0))
         assert self._forward_ratio(
             lambda: ops.upsample_merge(skip, d, k, b)) < 1.35
+
+    def test_upsample_merge_into_skip_holds_no_output(self, rng):
+        # the same merge written into its skip: 0.28x of the output
+        # measured, W_u @ d and one upsampling group's scratch
+        skip = Tensor(randn5(rng, (1, 10, 32, 32, 32), scale=1.0))
+        d = Tensor(randn5(rng, (1, 20, 16, 16, 16), scale=1.0))
+        k = Parameter(randn5(rng, (10, 30, 1, 1, 1), scale=1.0))
+        b = Parameter(randn5(rng, (1, 10, 1, 1, 1), scale=1.0))
+        assert self._forward_ratio(lambda: ops.upsample_merge(
+            skip, d, k, b, out=skip.data)) < 0.35
 
     def test_weighted_sum_forms_no_float64_copy(self, rng):
         # a float64 copy of the input alone would be 2x its bytes

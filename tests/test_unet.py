@@ -8,7 +8,7 @@ import pytest
 
 from revvolnet import ops
 from revvolnet.reversible import ConvUnit, Module
-from revvolnet.tape import no_record
+from revvolnet.tape import Tape, no_record
 from revvolnet.tensor import Parameter, ShapeError, Tensor
 from revvolnet.unet import (ArchitectureSpec, ConvLayer, _run_step, build,
                             forward_full_volume, load_checkpoint, load_spec,
@@ -106,6 +106,32 @@ class TestBuildAndForward:
         train_step(net, list(net.parameters()), AdamState(), x, target,
                    1e-3, 0.0)
         np.testing.assert_array_equal(x.data, v)
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_inference_equals_recorded_forward(self, rng, monkeypatch, batch):
+        # forward_full_volume writes each merge into its skip's buffer; a
+        # recorded forward writes no merge in place, since the merge's
+        # backward reads its skip. Both give the same output bit for bit.
+        net = build(load_spec(DESK_SPEC), seed=0)
+        for p in net.parameters():
+            if p.id.endswith(".bias"):  # the bias must pass through the merge
+                p.value.data[...] = randn5(rng, p.shape)
+        v = randn5(rng, (batch, 4, 16, 16, 16), scale=1.0)
+        merge, calls = ops.upsample_merge, []
+
+        def spy(skip, d, kernel, bias, out=None):
+            y = merge(skip, d, kernel, bias, out=out)
+            calls.append((out is None, np.may_share_memory(y.data, skip.data)))
+            return y
+
+        monkeypatch.setattr(ops, "upsample_merge", spy)
+        fast = forward_full_volume(net, Tensor(v.copy())).data
+        assert calls == [(False, True)] * 2
+        calls.clear()
+        with Tape():
+            slow = net.forward(Tensor(v.copy())).data
+        assert calls == [(True, False)] * 2
+        assert np.array_equal(fast.view(np.uint32), slow.view(np.uint32))
 
     def test_indivisible_volume_rejected_with_divisor(self):
         net = build(ArchitectureSpec(levels=[4, 8, 16], group_size=2), seed=0)
@@ -319,7 +345,9 @@ class TestCheckpoints:
                         h = step[2](ops.concat_channels(skips.pop(step[3]), up))
                     else:
                         h = _run_step(step, h, skips, stored=False)
-                    outs.append(h.data)
+                    # a snapshot: later steps work in place, and an
+                    # unrecorded merge writes into its skip's buffer
+                    outs.append(h.data.copy())
             return outs
 
         fused, composed = run(True), run(False)
