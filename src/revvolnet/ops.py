@@ -18,97 +18,30 @@ Convolution has one padding rule: stride 1 and "same" zero padding, so
 every kernel extent must be odd (3x3x3 units, 1x1x1 channel changes) and
 the output keeps the input's spatial extents. It is a shift-GEMM over a
 flattened zero-padded grid: one matrix product per kernel offset, each
-reading a strided view of the grid, so no im2col window matrix is
-materialised (algebraically equivalent to the direct six-loop sum; the test
-suite checks forward and backward against that oracle).
-Each sample runs in depth slabs of output planes, and only the output (in
-the forward) or the unpadded input gradient (in the backward) is ever
-whole. A slab's grid holds the input planes it reads, its planes plus a
-(k - 1) / 2 halo, zero outside the volume; one buffer serves every slab,
-and the halo planes that neighbouring slabs share are moved, not rebuilt.
-A slab is sized like a cache tile, about ``_TILE_BYTES`` of its matrices,
-and all kernel offsets are applied to it before the next: the slab and the
-grid columns it reads stay in the L2 cache instead of streaming a whole
-accumulator once per offset (cache blocking after Goto and van de Geijn
-2008). The backward holds two grids, so its slabs are about half as thick;
-a small sample runs as one slab. Working in slabs of scratch instead of
-whole-tensor buffers trades calls for memory, as cuDNN trades convolution
-workspace for speed (Chetlur et al. 2014). The backward lays ``g`` on the
-padded grid: the kernel gradient is ``g @ grid^T`` per offset, summed over
-the slabs, and the slab's input gradient is the convolution of the padded
-``g`` with the flipped, transposed kernel.
+reading a strided view of the grid (``_offset_views``), so no im2col window
+matrix is materialised; the test suite checks forward and backward against
+the direct six-loop sum. Each sample runs in depth slabs of output planes
+(``_grid_slabs``), all kernel offsets applied to one slab before the next,
+and only the output (in the forward) or the unpadded input gradient (in
+the backward) is ever whole. With ``norm``, ``conv3d`` is the paper's
+GN-LeakyReLU-conv unit as one op: each slab normalises the input planes it
+reads as they enter, so the op saves only its input.
 
-The pointwise and resampling kernels make as few full-size passes as they
-can, since each pass streams the whole activation:
-
-- ``group_norm_leaky_relu``, the paper's GroupNorm then LeakyReLU as one
-  op (In-Place ABN's idea, Rota Bulò et al. 2018). Forward: the group
-  means, one centred copy ``x - mu`` whose sum of squares, by one BLAS dot
-  per group, gives the variance (no product array, and no cancellation of
-  E[x^2] - E[x]^2 at a large mean), freed before the output exists; then
-  each sample through ``_normalised_planes``, the helper every ConvUnit
-  runs: its centred rows, the per-channel scale and shift in place, then
-  the LeakyReLU straight into the op's output, as one product ``s*x`` and
-  one elementwise maximum (minimum for s > 1), no boolean select; a slope
-  <= 0 adds one masked copy to stay exact at signed zeros and infinities.
-  It saves only its input.
-  Backward, in one gradient-sized buffer that becomes the input gradient
-  (a copy of ``g``; in a unit, the conv's input gradient), in blocks of
-  whole (sample, channel) rows: each block's centred rows and ``z``
-  recomputed from ``x`` with the forward's scale and shift; the factor
-  ``[s, 1][z >= 0]`` formed exactly in ``z``'s buffer from the two bit
-  patterns (wrapping uint32 arithmetic, no select and no index array),
-  then ``*= g``; per-row sums of that gradient ``gz`` and of ``gz * (x -
-  mu)``, each over the whole row; and, once every group's sums are known,
-  each block's centred rows recomputed once more and
-  ``gx = a*gz + k*(x - mu) + c``, with a per channel and k, c per group.
-  No network records it. It stays as the whole-sample reference the
-  slabbed ``norm`` prologue is composed against, and for its special-value
-  tests, which an identity 1x1x1 kernel behind the prologue would spoil:
-  ``0 * inf`` in the channel matmul spreads one channel's inf as NaN
-  (``eye(3) @ [inf, 1, -0]`` is ``[inf, nan, nan]``), and ``-0 + 0 = +0``
-  loses a zero's sign. Since it normalises through the network's helper,
-  those tests check the code every unit runs.
-- ``conv3d(x, kernel, bias, norm=Norm(...))``, the paper's
-  GN-LeakyReLU-conv unit as one op, bit for bit
-  ``conv3d(group_norm_leaky_relu(x, *norm), kernel, bias)`` (the backward
-  recompute of memory-efficient DenseNets, Pleiss et al. 2017). It records
-  as ``conv3d`` and saves only ``x``, so the tape keeps one activation per
-  unit. A ConvUnit builds its ``Norm`` once and hands it to every call.
-  Each call's setup, the same as above, gives one record, ``_NormStats``:
-  that ``Norm``, the group statistics and the float32 slope. Everything
-  after reads only it. Forward: each slab's new input planes normalised
-  and copied into its grid. Backward: each slab's grid rebuilt from ``x``
-  by the same helper, so the forward, the reversible recompute and the
-  rebuild round alike; the conv backward into the unpadded input
-  gradient; then the normalisation backward above in that gradient's
-  buffer.
-- ``max_pool2``: the forward takes pairwise maxima over strided views, z
-  then y then x, one chunk of output depth planes at a time: the chunk's
-  z and y maxima, about ``_TILE_BYTES`` together, then its x maxima
-  straight into the output. The backward walks
-  the eight block positions in scan order with a mask of blocks not yet
-  routed, and writes ``g`` into a strided view of a zeroed gradient.
-- ``upsample2``: one contiguous batched matmul per axis (W, H, then D, each
-  reading a reshaped view of the previous result, so nothing is transposed
-  or copied), over groups of (sample, channel) slices whose three results
-  come to about ``_TILE_BYTES``, the D pass written straight into the
-  output; the backward applies the transposed matrices in reverse, over
-  the whole array.
-- ``upsample_merge``: the 1x1x1 conv of ``concat(skip, upsample2(d))``
-  without the concatenation, as ``W_s @ skip + upsample2(W_u @ d) + b``.
-  Forward: ``W_s @ skip`` written into the output per sample in column
-  chunks of about ``_TILE_BYTES``, then one channel GEMM at low
-  resolution and the grouped upsampling of its ``C_out`` channels added
-  into the output, then the bias; the output is the one full-resolution
-  buffer. Unrecorded inference passes ``out=skip.data``, the skip's own
-  buffer, so its merges allocate no full-resolution buffer at all.
-  Backward: the upsampling adjoint once, on ``g``; one GEMM per input
-  gradient and one per kernel slice, the kernel slice for ``d`` at low
-  resolution; one sum for the bias. It saves its inputs, the skip and ``d``, which in a reversible
-  U-Net are sequence outputs the tape keeps anyway.
+Every kernel that works in pieces takes its ranges from ``_tiles``: the
+convolution's depth slabs, the normalisation backward's row blocks,
+``max_pool2``'s plane chunks, the upsampling's slice groups and
+``upsample_merge``'s column chunks. A piece holds about ``_TILE_BYTES`` of
+scratch, so it and what it reads stay in the L2 cache instead of a whole
+array streaming once per pass (cache blocking after Goto and van de Geijn
+2008), and the scratch is a small fraction of the tensors: calls are traded
+for memory, as cuDNN trades convolution workspace for speed (Chetlur et al.
+2014). Chunking changes no bit of a result the tests pin: each chunked
+forward, and the normalisation backward, gives every element the float32
+operations of one whole-array pass, and the tests compare them bit for bit.
+Only the convolution's kernel gradient is summed over the slabs.
 """
 
+import itertools
 from typing import NamedTuple
 
 import numpy as np
@@ -116,8 +49,7 @@ import numpy as np
 from .tape import record
 from .tensor import Parameter, ShapeError, Tensor
 
-# Bytes of one depth slab's matrices in the shift-GEMM convolution, and of
-# one chunk or block of the pointwise kernels: with the grid columns a slab
+# Bytes of one ``_tiles`` range: with the grid columns a convolution slab
 # reads, it fits a 2 MiB L2 cache.
 _TILE_BYTES = 256 * 1024
 
@@ -151,8 +83,11 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
     both sides, so the output has the input's spatial extents.
 
     With ``norm``, the convolution reads ``group_norm_leaky_relu(x, *norm)``,
-    bit for bit, and the op still keeps only ``x``: each depth slab rebuilds
-    its normalised input planes (see the module docstring).
+    bit for bit, and the op still records as ``conv3d`` and keeps only
+    ``x``: each depth slab normalises its input planes as they enter, and
+    the backward rebuilds them the same way (the backward recompute of
+    memory-efficient DenseNets, Pleiss et al. 2017). A ``ConvUnit`` builds
+    its ``Norm`` once and hands it to every call.
     """
     _check_axes(x, "conv3d input")
     pads = _conv_pads(x.shape, kernel, bias)
@@ -196,29 +131,24 @@ def _conv_pads(x_shape, kernel, bias):
     return tuple((k - 1) // 2 for k in extents)
 
 
-def _shift_gemm_plan(w, hp, wp):
-    """Per-offset kernel matrices and column shifts on a flattened grid.
-
-    On a padded grid (Dp, Hp, Wp) flattened to one axis, the input read by
-    kernel offset (dz, dy, dx) for every output voxel is the contiguous column
-    range [s, s + n) with s = dz*Hp*Wp + dy*Wp + dx, where n spans the output
-    corner (``_slab_columns``). Each offset is then one GEMM over a view of
-    the grid, and no C_in*k^3 window matrix is formed. Columns whose (y, x)
-    lies outside the output's H x W corner belong to no output voxel.
-
-    Returns the (k^3, C_out, C_in) offset matrices and the shifts.
-    """
-    out_ch, in_ch, kd, kh, kw = w.shape
-    mats = np.ascontiguousarray(np.moveaxis(w.reshape(out_ch, in_ch, -1), 2, 0))
-    shifts = [dz * hp * wp + dy * wp + dx
-              for dz, dy, dx in np.ndindex(kd, kh, kw)]
-    return mats, shifts
+def _offset_matrices(w):
+    """The kernel ``w`` (C_out, C_in, kd, kh, kw) as one (C_out, C_in) matrix
+    per offset, in ``np.ndindex`` order: (kd*kh*kw, C_out, C_in)."""
+    out_ch, in_ch = w.shape[:2]
+    return np.ascontiguousarray(np.moveaxis(w.reshape(out_ch, in_ch, -1), 2, 0))
 
 
 def _offset_views(grid, extents, n):
     """Every kernel offset's columns of the padded ``grid`` (C, P, Hp, Wp),
-    ``[s, s + n)`` with s = dz*Hp*Wp + dy*Wp + dx, as one read-only
-    (kd, kh, kw, C, n) view."""
+    as one read-only (kd, kh, kw, C, n) view.
+
+    On the grid flattened to (C, P*Hp*Wp), the input that offset (dz, dy,
+    dx) reads for every output voxel is the contiguous column range
+    ``[s, s + n)`` with s = dz*Hp*Wp + dy*Wp + dx, where n spans the output
+    corner (``_slab_columns``). Each offset is then one GEMM over a view of
+    the grid, and no C_in*k^3 window matrix is formed. Columns whose (y, x)
+    lies outside the output's H x W corner belong to no output voxel.
+    """
     c, _, hp, wp = grid.shape
     src = grid.reshape(c, -1)
     item = src.itemsize
@@ -234,25 +164,20 @@ def _slab_columns(planes, h, w, hp, wp):
     return (planes - 1) * hp * wp + (h - 1) * wp + w
 
 
-def _slab_planes(rows, hp, wp):
-    """Output planes per depth slab: about ``_TILE_BYTES`` of a ``rows``-row
-    matrix over the padded planes, at least one plane. The forward counts
-    the rows of its widest slab matrix, grid or accumulator; the backward
-    those of its two grids together, input and output channels."""
-    return max(1, _TILE_BYTES // (4 * rows * hp * wp))
-
-
-def _column_tiles(n, rows):
-    """Column ranges [t0, t1) covering [0, n), about ``_TILE_BYTES`` of a
-    ``rows``-row float32 matrix each; the last one may be shorter."""
-    step = max(1, _TILE_BYTES // max(1, 4 * rows))
+def _tiles(n, item_bytes):
+    """The ranges [t0, t1) that cover [0, n) with about ``_TILE_BYTES`` of
+    ``item_bytes``-byte items each: at least one item, the last range
+    shorter when they do not divide. Every chunked kernel sizes its chunks
+    here."""
+    step = max(1, _TILE_BYTES // max(1, item_bytes))
     for t0 in range(0, n, step):
         yield t0, min(t0 + step, n)
 
 
-def _grid_slabs(x, i, pads, step, stats=None):
-    """The depth slabs of sample ``i`` of ``x`` (B, C, D, H, W), ``step``
-    output planes each (the last may be shorter).
+def _grid_slabs(x, i, pads, slabs, stats=None):
+    """The depth slabs of sample ``i`` of ``x`` (B, C, D, H, W), one per
+    output plane range [lo, hi) of ``slabs`` (``_tiles`` over D; the first
+    is the thickest).
 
     Yields ``(lo, hi, grid)``: ``grid`` is the (C, hi - lo + 2*pd, Hp, Wp)
     zero-padded block of input planes [lo - pd, hi + pd) that output planes
@@ -270,15 +195,13 @@ def _grid_slabs(x, i, pads, step, stats=None):
         return planes if stats is None else _normalised_planes(planes, stats, i)
 
     if not any(pads):
-        for lo in range(0, d, step):
-            hi = min(lo + step, d)
+        for lo, hi in slabs:
             yield lo, hi, enter(v[:, lo:hi])
         return
-    buf = np.zeros((c, min(step, d) + 2 * pd, h + 2 * ph, w + 2 * pw),
+    buf = np.zeros((c, slabs[0][1] + 2 * pd, h + 2 * ph, w + 2 * pw),
                    dtype=np.float32)
     size = 0
-    for lo in range(0, d, step):
-        hi = min(lo + step, d)
+    for lo, hi in slabs:
         # buffer plane j holds input plane lo - pd + j; planes [0, first)
         # are the previous slab's last ones
         first = 0
@@ -296,26 +219,29 @@ def _grid_slabs(x, i, pads, step, stats=None):
         yield lo, hi, grid
 
 
-def _slab_gemm(mats, shifts, grid, dst):
+def _slab_gemm(mats, grid, dst):
     """One slab's output planes ``dst`` (R, planes, H, W) from ``grid``, the
     padded planes they read (``_grid_slabs``): the sum of the offsets'
-    GEMMs, ``mats[k] @ grid[:, shifts[k]:shifts[k] + n]``, in offset order,
-    each product in one scratch matrix.
+    GEMMs, ``mats[k]`` times the k-th of ``_offset_views``, in offset order,
+    each product in one scratch matrix. The kernel extents are the halo's:
+    the grid's extents over the output's, plus one.
 
     When output rows span whole grid rows the accumulator is ``dst``;
     otherwise the slab's H x W corner is cropped from it.
     """
     r, planes, h, w = dst.shape
-    c, _, hp, wp = grid.shape
+    c, p, hp, wp = grid.shape
     n = _slab_columns(planes, h, w, hp, wp)
-    src = grid.reshape(c, -1)
+    offsets = _offset_views(grid, (p - planes + 1, hp - h + 1, wp - w + 1), n)
+    views = [offsets[k]
+             for k in itertools.product(*map(range, offsets.shape[:3]))]
     direct = (h, w) == (hp, wp)
     acc = (dst.reshape(r, -1) if direct
            else np.empty((r, planes * hp * wp), dtype=np.float32))
     tile, tmp = acc[:, :n], np.empty((r, n), dtype=np.float32)
-    np.matmul(mats[0], src[:, shifts[0]:shifts[0] + n], out=tile)
-    for k in range(1, len(shifts)):
-        tile += np.matmul(mats[k], src[:, shifts[k]:shifts[k] + n], out=tmp)
+    np.matmul(mats[0], views[0], out=tile)
+    for m, view in zip(mats[1:], views[1:]):
+        tile += np.matmul(m, view, out=tmp)
     if not direct:
         dst[...] = acc.reshape(r, planes, hp, wp)[:, :, :h, :w]
 
@@ -327,12 +253,14 @@ def _conv_forward(x, pads, kernel, bias, stats):
     b, c, d, h, wdt = x.shape
     out_ch = w.shape[0]
     hp, wp = h + 2 * pads[1], wdt + 2 * pads[2]
-    mats, shifts = _shift_gemm_plan(w, hp, wp)
-    step = _slab_planes(max(c, out_ch), hp, wp)
+    mats = _offset_matrices(w)
+    # a slab's output plane costs the rows of its widest matrix, grid or
+    # accumulator
+    slabs = list(_tiles(d, 4 * max(c, out_ch) * hp * wp))
     out = np.empty((b, out_ch, d, h, wdt), dtype=np.float32)
     for i in range(b if out.size else 0):
-        for lo, hi, grid in _grid_slabs(x, i, pads, step, stats):
-            _slab_gemm(mats, shifts, grid, out[i, :, lo:hi])
+        for lo, hi, grid in _grid_slabs(x, i, pads, slabs, stats):
+            _slab_gemm(mats, grid, out[i, :, lo:hi])
     if bias is not None:
         out += bias.value.data
     return out
@@ -352,30 +280,28 @@ def _conv_backward(g, x, pads, kernel, bias, stats):
     b, c, d, h, wdt = x.shape
     out_ch = w.shape[0]
     hp, wp = h + 2 * pads[1], wdt + 2 * pads[2]
-    mats, shifts = _shift_gemm_plan(w, hp, wp)
     # offset k of the flipped kernel is offset k^3 - 1 - k of the kernel
-    flipped = np.ascontiguousarray(mats[::-1].transpose(0, 2, 1))
-    # on g's grid, output voxel (z, y, x) sits at the centre offset's shift
-    # past column z*Hp*Wp + y*Wp + x, with zeros in the columns no voxel owns
-    centre = shifts[len(shifts) // 2]
+    flipped = np.ascontiguousarray(_offset_matrices(w)[::-1].transpose(0, 2, 1))
     # the two grids share the slab budget, unless the forward's slab
     # already holds the whole sample: a small sample runs as one slab
-    step = _slab_planes(max(c, out_ch), hp, wp)
-    if step < d:
-        step = _slab_planes(c + out_ch, hp, wp)
+    slabs = list(_tiles(d, 4 * max(c, out_ch) * hp * wp))
+    if len(slabs) > 1:
+        slabs = list(_tiles(d, 4 * (c + out_ch) * hp * wp))
     # the kernel gradient, offsets first: (kd, kh, kw, C_out, C_in)
     gw = np.zeros(w.shape[2:] + w.shape[:2], dtype=np.float32)
     gx = np.empty(x.shape, dtype=np.float32)
     for i in range(b if x.size else 0):
-        slabs = zip(_grid_slabs(x, i, pads, step, stats),
-                    _grid_slabs(g, i, pads, step))
-        for (lo, hi, xgrid), (_, _, ggrid) in slabs:
+        grids = zip(_grid_slabs(x, i, pads, slabs, stats),
+                    _grid_slabs(g, i, pads, slabs))
+        for (lo, hi, xgrid), (_, _, ggrid) in grids:
             n = _slab_columns(hi - lo, h, wdt, hp, wp)
-            gf = ggrid.reshape(out_ch, -1)[:, centre:centre + n]
+            # column z*Hp*Wp + y*Wp + x of the centre offset's view holds g
+            # at output voxel (z, y, x); the columns no voxel owns are zero
+            gf = _offset_views(ggrid, w.shape[2:], n)[pads]
             # every offset's product in one batched call
             gw += np.matmul(gf, _offset_views(xgrid, w.shape[2:], n)
                             .swapaxes(-1, -2))
-            _slab_gemm(flipped, shifts, ggrid, gx[i, :, lo:hi])
+            _slab_gemm(flipped, ggrid, gx[i, :, lo:hi])
     kernel.grad.data += np.moveaxis(gw, (0, 1, 2), (2, 3, 4))
     if bias is not None:
         bias.grad.data += g.sum(axis=(0, 2, 3, 4)).reshape(1, -1, 1, 1, 1)
@@ -407,13 +333,21 @@ def group_norm_leaky_relu(x: Tensor, gamma: Parameter, beta: Parameter,
                           slope: float = 0.01) -> Tensor:
     """GroupNorm over channel groups within each sample, the per-channel
     affine map gamma * x_hat + beta, then LeakyReLU of ``slope``, as one op
-    that keeps only ``x``.
+    that keeps only ``x`` (In-Place ABN's idea, Rota Bulò et al. 2018).
 
     ``group_size`` is the number of channels per group. Each sample is
     normalised straight into the output by ``_normalised_planes``, the
     helper the ``conv3d`` prologue runs, and the backward recomputes it from
     ``x`` in the same operation order, so no tape slot holds the normalised
     tensor. At ``slope=1`` the op is GroupNorm, bit for bit.
+
+    No network records it. It stays as the whole-sample reference the
+    slabbed ``norm`` prologue is composed against, and for its special-value
+    tests, which an identity 1x1x1 kernel behind the prologue would spoil:
+    ``0 * inf`` in the channel matmul spreads one channel's inf as NaN
+    (``eye(3) @ [inf, 1, -0]`` is ``[inf, nan, nan]``), and ``-0 + 0 = +0``
+    loses a zero's sign. Since it normalises through the network's helper,
+    those tests check the code every unit runs.
     """
     op = "group_norm_leaky_relu"
     _check_axes(x, f"{op} input")
@@ -492,13 +426,12 @@ def _norm_backward(x, gh, stats):
     its output; the gradients of ``stats.norm``'s gamma and beta are added
     to their ``grad``.
 
-    Two passes over blocks of whole (sample, channel) rows, about
-    ``_TILE_BYTES`` of one row block each. The first recomputes each
-    block's ``z`` from ``x``, multiplies ``gh``'s rows by the LeakyReLU
-    factor of its sign (the gradient at ``z``), then forms each row's sums
-    of that and of it times ``x - mu`` over the whole row. The second, once
-    every group's sums are known, recomputes each block's centred rows and
-    turns the rows into the input gradient.
+    Two passes over ``_tiles`` blocks of whole (sample, channel) rows. The
+    first recomputes each block's ``z`` from ``x``, multiplies ``gh``'s rows
+    by the LeakyReLU factor of its sign (the gradient at ``z``), then forms
+    each row's sums of that and of it times ``x - mu`` over the whole row.
+    The second, once every group's sums are known, recomputes each block's
+    centred rows and turns the rows into the input gradient.
     """
     b, groups, group_size = stats.scale.shape[:3]
     c = groups * group_size
@@ -508,7 +441,7 @@ def _norm_backward(x, gh, stats):
     mu = np.repeat(stats.mu[..., 0], group_size, axis=1)
     scale, shift = stats.scale.reshape(b, c, 1), stats.shift.reshape(c, 1)
     blocks = [(i, slice(c0, c1)) for i in range(b)
-              for c0, c1 in _column_tiles(c, xr.shape[2])]
+              for c0, c1 in _tiles(c, 4 * xr.shape[2])]
     factors = np.array([stats.slope, 1], dtype=np.float32)
     sg = np.empty((b, c), dtype=np.float32)
     sgx = np.empty((b, c), dtype=np.float32)
@@ -628,12 +561,11 @@ def max_pool2(x: Tensor) -> Tensor:
     v = x.data.reshape(planes, 2, h2, 2, w2, 2)
     pooled = np.empty((planes, h2, w2), dtype=np.float32)
     # a chunk's z and y maxima are 4 and 2 output planes per output plane
-    step = max(1, _TILE_BYTES // max(1, 4 * 6 * h2 * w2))
-    for p0 in range(0, planes, step):
-        m = v[p0:p0 + step]
+    for p0, p1 in _tiles(planes, 4 * 6 * h2 * w2):
+        m = v[p0:p1]
         m = np.maximum(m[:, 0], m[:, 1])
         m = np.maximum(m[:, :, 0], m[:, :, 1])
-        np.maximum(m[..., 0], m[..., 1], out=pooled[p0:p0 + step])
+        np.maximum(m[..., 0], m[..., 1], out=pooled[p0:p1])
     out = Tensor(pooled.reshape(b, c, d2, h2, w2))
 
     def backward_fn(g, inputs, output):
@@ -683,13 +615,12 @@ def _upsample_data(x: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarra
 
     One contiguous batched matmul per axis, W then H then D; each result is
     already in the layout the next one reads, so nothing is transposed.
-    The output is the one full-size buffer: the passes run over groups of
-    (sample, channel) slices, each group's W, H and D results about
-    ``_TILE_BYTES`` together (at least one slice). The D pass writes
-    straight into the group's slices of the output, or into a group-sized
-    temporary that is then added into ``add_to``'s. Each slice gets the
-    matrix products one whole-array pass gives it, so the result is the
-    same bit for bit whatever the grouping.
+    The output is the one full-size buffer: the passes run over ``_tiles``
+    groups of (sample, channel) slices, sized by each slice's W, H and D
+    results together. The D pass writes straight into the group's slices of
+    the output, or into a group-sized temporary that is then added into
+    ``add_to``'s. Each slice gets the matrix products one whole-array pass
+    gives it, so the result is the same bit for bit whatever the grouping.
     """
     b, c, d, h, w = x.shape
     md, mh, mw = _interp_matrix(d), _interp_matrix(h), _interp_matrix(w)
@@ -699,16 +630,15 @@ def _upsample_data(x: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarra
     slices = x.reshape(b * c, d * h, w)
     planes = out.reshape(b * c, 2 * d, 4 * h * w)
     # the W, H and D results are 2, 4 and 8 times a slice
-    step = max(1, _TILE_BYTES // max(1, 4 * 14 * d * h * w))
-    for s0 in range(0, b * c, step):
-        n = min(step, b * c - s0)
-        y = slices[s0:s0 + n].reshape(n * d * h, w) @ mw.T
+    for s0, s1 in _tiles(b * c, 4 * 14 * d * h * w):
+        n = s1 - s0
+        y = slices[s0:s1].reshape(n * d * h, w) @ mw.T
         y = np.matmul(mh, y.reshape(n * d, h, 2 * w))
         y = y.reshape(n, d, 4 * h * w)
         if add_to is None:
-            np.matmul(md, y, out=planes[s0:s0 + n])
+            np.matmul(md, y, out=planes[s0:s1])
         else:
-            planes[s0:s0 + n] += md @ y
+            planes[s0:s1] += md @ y
     return out
 
 
@@ -737,7 +667,7 @@ def upsample2(x: Tensor) -> Tensor:
 
 
 def upsample_merge(skip: Tensor, d: Tensor, kernel: Parameter,
-                   bias: Parameter, out: np.ndarray | None = None) -> Tensor:
+                   bias: Parameter, consume_skip: bool = False) -> Tensor:
     """The 1x1x1 ``conv3d(concat_channels(skip, upsample2(d)), kernel, bias)``
     without the concatenation: ``W_s @ skip + upsample2(W_u @ d) + bias``.
 
@@ -747,19 +677,17 @@ def upsample_merge(skip: Tensor, d: Tensor, kernel: Parameter,
     bias passes through. ``d`` is mixed down to the output width at low
     resolution, and only that, ``u = W_u @ d``, is upsampled.
 
-    ``out``, if given, is the array the output is written into: a
-    C-contiguous float32 array of the output's shape that is either the
-    skip's own buffer or shares no memory with either input. Written into
-    the skip, the merge consumes it, so the caller passes it only when
+    With ``consume_skip`` the output is written into the skip's own buffer,
+    which needs a skip of ``C_out`` channels; the caller sets it only when
     nothing reads the skip afterwards: not when a tape records the merge,
     whose backward reads it.
 
     The forward holds one full-resolution buffer, the output: ``W_s @
-    skip`` is written into it per sample, one chunk of about
-    ``_TILE_BYTES`` of output columns (runs of depth planes) at a time,
-    each chunk's skip columns read before they are overwritten; then
-    ``_upsample_data`` adds ``u``'s upsampling into it group by group of
-    (sample, channel) slices; the bias comes last. Every element gets the
+    skip`` is written into it per sample, one ``_tiles`` chunk of output
+    columns (runs of depth planes) at a time, each chunk's skip columns
+    read before they are overwritten; then ``_upsample_data`` adds ``u``'s
+    upsampling into it group by group of (sample, channel) slices; the bias
+    comes last. Every element gets the
     float32 operations of the whole-array sum ``(W_s @ skip + up) + b``,
     which IEEE addition makes ``(up + W_s @ skip) + b`` bit for bit. The
     backward applies the upsampling adjoint once, to ``g``, and writes the
@@ -788,26 +716,19 @@ def upsample_merge(skip: Tensor, d: Tensor, kernel: Parameter,
         raise ShapeError(
             f"upsample_merge bias shape {bias.value.shape} does not match "
             f"out_channels={out_ch}")
-    shape = (b, out_ch, sd, sh, sw)
-    if out is None:
-        out = np.empty(shape, dtype=np.float32)
-    elif (out.shape != shape or out.dtype != np.float32
-          or not out.flags.c_contiguous):
+    if consume_skip and cs != out_ch:
         raise ShapeError(
-            f"upsample_merge out must be a C-contiguous float32 array of shape "
-            f"{shape}, got {out.dtype} {out.shape}")
-    elif (np.may_share_memory(out, d.data)
-          or (np.may_share_memory(out, skip.data) and out is not skip.data)):
-        raise ValueError(
-            "upsample_merge out must be the skip's own buffer or share no "
-            "memory with the inputs")
+            f"upsample_merge can write its {out_ch} output channels only into "
+            f"a skip of as many, got {cs}")
+    out = (skip.data if consume_skip
+           else np.empty((b, out_ch, sd, sh, sw), dtype=np.float32))
     w2 = w.reshape(out_ch, cs + cd)
     w_s, w_u = w2[:, :cs], w2[:, cs:]
     n_hi, n_lo = sd * sh * sw, dd * dh * dw
 
     yf, sf = out.reshape(b, out_ch, n_hi), skip.data.reshape(b, cs, n_hi)
     for i in range(b):
-        for t0, t1 in _column_tiles(n_hi, out_ch):
+        for t0, t1 in _tiles(n_hi, 4 * out_ch):
             # in the skip's buffer, each chunk reads only the columns it writes
             np.matmul(w_s, sf[i, :, t0:t1], out=yf[i, :, t0:t1])
     u = np.matmul(w_u, d.data.reshape(b, cd, n_lo))

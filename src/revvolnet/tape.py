@@ -164,10 +164,7 @@ def record(op, out, inputs, backward_fn, *, params=(), saves=()):
     the input after the forward, or records it under an op whose backward
     does, copies it first. In a network none does: each sequence's input is
     the output of a ``conv3d`` or ``upsample_merge``, which saves its input,
-    not its output. An unrecorded network merge writes into its skip's
-    buffer too (``unet._run_step``): a caller that steps the network
-    without a tape and reads a skip, an encoder sequence's output, after
-    its merge copies it first.
+    not its output. Unrecorded merges overwrite skips (``unet._run_step``).
     ``saves`` declares what it reads: with ``"inputs"`` it receives the value
     of every input, in order, and with ``"output"`` the op's own output; an
     undeclared value arrives as None (one None per input for the inputs).
@@ -286,7 +283,7 @@ def backward(tape: Tape, output: Tensor, seed: np.ndarray, wrt=()) -> list:
         raise
 
     assert not grads, "gradient buffers left over after backward"
-    tape.last_backward_stats = {"peak_grad_bytes": peak, "final_grad_bytes": live}
+    tape.last_backward_stats = {"peak_grad_bytes": peak}
     return [leaf_grads[id(t)] for t in wrt]
 
 

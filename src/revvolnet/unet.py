@@ -231,8 +231,8 @@ def _run_step(step, x, skips, stored):
         return ops.concat_channels(skips.pop(step[2]), x)
     if kind == "merge":
         layer, skip = step[2], skips.pop(step[3])
-        out = skip.data if tape_mod.current_tape() is None else None
-        return ops.upsample_merge(skip, x, layer.kernel, layer.bias, out=out)
+        return ops.upsample_merge(skip, x, layer.kernel, layer.bias,
+                                  consume_skip=tape_mod.current_tape() is None)
     if kind == "sigmoid":
         return ops.sigmoid(x)
     raise RuntimeError(f"unknown step kind {kind!r}")  # pragma: no cover

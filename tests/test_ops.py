@@ -174,12 +174,14 @@ class TestConvBackward:
         d = x_shape[2]
         # one plane per slab, so every halo plane is moved from the slab
         # before; then the fewest planes that leave a ragged last slab. The
-        # slab size is set directly: from _TILE_BYTES, a backward slab of
-        # 3 of 4 planes implies a forward slab that holds the whole sample,
-        # and then the backward runs as one slab too
+        # slab size is set directly, as ``planes`` one-byte planes: from
+        # _TILE_BYTES, a backward slab of 3 of 4 planes implies a forward
+        # slab that holds the whole sample, and then the backward runs as
+        # one slab too
+        tiles = ops._tiles
+        monkeypatch.setattr(ops, "_tiles", lambda n, _item_bytes: tiles(n, 1))
         for planes in (1, next(p for p in range(2, d) if d % p)):
-            monkeypatch.setattr(ops, "_slab_planes",
-                                lambda rows, hp, wp, planes=planes: planes)
+            monkeypatch.setattr(ops, "_TILE_BYTES", planes)
             k.zero_grad()
             b.zero_grad()
             xt = Tensor(x.copy())
@@ -464,7 +466,7 @@ class TestGroupNormLeakyRelu:
                 t, gp, bp, 2, 1e-5, slope), *arrays)
         one_block = run()
         monkeypatch.setattr(ops, "_TILE_BYTES", 4 * 105 * 3)
-        assert [c1 - c0 for c0, c1 in ops._column_tiles(10, 105)] == [3, 3, 3, 1]
+        assert [c1 - c0 for c0, c1 in ops._tiles(10, 4 * 105)] == [3, 3, 3, 1]
         for got, want in zip(run(), one_block):
             np.testing.assert_array_equal(got.view(np.uint32),
                                           want.view(np.uint32))
@@ -561,7 +563,9 @@ class TestConvUnit:
         # slabs of 3 and 2
         hp, wp = 6 + k - 1, 7 + k - 1
         monkeypatch.setattr(ops, "_TILE_BYTES", 4 * (10 + 6) * hp * wp * 2)
-        assert ops._slab_planes(10 + 6, hp, wp) == 2
+        assert [t1 - t0 for t0, t1 in ops._tiles(5, 4 * 10 * hp * wp)] == [3, 2]
+        assert [t1 - t0 for t0, t1 in
+                ops._tiles(5, 4 * (10 + 6) * hp * wp)] == [2, 2, 1]
         self._check_composition(rng, batch, k, slope)
 
     def test_one_normalisation_forward(self, rng, monkeypatch):
@@ -587,7 +591,8 @@ class TestConvUnit:
             # forward slabs of 2 output planes, reading input planes
             # [0, 3), [3, 5) and [5, 6) as they enter
             monkeypatch.setattr(ops, "_TILE_BYTES", 4 * 6 * 9 * 10 * 2)
-            assert ops._slab_planes(6, 9, 10) == 2
+            assert [t1 - t0 for t0, t1 in
+                    ops._tiles(6, 4 * 6 * 9 * 10)] == [2, 2, 2]
             ops.conv3d(x, kernel, norm=ops.Norm(gamma, beta, 2))
         assert calls == [(4, 3, 7, 8), (4, 2, 7, 8), (4, 1, 7, 8)] * 2
 
@@ -953,7 +958,7 @@ class TestUpsampleMerge:
             fresh = ops.upsample_merge(Tensor(skip), Tensor(d), Parameter(w),
                                        Parameter(b))
             y = ops.upsample_merge(st, Tensor(d), Parameter(w), Parameter(b),
-                                   out=st.data)
+                                   consume_skip=True)
         assert y.data is st.data
         assert np.array_equal(bits(y.data), bits(fresh.data))
         assert np.array_equal(bits(fresh.data), bits(whole_merge(skip, d, w, b)))
@@ -964,24 +969,19 @@ class TestUpsampleMerge:
         st = Tensor(skip.copy())
         with no_record():
             y = ops.upsample_merge(st, Tensor(d), Parameter(w), Parameter(b),
-                                   out=st.data)
+                                   consume_skip=True)
         assert y.data is st.data
         assert np.array_equal(bits(y.data), bits(whole_merge(skip, d, w, b)))
 
-    def test_out_must_fit_and_not_alias(self, rng):
+    def test_consumed_skip_must_have_the_output_channels(self, rng):
+        # 4 skip channels cannot hold 2 output channels; the skip is
+        # left as it was
         skip, d, w, b = self._arrays(rng, 1, cs=4, co=2)
-        args = (Tensor(skip), Tensor(d), Parameter(w), Parameter(b))
-        y = np.zeros((1, 2) + skip.shape[2:], np.float32)
-        for bad in (y[:, :1], y.astype(np.float64), y.transpose(0, 1, 4, 3, 2)):
-            with pytest.raises(ShapeError, match="out must be"):
-                ops.upsample_merge(*args, out=bad)
-        # a slice of the skip that is not its buffer, and a view of d
-        with pytest.raises(ValueError, match="skip's own buffer"):
-            ops.upsample_merge(*args, out=args[0].data[:, :2])
-        buf = np.zeros(y.size, np.float32)
-        dt = Tensor(buf[:d.size].reshape(d.shape))
-        with pytest.raises(ValueError, match="skip's own buffer"):
-            ops.upsample_merge(args[0], dt, *args[2:], out=buf.reshape(y.shape))
+        st = Tensor(skip.copy())
+        with pytest.raises(ShapeError, match="only into a skip of as many"):
+            ops.upsample_merge(st, Tensor(d), Parameter(w), Parameter(b),
+                               consume_skip=True)
+        assert np.array_equal(bits(st.data), bits(skip))
 
     @pytest.mark.parametrize("batch", [1, 2, 0])
     def test_backward_is_the_adjoint(self, rng, batch):
@@ -1048,6 +1048,19 @@ class TestUpsampleMerge:
                                Tensor(np.zeros(d_shape, np.float32)),
                                Parameter(np.zeros(k_shape, np.float32)),
                                Parameter(np.zeros((1, 2, 1, 1, 1), np.float32)))
+
+
+class TestTiles:
+    @pytest.mark.parametrize("n,item_bytes,ranges", [
+        (0, 4, []),                         # nothing to cover
+        (5, 0, [(0, 5)]),                   # free items: one range
+        (3, 20, [(0, 1), (1, 2), (2, 3)]),  # an item above the tile
+        (6, 4, [(0, 3), (3, 6)]),           # three items a tile, dividing n
+        (7, 4, [(0, 3), (3, 6), (6, 7)]),   # a ragged last range
+    ])
+    def test_ranges_cover_n_in_tiles(self, monkeypatch, n, item_bytes, ranges):
+        monkeypatch.setattr(ops, "_TILE_BYTES", 12)
+        assert list(ops._tiles(n, item_bytes)) == ranges
 
 
 class TestKernelScratch:
@@ -1208,7 +1221,7 @@ class TestKernelScratch:
         k = Parameter(randn5(rng, (10, 30, 1, 1, 1), scale=1.0))
         b = Parameter(randn5(rng, (1, 10, 1, 1, 1), scale=1.0))
         assert self._forward_ratio(lambda: ops.upsample_merge(
-            skip, d, k, b, out=skip.data)) < 0.35
+            skip, d, k, b, consume_skip=True)) < 0.35
 
     def test_weighted_sum_forms_no_float64_copy(self, rng):
         # a float64 copy of the input alone would be 2x its bytes

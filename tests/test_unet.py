@@ -119,18 +119,18 @@ class TestBuildAndForward:
         v = randn5(rng, (batch, 4, 16, 16, 16), scale=1.0)
         merge, calls = ops.upsample_merge, []
 
-        def spy(skip, d, kernel, bias, out=None):
-            y = merge(skip, d, kernel, bias, out=out)
-            calls.append((out is None, np.may_share_memory(y.data, skip.data)))
+        def spy(skip, d, kernel, bias, consume_skip=False):
+            y = merge(skip, d, kernel, bias, consume_skip=consume_skip)
+            calls.append((consume_skip, np.may_share_memory(y.data, skip.data)))
             return y
 
         monkeypatch.setattr(ops, "upsample_merge", spy)
         fast = forward_full_volume(net, Tensor(v.copy())).data
-        assert calls == [(False, True)] * 2
+        assert calls == [(True, True)] * 2
         calls.clear()
         with Tape():
             slow = net.forward(Tensor(v.copy())).data
-        assert calls == [(True, False)] * 2
+        assert calls == [(False, False)] * 2
         assert np.array_equal(fast.view(np.uint32), slow.view(np.uint32))
 
     def test_indivisible_volume_rejected_with_divisor(self):
