@@ -50,11 +50,11 @@ real graph so the delta of the naive max-term is documented.
 The closed forms leave out two things: kernel scratch (a unit's slab
 grids, accumulator and product), which memtrack does not see and
 tracemalloc does, and allocator slack. A reversible sequence couples in
-place in its input's buffer, so its forward adds no buffer beside the
-sub-network's output half. memtrack's desk reversible step at 32^3,
-batch 1, measured after a warm-up step that allocates M_P, reads exactly
-the model less M_P plus the 4 B loss scalar, at 1, 2 and 4 blocks per
-level (a test pins this).
+place in its input's buffer, and its sub-networks add their outputs into
+it slab by slab, so its forward adds no buffer. memtrack's desk reversible
+step at 32^3, batch 1, measured after a warm-up step that allocates M_P,
+reads exactly the model less M_P plus the 4 B loss scalar, at 1, 2 and 4
+blocks per level (a test pins this).
 """
 
 import json

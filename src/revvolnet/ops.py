@@ -23,9 +23,13 @@ matrix is materialised; the test suite checks forward and backward against
 the direct six-loop sum. Each sample runs in depth slabs of output planes
 (``_grid_slabs``), all kernel offsets applied to one slab before the next,
 and only the output (in the forward) or the unpadded input gradient (in
-the backward) is ever whole. With ``norm``, ``conv3d`` is the paper's
-GN-LeakyReLU-conv unit as one op: each slab normalises the input planes it
-reads as they enter, so the op saves only its input.
+the backward) is ever whole. The offset views of a slab thickness are built
+once per call, since every padded slab reads one grid buffer. With
+``add_to``, an unrecorded forward adds each slab into a given array, so
+not even the output is whole: the reversible coupling's y1 = x1 + F(x2)
+(Gomez et al. 2017) forms no F(x2). With ``norm``, ``conv3d`` is the
+paper's GN-LeakyReLU-conv unit as one op: each slab normalises the input
+planes it reads as they enter, so the op saves only its input.
 
 Every kernel that works in pieces takes its ranges from ``_tiles``: the
 convolution's depth slabs, the normalisation backward's row blocks,
@@ -41,12 +45,11 @@ operations of one whole-array pass, and the tests compare them bit for bit.
 Only the convolution's kernel gradient is summed over the slabs.
 """
 
-import itertools
 from typing import NamedTuple
 
 import numpy as np
 
-from .tape import record
+from .tape import current_tape, record
 from .tensor import Parameter, ShapeError, Tensor
 
 # Bytes of one ``_tiles`` range: with the grid columns a convolution slab
@@ -76,7 +79,7 @@ class Norm(NamedTuple):
 
 
 def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
-           norm: Norm | None = None) -> Tensor:
+           norm: Norm | None = None, add_to: np.ndarray | None = None) -> Tensor:
     """Stride-1 cross-correlation with "same" zero padding, plus bias.
 
     Every kernel extent must be odd; each axis is padded by (k - 1) // 2 on
@@ -88,16 +91,35 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
     the backward rebuilds them the same way (the backward recompute of
     memory-efficient DenseNets, Pleiss et al. 2017). A ``ConvUnit`` builds
     its ``Norm`` once and hands it to every call.
+
+    With ``add_to``, a contiguous float32 array of the output's shape that
+    ``x`` does not overlap, the output is added into it slab by slab and
+    the op returns a Tensor over ``add_to``: no output-sized buffer exists
+    (the reversible coupling's y1 = x1 + F(x2)). Every element gets
+    ``(conv + b) + add_to``, the float32 operations of ``add_to +
+    conv3d(x)``. That records no tape node, so a recording tape refuses it.
     """
     _check_axes(x, "conv3d input")
     pads = _conv_pads(x.shape, kernel, bias)
+    if add_to is not None:
+        if current_tape() is not None:
+            raise RuntimeError("conv3d(add_to=) records no tape node; call "
+                               "it only while no tape records")
+        shape = x.shape[:1] + kernel.value.shape[:1] + x.shape[2:]
+        if (add_to.shape != shape or add_to.dtype != np.float32
+                or not add_to.flags.c_contiguous):
+            raise ShapeError(
+                f"conv3d add_to must be a contiguous float32 array of the "
+                f"output shape {shape}, got {add_to.dtype} {add_to.shape}")
     params = (kernel,) if bias is None else (kernel, bias)
     stats = None
     if norm is not None:
         _check_norm("conv3d", x, norm.gamma, norm.beta, norm.group_size)
         params += (norm.gamma, norm.beta)
         stats = _norm_setup(x.data, norm)
-    out = Tensor(_conv_forward(x.data, pads, kernel, bias, stats))
+    out = Tensor(_conv_forward(x.data, pads, kernel, bias, stats, add_to))
+    if add_to is not None:
+        return out
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
@@ -174,81 +196,106 @@ def _tiles(n, item_bytes):
         yield t0, min(t0 + step, n)
 
 
-def _grid_slabs(x, i, pads, slabs, stats=None):
-    """The depth slabs of sample ``i`` of ``x`` (B, C, D, H, W), one per
+class _SlabGrid(NamedTuple):
+    """A slab's zero-padded grid as its GEMMs read it: ``offsets``, its
+    ``_offset_views`` (kd, kh, kw, C, n), and ``views``, those (C, n)
+    matrices in ``np.ndindex`` order."""
+
+    offsets: np.ndarray
+    views: list
+
+
+def _grid_slabs(x, pads, slabs, stats=None):
+    """The depth slabs of every sample of ``x`` (B, C, D, H, W), one per
     output plane range [lo, hi) of ``slabs`` (``_tiles`` over D; the first
-    is the thickest).
+    is the thickest); none when ``x`` is empty.
 
-    Yields ``(lo, hi, grid)``: ``grid`` is the (C, hi - lo + 2*pd, Hp, Wp)
-    zero-padded block of input planes [lo - pd, hi + pd) that output planes
-    [lo, hi) read, zero outside the volume. With ``stats``, ``x``'s
-    ``_NormStats``, the planes are normalised as they enter. Without
-    padding the grid is the sample's own planes (or their normalised copy).
-    Otherwise it is one buffer for all slabs: the 2*pd planes that
-    neighbouring slabs share are moved to its front, not rebuilt.
+    Yields ``(i, lo, hi, grid)``: ``grid`` is the ``_SlabGrid`` of the (C,
+    hi - lo + 2*pd, Hp, Wp) zero-padded block of sample ``i``'s input
+    planes [lo - pd, hi + pd) that output planes [lo, hi) read, zero
+    outside the volume. With ``stats``, ``x``'s ``_NormStats``, the planes
+    are normalised as they enter. Without padding the grid is the sample's
+    own planes (or their normalised copy). Otherwise it is one buffer for
+    every slab of the call: the 2*pd planes that neighbouring slabs share
+    are moved to its front, not rebuilt, and the views of each slab
+    thickness are built once.
     """
-    v = x[i]
-    c, d, h, w = v.shape
+    b, c, d, h, w = x.shape
     pd, ph, pw = pads
+    hp, wp = h + 2 * ph, w + 2 * pw
+    extents = tuple(2 * p + 1 for p in pads)
 
-    def enter(planes):
+    def slab_grid(grid, planes):
+        offsets = _offset_views(grid, extents,
+                                _slab_columns(planes, h, w, hp, wp))
+        return _SlabGrid(offsets, [offsets[k] for k in np.ndindex(extents)])
+
+    def enter(i, planes):
         return planes if stats is None else _normalised_planes(planes, stats, i)
 
-    if not any(pads):
-        for lo, hi in slabs:
-            yield lo, hi, enter(v[:, lo:hi])
+    if not x.size:
         return
-    buf = np.zeros((c, slabs[0][1] + 2 * pd, h + 2 * ph, w + 2 * pw),
-                   dtype=np.float32)
-    size = 0
-    for lo, hi in slabs:
-        # buffer plane j holds input plane lo - pd + j; planes [0, first)
-        # are the previous slab's last ones
-        first = 0
-        if lo:
-            first = 2 * pd
-            buf[:, :first] = buf[:, size - first:size]
-        size = hi - lo + 2 * pd
-        grid = buf[:, :size]
-        a, b = max(lo - pd + first, 0), min(hi + pd, d)  # new volume planes
-        grid[:, first:a - lo + pd] = 0
-        if b > a:
-            inner = grid[:, a - lo + pd:b - lo + pd, ph:ph + h, pw:pw + w]
-            inner[...] = enter(v[:, a:b])
-        grid[:, max(a, b) - lo + pd:] = 0
-        yield lo, hi, grid
+    if not any(pads):
+        for i in range(b):
+            for lo, hi in slabs:
+                yield i, lo, hi, slab_grid(enter(i, x[i, :, lo:hi]), hi - lo)
+        return
+    buf = np.zeros((c, slabs[0][1] + 2 * pd, hp, wp), dtype=np.float32)
+    grids = {}  # by slab thickness: each reads the front of ``buf``
+    for i in range(b):
+        size = 0
+        for lo, hi in slabs:
+            # buffer plane j holds input plane lo - pd + j; planes [0, first)
+            # are the previous slab's last ones
+            first = 0
+            if lo:
+                first = 2 * pd
+                buf[:, :first] = buf[:, size - first:size]
+            size = hi - lo + 2 * pd
+            grid = buf[:, :size]
+            p0, p1 = max(lo - pd + first, 0), min(hi + pd, d)  # new volume planes
+            grid[:, first:p0 - lo + pd] = 0
+            if p1 > p0:
+                inner = grid[:, p0 - lo + pd:p1 - lo + pd, ph:ph + h, pw:pw + w]
+                inner[...] = enter(i, x[i, :, p0:p1])
+            grid[:, max(p0, p1) - lo + pd:] = 0
+            if size not in grids:
+                grids[size] = slab_grid(grid, hi - lo)
+            yield i, lo, hi, grids[size]
 
 
 def _slab_gemm(mats, grid, dst):
     """One slab's output planes ``dst`` (R, planes, H, W) from ``grid``, the
-    padded planes they read (``_grid_slabs``): the sum of the offsets'
-    GEMMs, ``mats[k]`` times the k-th of ``_offset_views``, in offset order,
-    each product in one scratch matrix. The kernel extents are the halo's:
-    the grid's extents over the output's, plus one.
+    ``_SlabGrid`` of the padded planes they read (``_grid_slabs``): the sum
+    of the offsets' GEMMs, ``mats[k]`` times ``grid.views[k]``, in offset
+    order, each product in one scratch matrix.
 
-    When output rows span whole grid rows the accumulator is ``dst``;
-    otherwise the slab's H x W corner is cropped from it.
+    When output rows span whole grid rows the accumulator is ``dst``, which
+    must then reshape to (R, planes*H*W) as a view; otherwise the slab's
+    H x W corner is cropped from it.
     """
     r, planes, h, w = dst.shape
-    c, p, hp, wp = grid.shape
-    n = _slab_columns(planes, h, w, hp, wp)
-    offsets = _offset_views(grid, (p - planes + 1, hp - h + 1, wp - w + 1), n)
-    views = [offsets[k]
-             for k in itertools.product(*map(range, offsets.shape[:3]))]
+    _, kh, kw, _, n = grid.offsets.shape
+    hp, wp = h + kh - 1, w + kw - 1
     direct = (h, w) == (hp, wp)
     acc = (dst.reshape(r, -1) if direct
            else np.empty((r, planes * hp * wp), dtype=np.float32))
     tile, tmp = acc[:, :n], np.empty((r, n), dtype=np.float32)
-    np.matmul(mats[0], views[0], out=tile)
-    for m, view in zip(mats[1:], views[1:]):
+    np.matmul(mats[0], grid.views[0], out=tile)
+    for m, view in zip(mats[1:], grid.views[1:]):
         tile += np.matmul(m, view, out=tmp)
     if not direct:
         dst[...] = acc.reshape(r, planes, hp, wp)[:, :, :h, :w]
 
 
-def _conv_forward(x, pads, kernel, bias, stats):
-    """The convolution of ``x``, one depth slab at a time; with ``stats``,
-    ``x``'s ``_NormStats``, of the normalised ``x``."""
+def _conv_forward(x, pads, kernel, bias, stats, add_to=None):
+    """The convolution of ``x`` plus the bias, one depth slab at a time;
+    with ``stats``, ``x``'s ``_NormStats``, of the normalised ``x``.
+
+    Each slab's GEMM sum gets the bias in place. With ``add_to`` the slab
+    is formed in one slab-sized scratch and then added into ``add_to``,
+    which is returned; otherwise it is formed in a new output array.
+    """
     w = kernel.value.data
     b, c, d, h, wdt = x.shape
     out_ch = w.shape[0]
@@ -257,12 +304,19 @@ def _conv_forward(x, pads, kernel, bias, stats):
     # a slab's output plane costs the rows of its widest matrix, grid or
     # accumulator
     slabs = list(_tiles(d, 4 * max(c, out_ch) * hp * wp))
-    out = np.empty((b, out_ch, d, h, wdt), dtype=np.float32)
-    for i in range(b if out.size else 0):
-        for lo, hi, grid in _grid_slabs(x, i, pads, slabs, stats):
-            _slab_gemm(mats, grid, out[i, :, lo:hi])
-    if bias is not None:
-        out += bias.value.data
+    if add_to is None:
+        out = np.empty((b, out_ch, d, h, wdt), dtype=np.float32)
+    else:
+        out = add_to
+        scratch = np.empty((out_ch, slabs[0][1] if slabs else 0, h, wdt),
+                           dtype=np.float32)
+    for i, lo, hi, grid in _grid_slabs(x, pads, slabs, stats):
+        dst = out[i, :, lo:hi] if add_to is None else scratch[:, :hi - lo]
+        _slab_gemm(mats, grid, dst)
+        if bias is not None:
+            dst += bias.value.data[0]
+        if add_to is not None:
+            out[i, :, lo:hi] += dst
     return out
 
 
@@ -290,18 +344,14 @@ def _conv_backward(g, x, pads, kernel, bias, stats):
     # the kernel gradient, offsets first: (kd, kh, kw, C_out, C_in)
     gw = np.zeros(w.shape[2:] + w.shape[:2], dtype=np.float32)
     gx = np.empty(x.shape, dtype=np.float32)
-    for i in range(b if x.size else 0):
-        grids = zip(_grid_slabs(x, i, pads, slabs, stats),
-                    _grid_slabs(g, i, pads, slabs))
-        for (lo, hi, xgrid), (_, _, ggrid) in grids:
-            n = _slab_columns(hi - lo, h, wdt, hp, wp)
-            # column z*Hp*Wp + y*Wp + x of the centre offset's view holds g
-            # at output voxel (z, y, x); the columns no voxel owns are zero
-            gf = _offset_views(ggrid, w.shape[2:], n)[pads]
-            # every offset's product in one batched call
-            gw += np.matmul(gf, _offset_views(xgrid, w.shape[2:], n)
-                            .swapaxes(-1, -2))
-            _slab_gemm(flipped, ggrid, gx[i, :, lo:hi])
+    grids = zip(_grid_slabs(x, pads, slabs, stats), _grid_slabs(g, pads, slabs))
+    for (i, lo, hi, xgrid), (_, _, _, ggrid) in grids:
+        # column z*Hp*Wp + y*Wp + x of the centre offset's view holds g at
+        # output voxel (z, y, x); the columns no voxel owns are zero
+        gf = ggrid.offsets[pads]
+        # every offset's product in one batched call
+        gw += np.matmul(gf, xgrid.offsets.swapaxes(-1, -2))
+        _slab_gemm(flipped, ggrid, gx[i, :, lo:hi])
     kernel.grad.data += np.moveaxis(gw, (0, 1, 2), (2, 3, 4))
     if bias is not None:
         bias.grad.data += g.sum(axis=(0, 2, 3, 4)).reshape(1, -1, 1, 1, 1)

@@ -8,8 +8,10 @@ them additively:
 
 Because the inverse is closed-form, a chain of blocks (a reversible sequence)
 only has to keep its final output on the tape, and needs no buffer but its
-input's: the forward couples in place in it, and the backward rebuilds each
-block's inputs in place in it. The backward pass walks the blocks in reverse:
+input's: the forward couples in place in it, each F and G adding its output
+into the other half slab by slab (``conv3d``'s ``add_to``), so no
+sub-network output exists whole; the backward rebuilds each block's inputs
+in place in it. The backward pass walks the blocks in reverse:
 it reconstructs each block's inputs, re-executes F and G once with recording
 on a short-lived local tape to obtain exact parameter and input gradients,
 and releases everything before moving to the previous block. Transient
@@ -65,6 +67,9 @@ class ConvUnit(Module):
     handed to every call, so its parameters come first: gamma, beta,
     kernel, bias.
 
+    ``forward``'s ``add_to`` is ``conv3d``'s: the output added into that
+    array, unrecorded.
+
     The standard residual sub-network used for both F and G, and at full
     width for the non-reversible baseline stacks.
     """
@@ -86,8 +91,9 @@ class ConvUnit(Module):
         self.bias = Parameter(np.zeros((1, out_channels, 1, 1, 1), dtype=np.float32),
                               id=f"{name}.bias")
 
-    def forward(self, x: Tensor) -> Tensor:
-        return ops.conv3d(x, self.kernel, self.bias, norm=self.norm)
+    def forward(self, x: Tensor, add_to=None) -> Tensor:
+        return ops.conv3d(x, self.kernel, self.bias, norm=self.norm,
+                          add_to=add_to)
 
 
 class ReversibleBlock(Module):
@@ -123,8 +129,11 @@ class ReversibleSequence(Module):
 
     ``forward`` couples in its input's buffer, which becomes its output: for
     each sample, over the channel halves of that buffer (contiguous views at
-    any batch size), x1 += F(x2), then x2 += G(x1), block by block. It
-    registers a single tape node retaining only that output, whose backward,
+    any batch size), x1 += F(x2), then x2 += G(x1), block by block. F and G
+    are ``ConvUnit``s, whose convolution adds each depth slab of its output
+    into the half (``add_to``), so neither output is ever formed whole; each
+    element gets the float32 operations of ``x1 + F(x2)``. It registers a
+    single tape node retaining only that output, whose backward,
     ``sequence_backward``, rebuilds each block's inputs in the same buffer.
     So a sequence holds one buffer, whatever its depth. A caller that reads
     ``x`` after the forward copies it first.
@@ -143,8 +152,8 @@ class ReversibleSequence(Module):
             for i in range(y.shape[0]):
                 x1, x2 = Tensor(y[i:i + 1, :half]), Tensor(y[i:i + 1, half:])
                 for block in self.blocks:
-                    x1.data += block.f(x2).data
-                    x2.data += block.g(x1).data
+                    block.f.forward(x2, add_to=x1.data)
+                    block.g.forward(x1, add_to=x2.data)
 
         def backward_fn(grad_out, _inputs, output):
             return (sequence_backward(self, grad_out, output),)

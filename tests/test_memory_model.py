@@ -16,7 +16,7 @@ from revvolnet.tape import Tape
 from revvolnet.tensor import Tensor
 from revvolnet.training import AdamState, train_step
 from revvolnet.unet import (ArchitectureSpec, ConvLayer, Network, build,
-                            load_spec, parameter_count)
+                            forward_full_volume, load_spec, parameter_count)
 
 from conftest import closed_form_count
 
@@ -237,6 +237,21 @@ class TestMeasurePeak:
         _, tracked, _ = cli._step_peak(net, SHAPE, 0)
         assert tracked == (report.total_prev_bytes
                            - report.breakdown["sum_m_p_bytes"] + 4) == 5_922_820
+
+    def test_desk_inference_peak_is_flat_in_depth(self):
+        # The paper's depth claim at inference: each sequence couples in its
+        # input's buffer, F and G adding their outputs into it slab by slab,
+        # so forward_full_volume's tracked peak at desk 16^3 is the same at
+        # 1, 2 and 4 blocks per level: 1.375 level-0 buffers at down0
+        volume = Tensor(np.random.default_rng(0).standard_normal(
+            (1, 4, 16, 16, 16), dtype=np.float32))
+        peaks = {}
+        for blocks in (1, 2, 4):
+            spec = replace(load_spec(DESK_SPEC), encoder_blocks=blocks,
+                           decoder_blocks=blocks)
+            net = build(spec, seed=0)
+            peaks[blocks] = measure_peak(lambda: forward_full_volume(net, volume))
+        assert peaks == dict.fromkeys((1, 2, 4), 225_280)
 
     @pytest.mark.parametrize("stored,bound", [(False, 10_500_000),
                                               (True, 14_000_000)],

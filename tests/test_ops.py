@@ -618,6 +618,55 @@ class TestConvUnit:
                                           want.view(np.uint32), err_msg=name)
 
 
+class TestConvAddTo:
+    """``conv3d(add_to=dst)`` adds the convolution into ``dst`` slab by
+    slab; every element must equal ``dst + conv3d(x)`` bit for bit."""
+
+    @staticmethod
+    def _arrays(rng, batch, k, bias, norm):
+        x = randn5(rng, (batch, 10, 5, 6, 7), scale=3.0)
+        kernel = Parameter(randn5(rng, (6, 10, k, k, k), scale=1.0))
+        b = Parameter(randn5(rng, (1, 6, 1, 1, 1), scale=1.0)) if bias else None
+        nm = None
+        if norm:
+            nm = ops.Norm(Parameter(randn5(rng, (1, 10, 1, 1, 1), scale=1.0)),
+                          Parameter(randn5(rng, (1, 10, 1, 1, 1), scale=1.0)), 2)
+        dst = randn5(rng, (batch, 6, 5, 6, 7), scale=1.0)
+        return x, kernel, b, nm, dst
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["one-slab", "ragged"])
+    @pytest.mark.parametrize("batch", [0, 1, 2])
+    @pytest.mark.parametrize("k,bias,norm", [(3, True, True), (1, False, False)],
+                             ids=["3x3x3-norm", "1x1x1-no-bias"])
+    def test_equals_dst_plus_conv(self, rng, monkeypatch, k, bias, norm,
+                                  batch, ragged):
+        # ragged: forward slabs of 3 and 2 of the 5 planes; the 1x1x1 kernel
+        # accumulates straight into the slab scratch's first planes
+        if ragged:
+            hp, wp = 6 + k - 1, 7 + k - 1
+            monkeypatch.setattr(ops, "_TILE_BYTES", 4 * 10 * hp * wp * 3)
+            assert [t1 - t0 for t0, t1 in
+                    ops._tiles(5, 4 * 10 * hp * wp)] == [3, 2]
+        x, kernel, b, nm, dst = self._arrays(rng, batch, k, bias, norm)
+        got = dst.copy()
+        with no_record():
+            want = dst + ops.conv3d(Tensor(x), kernel, b, norm=nm).data
+            y = ops.conv3d(Tensor(x), kernel, b, norm=nm, add_to=got)
+        assert y.data is got
+        assert np.array_equal(bits(got), bits(want))
+
+    def test_wrong_shape_and_recording_tape_refused(self, rng):
+        x, kernel, b, nm, dst = self._arrays(rng, 1, 3, True, True)
+        wrong = dst[:, :5].copy()
+        with no_record(), pytest.raises(ShapeError, match="add_to"):
+            ops.conv3d(Tensor(x), kernel, b, norm=nm, add_to=wrong)
+        got = dst.copy()
+        with Tape() as tape, pytest.raises(RuntimeError, match="no tape node"):
+            ops.conv3d(Tensor(x), kernel, b, norm=nm, add_to=got)
+        assert not tape.nodes
+        assert np.array_equal(bits(got), bits(dst))
+
+
 class TestSigmoid:
     def test_zero_maps_to_half(self):
         with no_record():
