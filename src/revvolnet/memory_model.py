@@ -31,15 +31,19 @@ tape retains.
 M_B models this engine's per-block backward strategy as
 BLOCK_BACKWARD_HALF_BUFFERS half-width buffers, memtrack's count at the peak
 of one block's backward through the tape at batch 1 (a test pins the two
-together): the incoming gradient's two halves, and the recomputed
-sub-network's output half. G's seed is a view of that gradient and adds
-nothing. The block's input halves are rebuilt in the boundary's output, so
-they stay in M_S. The sub-network, one ``conv3d`` op with a ``norm``
-prologue, saves only its input and rebuilds its normalised activation in its
-backward; its output is dropped once the reconstruction has read it.
-Counted by tracemalloc, one width-10 block at 32^3 allocates 2.26 halves
-beside the output and the incoming gradient, kernel scratch included
-(another test pins that).
+together): the incoming gradient's two halves. G's seed is a view of that
+gradient and adds nothing. The block's input halves are rebuilt in the
+boundary's output, so they stay in M_S: each recomputed sub-network, one
+``conv3d`` op with a ``norm`` prologue, subtracts its output slab by slab
+from the half it rebuilds, so no recomputed output exists whole, and it
+saves only its input and rebuilds its normalised activation in its
+backward. memtrack does not count the sub-network's input gradient, a whole
+half that the nested ``tape.backward`` returns for ``wrt`` (the engine holds
+only the gradients it keeps) and the block adds into a gradient half, so
+three half-width buffers are live at that moment. Counted by tracemalloc,
+one width-10 block at 32^3 allocates 1.90 halves beside the output and the
+incoming gradient: that input gradient and kernel scratch (another test
+pins that).
 A non-reversible layer's backward transient is simply its
 activation-derivative buffer, so the max-term of the second formula runs
 over both kinds; with no sequences present it degenerates to max(M_D) and
@@ -53,8 +57,10 @@ tracemalloc does, and allocator slack. A reversible sequence couples in
 place in its input's buffer, and its sub-networks add their outputs into
 it slab by slab, so its forward adds no buffer. memtrack's desk reversible
 step at 32^3, batch 1, measured after a warm-up step that allocates M_P,
-reads exactly the model less M_P plus the 4 B loss scalar, at 1, 2 and 4
-blocks per level (a test pins this).
+reads exactly the model less M_P plus 393,220 B, at 1, 2 and 4 blocks per
+level (a test pins this): its peak is the head conv's backward, which holds
+its 3-channel output gradient beside its input gradient where the sum + max
+form counts one M_D, as in stored mode, plus the 4 B loss scalar.
 """
 
 import json
@@ -64,7 +70,7 @@ from dataclasses import asdict, dataclass
 from . import memtrack
 
 BYTES = 4  # float32
-BLOCK_BACKWARD_HALF_BUFFERS = 3  # memtrack's count, see above
+BLOCK_BACKWARD_HALF_BUFFERS = 2  # memtrack's count, see above
 PARAM_COPIES = 4  # value, gradient and Adam's two moments
 
 

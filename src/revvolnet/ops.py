@@ -25,11 +25,13 @@ the direct six-loop sum. Each sample runs in depth slabs of output planes
 and only the output (in the forward) or the unpadded input gradient (in
 the backward) is ever whole. The offset views of a slab thickness are built
 once per call, since every padded slab reads one grid buffer. With
-``add_to``, an unrecorded forward adds each slab into a given array, so
-not even the output is whole: the reversible coupling's y1 = x1 + F(x2)
-(Gomez et al. 2017) forms no F(x2). With ``norm``, ``conv3d`` is the
-paper's GN-LeakyReLU-conv unit as one op: each slab normalises the input
-planes it reads as they enter, so the op saves only its input.
+``add_to``, the forward adds each slab into a given array (with
+``subtract``, subtracts it), so not even the output is whole: the
+reversible coupling's y1 = x1 + F(x2) (Gomez et al. 2017) forms no F(x2),
+and its recorded inverse x2 = y2 - G(y1) no G(y1). With ``norm``,
+``conv3d`` is the paper's GN-LeakyReLU-conv unit as one op: each slab
+normalises the input planes it reads as they enter, so the op saves only
+its input.
 
 Every kernel that works in pieces takes its ranges from ``_tiles``: the
 convolution's depth slabs, the normalisation backward's row blocks,
@@ -49,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .tape import current_tape, record
+from .tape import record
 from .tensor import Parameter, ShapeError, Tensor
 
 # Bytes of one ``_tiles`` range: with the grid columns a convolution slab
@@ -79,7 +81,8 @@ class Norm(NamedTuple):
 
 
 def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
-           norm: Norm | None = None, add_to: np.ndarray | None = None) -> Tensor:
+           norm: Norm | None = None, add_to: np.ndarray | None = None,
+           subtract: bool = False) -> Tensor:
     """Stride-1 cross-correlation with "same" zero padding, plus bias.
 
     Every kernel extent must be odd; each axis is padded by (k - 1) // 2 on
@@ -93,18 +96,22 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
     its ``Norm`` once and hands it to every call.
 
     With ``add_to``, a contiguous float32 array of the output's shape that
-    ``x`` does not overlap, the output is added into it slab by slab and
-    the op returns a Tensor over ``add_to``: no output-sized buffer exists
-    (the reversible coupling's y1 = x1 + F(x2)). Every element gets
-    ``(conv + b) + add_to``, the float32 operations of ``add_to +
-    conv3d(x)``. That records no tape node, so a recording tape refuses it.
+    ``x`` does not overlap, the output is added into it slab by slab (with
+    ``subtract``, subtracted from it) and the op returns a Tensor over
+    ``add_to``: no output-sized buffer exists (the reversible coupling's
+    y1 = x1 + F(x2), and its inverse's x2 = y2 - G(y1)). Every element gets
+    ``add_to + (conv + b)``, or ``add_to - (conv + b)``, the float32
+    operations of ``add_to + conv3d(x)`` or ``add_to - conv3d(x)``. A
+    recording tape records the convolution term alone: the node saves
+    ``x``, its backward is that of ``conv3d(x)`` (the gradient is not
+    negated under ``subtract``), and the earlier contents of ``add_to`` are
+    no input of it.
     """
+    if subtract and add_to is None:
+        raise ValueError("conv3d(subtract=True) needs add_to")
     _check_axes(x, "conv3d input")
     pads = _conv_pads(x.shape, kernel, bias)
     if add_to is not None:
-        if current_tape() is not None:
-            raise RuntimeError("conv3d(add_to=) records no tape node; call "
-                               "it only while no tape records")
         shape = x.shape[:1] + kernel.value.shape[:1] + x.shape[2:]
         if (add_to.shape != shape or add_to.dtype != np.float32
                 or not add_to.flags.c_contiguous):
@@ -117,9 +124,8 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
         _check_norm("conv3d", x, norm.gamma, norm.beta, norm.group_size)
         params += (norm.gamma, norm.beta)
         stats = _norm_setup(x.data, norm)
-    out = Tensor(_conv_forward(x.data, pads, kernel, bias, stats, add_to))
-    if add_to is not None:
-        return out
+    out = Tensor(_conv_forward(x.data, pads, kernel, bias, stats, add_to,
+                               subtract))
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
@@ -288,13 +294,14 @@ def _slab_gemm(mats, grid, dst):
         dst[...] = acc.reshape(r, planes, hp, wp)[:, :, :h, :w]
 
 
-def _conv_forward(x, pads, kernel, bias, stats, add_to=None):
+def _conv_forward(x, pads, kernel, bias, stats, add_to=None, subtract=False):
     """The convolution of ``x`` plus the bias, one depth slab at a time;
     with ``stats``, ``x``'s ``_NormStats``, of the normalised ``x``.
 
     Each slab's GEMM sum gets the bias in place. With ``add_to`` the slab
-    is formed in one slab-sized scratch and then added into ``add_to``,
-    which is returned; otherwise it is formed in a new output array.
+    is formed in one slab-sized scratch and then added into ``add_to`` (with
+    ``subtract``, subtracted from it), which is returned; otherwise it is
+    formed in a new output array.
     """
     w = kernel.value.data
     b, c, d, h, wdt = x.shape
@@ -315,7 +322,9 @@ def _conv_forward(x, pads, kernel, bias, stats, add_to=None):
         _slab_gemm(mats, grid, dst)
         if bias is not None:
             dst += bias.value.data[0]
-        if add_to is not None:
+        if subtract:
+            out[i, :, lo:hi] -= dst
+        elif add_to is not None:
             out[i, :, lo:hi] += dst
     return out
 

@@ -10,12 +10,14 @@ Because the inverse is closed-form, a chain of blocks (a reversible sequence)
 only has to keep its final output on the tape, and needs no buffer but its
 input's: the forward couples in place in it, each F and G adding its output
 into the other half slab by slab (``conv3d``'s ``add_to``), so no
-sub-network output exists whole; the backward rebuilds each block's inputs
-in place in it. The backward pass walks the blocks in reverse:
-it reconstructs each block's inputs, re-executes F and G once with recording
-on a short-lived local tape to obtain exact parameter and input gradients,
-and releases everything before moving to the previous block. Transient
-memory is therefore bounded by a single block regardless of depth. The
+sub-network output exists whole. The backward pass walks the blocks in
+reverse: it re-executes F and G once each with recording on a short-lived
+local tape, each subtracting its output slab by slab from the half it
+rebuilds (``add_to`` with ``subtract``), so the block's inputs are rebuilt
+in place in the same buffer and no recomputed output exists whole either;
+the tapes give exact parameter and input gradients, and everything is
+released before moving to the previous block. Transient memory is
+therefore bounded by a single block regardless of depth. The
 inverse exists once, in ``block_backward``, that step for one block; the
 inversion checks run it, through ``sequence_backward``, with zero gradients.
 """
@@ -67,8 +69,8 @@ class ConvUnit(Module):
     handed to every call, so its parameters come first: gamma, beta,
     kernel, bias.
 
-    ``forward``'s ``add_to`` is ``conv3d``'s: the output added into that
-    array, unrecorded.
+    ``forward``'s ``add_to`` and ``subtract`` are ``conv3d``'s: the output
+    added into, or subtracted from, that array.
 
     The standard residual sub-network used for both F and G, and at full
     width for the non-reversible baseline stacks.
@@ -91,9 +93,9 @@ class ConvUnit(Module):
         self.bias = Parameter(np.zeros((1, out_channels, 1, 1, 1), dtype=np.float32),
                               id=f"{name}.bias")
 
-    def forward(self, x: Tensor, add_to=None) -> Tensor:
+    def forward(self, x: Tensor, add_to=None, subtract=False) -> Tensor:
         return ops.conv3d(x, self.kernel, self.bias, norm=self.norm,
-                          add_to=add_to)
+                          add_to=add_to, subtract=subtract)
 
 
 class ReversibleBlock(Module):
@@ -183,34 +185,31 @@ def block_backward(block: ReversibleBlock, y1: Tensor, y2: Tensor,
     output gradient halves ``g1`` and ``g2``; F's and G's parameter
     gradients added. With zero gradient halves it is the inverse alone.
 
-    Each sub-network is re-executed exactly once on a short-lived local tape:
-    G's recording both yields the reconstruction term y2 - G(y1) and, seeded
-    with ``g2``, the gradient flowing into y1; F's recording then yields
-    x1 = y1 - F(x2) and the gradient flowing into x2. The tapes record only
-    the sub-network, and the subtraction is plain numpy, so no tape slot
-    holds the consumed half. Nor does anything hold the sub-network's output
-    once the subtraction has read it: it lives only in a one-item list whose
-    ``pop`` hands ``backward`` the last reference, which ``backward`` drops
-    after finding its root node (no backward reads it; the conv saves its
-    input). Each rebuilt half overwrites the half it comes from once no tape
-    reads that half.
+    Each sub-network is re-executed exactly once on a short-lived local
+    tape, its convolution subtracting slab by slab from the half it rebuilds
+    (``conv3d``'s ``add_to`` with ``subtract``): G's recording turns y2 into
+    x2 = y2 - G(y1) and, seeded with ``g2``, yields the gradient flowing
+    into y1; F's recording then turns y1 into x1 = y1 - F(x2) and yields
+    the gradient flowing into x2. No recomputed output exists whole:
+    beside the gradient, the block backward holds only each sub-network's
+    input gradient, one half, until it is added into ``g1`` (``g2``). Each
+    recorded node saves only its input, the half the other sub-network
+    rebuilds afterwards: y1 is overwritten only once G's backward, its last
+    reader, is done.
     """
     if y1.shape != y2.shape:
         raise ShapeError(
             f"block_backward halves must match, got {y1.shape} and {y2.shape}"
         )
     with Tape() as tg:
-        gy1 = [block.g(y1)]
-    np.subtract(y2.data, gy1[0].data, out=y2.data)  # y2 now holds x2
-    (dy1,) = backward(tg, gy1.pop(), g2, wrt=[y1])
+        x2 = block.g.forward(y1, add_to=y2.data, subtract=True)
+    (dy1,) = backward(tg, x2, g2, wrt=[y1])
     g1 += dy1
     del dy1
 
     with Tape() as tf:
-        fx2 = [block.f(y2)]
-    # G's backward, the last reader of y1, is done
-    np.subtract(y1.data, fx2[0].data, out=y1.data)  # y1 now holds x1
-    (dx2,) = backward(tf, fx2.pop(), g1, wrt=[y2])
+        x1 = block.f.forward(y2, add_to=y1.data, subtract=True)
+    (dx2,) = backward(tf, x1, g1, wrt=[y2])
     g2 += dx2
 
 

@@ -421,8 +421,9 @@ def _read_record(path) -> np.ndarray:
 def load_dataset(directory):
     """Volumes listed in ``manifest.txt``, one ``IMAGE MASKS`` pair of file
     names per line. An image record is (1, M, D, H, W) and its masks record
-    (1, 3, D, H, W) of binary, nested regions (wt >= tc >= et); anything
-    else raises ``ValueError`` naming the file or the manifest line."""
+    (1, 3, D, H, W) of binary, nested regions (wt >= tc >= et), and every
+    image voxel is finite; anything else raises ``ValueError`` naming the
+    file or the manifest line."""
     manifest = os.path.join(directory, "manifest.txt")
     volumes = []
     with open(manifest, "r", encoding="utf-8") as fh:
@@ -440,6 +441,9 @@ def load_dataset(directory):
                 raise ValueError(
                     f"{img_path}: image record must be (1, M, D, H, W), "
                     f"got {image.shape}")
+            if not np.isfinite(image).all():
+                raise ValueError(f"{img_path}: image record holds a "
+                                 f"non-finite voxel")
             want = (1, len(REGIONS)) + image.shape[2:]
             if masks.shape != want:
                 raise ValueError(

@@ -427,7 +427,8 @@ def save_checkpoint(network: Network, prefix) -> None:
 
 def load_checkpoint(prefix) -> Network:
     """The network saved at ``prefix``; its ``.rvt`` must hold exactly one
-    record per manifest entry, in order, and nothing after the last."""
+    record per manifest entry, in order, of finite values, and nothing after
+    the last."""
     prefix = str(prefix)
     spec = load_spec(prefix + ".arch")
     network = build(spec)
@@ -443,6 +444,10 @@ def load_checkpoint(prefix) -> Network:
                 raise ShapeError(
                     f"checkpoint tensor for {p.id} has shape {data.shape}, "
                     f"expected {p.value.shape}")
+            if not np.isfinite(data).all():
+                raise ValueError(
+                    f"{prefix}.rvt: checkpoint tensor for {p.id} holds a "
+                    f"non-finite value")
             p.value.data[...] = data
         if fh.read(1):
             raise ValueError(

@@ -251,9 +251,9 @@ class TestEstimateMemory:
         assert "decoder_blocks" in proc.stderr
 
     @pytest.mark.parametrize("name,totals", [
-        ("desk_reversible", (6_531_984, 19_322_224)),
-        ("baseline_full", (106_430_544, 383_464_944)),
-        ("reversible_full", (390_336_624, 1_429_051_824)),
+        ("desk_reversible", (5_876_624, 19_322_224)),
+        ("baseline_full", (104_464_464, 383_464_944)),
+        ("reversible_full", (386_404_464, 1_429_051_824)),
     ])
     def test_shipped_spec_compare_totals_pinned(self, name, totals):
         # Every shipped spec has one block per level. At that depth both
@@ -524,6 +524,41 @@ class TestTrainEval:
         assert proc.returncode == 2
         assert "ckpt.rvt: bytes after the last parameter record" in proc.stderr
 
+    def test_eval_refuses_non_finite_checkpoint_parameter(self, tmp_path,
+                                                          tiny_spec):
+        import numpy as np
+
+        from revvolnet.unet import build, load_spec, save_checkpoint
+
+        net = build(load_spec(tiny_spec))
+        param = list(net.parameters())[3]
+        param.value.data.flat[0] = np.nan
+        save_checkpoint(net, tmp_path / "ckpt")
+        proc = run_cli("eval", "--checkpoint", str(tmp_path / "ckpt"),
+                       "--synthetic", "2", "--size", "16")
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert (f"ckpt.rvt: checkpoint tensor for {param.id} holds a "
+                f"non-finite value") in proc.stderr
+
+    def test_eval_refuses_non_finite_image_voxel(self, tmp_path, tiny_spec):
+        import numpy as np
+
+        from revvolnet.training import generate_synthetic, save_dataset
+        from revvolnet.unet import build, load_spec, save_checkpoint
+
+        save_checkpoint(build(load_spec(tiny_spec)), tmp_path / "ckpt")
+        rng = np.random.default_rng(0)
+        volumes = [generate_synthetic(rng, size=8) for _ in range(2)]
+        volumes[0].image[1, 2, 3, 4] = np.nan
+        save_dataset(volumes, tmp_path / "data")
+        proc = run_cli("eval", "--checkpoint", str(tmp_path / "ckpt"),
+                       "--data", str(tmp_path / "data"))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert ("case000_image.rvt: image record holds a non-finite voxel"
+                in proc.stderr)
+
     def test_train_on_one_volume_fails_before_training(self, tmp_path, tiny_spec):
         proc = run_cli("train", "--spec", tiny_spec, "--synthetic", "1",
                        "--size", "8", "--out", str(tmp_path / "run"))
@@ -536,13 +571,15 @@ class TestTrainEval:
 
         from revvolnet.training import generate_synthetic, save_dataset
 
+        # finite data (a non-finite voxel is refused on loading); a learning
+        # rate near float32's largest value makes the first Adam step drive
+        # the parameters to about 1e38, so the next forward overflows
         rng = np.random.default_rng(0)
         volumes = [generate_synthetic(rng, size=8) for _ in range(3)]
-        for vol in volumes:
-            vol.image[:, 4, 4, 4] = np.nan
         save_dataset(volumes, tmp_path / "data")
         cfg = tmp_path / "train.cfg"
-        cfg.write_text(FAST_CONFIG)
+        cfg.write_text(FAST_CONFIG.replace("initial_lr=0.001",
+                                           "initial_lr=1e38"))
         proc = run_cli("train", "--spec", tiny_spec, "--config", str(cfg),
                        "--data", str(tmp_path / "data"),
                        "--out", str(tmp_path / "run"))

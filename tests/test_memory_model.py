@@ -224,10 +224,17 @@ class TestMeasurePeak:
     @pytest.mark.parametrize("blocks", [1, 2, 4])
     def test_desk_reversible_peak_is_model_less_m_p(self, blocks):
         # The paper's depth claim, exactly: the step measured after a
-        # warm-up (which allocates M_P) peaks at the model less M_P plus the
-        # 4 B loss scalar, at every depth (+262,144 B at 1 block and
-        # +917,504 B at 2 and 4 while each sequence's forward built fresh
-        # halves and concatenated them)
+        # warm-up (which allocates M_P) peaks at the same figure at every
+        # depth, the model less M_P plus 393,220 B. With M_B at 2 halves
+        # (memtrack's count, which leaves out the unit's input gradient the
+        # nested backward returns) the block backward no longer sets the
+        # peak: the head conv's backward does, its 3-channel output
+        # gradient (393,216 B) beside its input gradient, which the sum +
+        # max form counts once (M_D), as in stored mode, plus the 4 B loss
+        # scalar. (+4 B while each recompute formed its whole output half
+        # and M_B was 3 halves; +262,144 B at 1 block and +917,504 B at 2
+        # and 4 while each sequence's forward built fresh halves and
+        # concatenated them.)
         from revvolnet import cli
 
         spec = replace(load_spec(DESK_SPEC), encoder_blocks=blocks,
@@ -236,7 +243,8 @@ class TestMeasurePeak:
         report = estimate_partially_reversible(net, SHAPE)
         _, tracked, _ = cli._step_peak(net, SHAPE, 0)
         assert tracked == (report.total_prev_bytes
-                           - report.breakdown["sum_m_p_bytes"] + 4) == 5_922_820
+                           - report.breakdown["sum_m_p_bytes"]
+                           + 3 * 32 ** 3 * 4 + 4) == 5_660_676
 
     def test_desk_inference_peak_is_flat_in_depth(self):
         # The paper's depth claim at inference: each sequence couples in its

@@ -655,16 +655,83 @@ class TestConvAddTo:
         assert y.data is got
         assert np.array_equal(bits(got), bits(want))
 
-    def test_wrong_shape_and_recording_tape_refused(self, rng):
+    def test_wrong_shape_refused_and_recording_tape_records(self, rng):
         x, kernel, b, nm, dst = self._arrays(rng, 1, 3, True, True)
         wrong = dst[:, :5].copy()
         with no_record(), pytest.raises(ShapeError, match="add_to"):
             ops.conv3d(Tensor(x), kernel, b, norm=nm, add_to=wrong)
+        with no_record(), pytest.raises(ValueError, match="needs add_to"):
+            ops.conv3d(Tensor(x), kernel, b, norm=nm, subtract=True)
+        # under a tape the node records the convolution term alone: it
+        # saves x, and the earlier contents of add_to are no input of it
+        xt, got = Tensor(x), dst.copy()
+        with Tape() as tape:
+            y = ops.conv3d(xt, kernel, b, norm=nm, add_to=got)
+        (node,) = tape.nodes
+        assert node.op == "conv3d" and node.saves == ("inputs",)
+        assert node.input_slots == (("leaf", xt),)
+        assert y.data is got and y.node() is node
+
+    @staticmethod
+    def _subtract_case(monkeypatch, rng, k, ragged, zero):
+        if ragged:
+            hp, wp = 6 + k - 1, 7 + k - 1
+            monkeypatch.setattr(ops, "_TILE_BYTES", 4 * 10 * hp * wp * 3)
+            assert [t1 - t0 for t0, t1 in
+                    ops._tiles(5, 4 * 10 * hp * wp)] == [3, 2]
+        x, kernel, b, nm, dst = TestConvAddTo._arrays(rng, 1, k, k == 3,
+                                                      k == 3)
+        if zero:
+            # dst holds the convolution exactly, so every element of
+            # dst - conv is an exact zero, which must be +0, not -0
+            with no_record():
+                dst = ops.conv3d(Tensor(x), kernel, b, norm=nm).data.copy()
+        return x, kernel, b, nm, dst
+
+    @pytest.mark.parametrize("zero", [False, True], ids=["random", "zero"])
+    @pytest.mark.parametrize("ragged", [False, True], ids=["one-slab", "ragged"])
+    @pytest.mark.parametrize("k", [3, 1], ids=["3x3x3-norm", "1x1x1-no-bias"])
+    def test_recorded_subtract_equals_dst_minus_conv(self, rng, monkeypatch,
+                                                     k, ragged, zero):
+        x, kernel, b, nm, dst = self._subtract_case(monkeypatch, rng,
+                                                    k, ragged, zero)
+        with no_record():
+            want = dst - ops.conv3d(Tensor(x), kernel, b, norm=nm).data
+        if zero:
+            assert not want.any() and not np.signbit(want).any()
         got = dst.copy()
-        with Tape() as tape, pytest.raises(RuntimeError, match="no tape node"):
-            ops.conv3d(Tensor(x), kernel, b, norm=nm, add_to=got)
-        assert not tape.nodes
-        assert np.array_equal(bits(got), bits(dst))
+        with Tape() as tape:
+            y = ops.conv3d(Tensor(x), kernel, b, norm=nm, add_to=got,
+                           subtract=True)
+        assert len(tape.nodes) == 1 and y.data is got
+        assert np.array_equal(bits(got), bits(want))
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["one-slab", "ragged"])
+    @pytest.mark.parametrize("k", [3, 1], ids=["3x3x3-norm", "1x1x1-no-bias"])
+    def test_recorded_subtract_backward_is_conv3d_backward(self, rng,
+                                                           monkeypatch, k,
+                                                           ragged):
+        x, kernel, b, nm, dst = self._subtract_case(monkeypatch, rng,
+                                                    k, ragged, False)
+        params = [p for p in (kernel, b) if p is not None]
+        if nm is not None:
+            params += [nm.gamma, nm.beta]
+        seed = randn5(rng, dst.shape, scale=1.0)
+
+        def grads(**kw):
+            for p in params:
+                p.zero_grad()
+            xt = Tensor(x)
+            with Tape() as tape:
+                y = ops.conv3d(xt, kernel, b, norm=nm, **kw)
+            (gx,) = backward(tape, y, seed, wrt=[xt])
+            return [gx] + [p.grad.data.copy() for p in params]
+
+        want = grads()
+        got = grads(add_to=dst.copy(), subtract=True)
+        assert len(got) == len(want) == 1 + len(params)
+        for g, w in zip(got, want):
+            assert np.array_equal(bits(g), bits(w))
 
 
 class TestSigmoid:

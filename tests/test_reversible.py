@@ -1,8 +1,6 @@
 """Reversible block/sequence semantics, inversion accuracy, gradient
 equivalence against the stored-activation reference, and memory behavior."""
 
-import weakref
-
 import numpy as np
 import pytest
 
@@ -24,29 +22,22 @@ class KernelOnly(Module):
     def __init__(self, scale):
         self.kernel = Parameter(np.full((1, 1, 1, 1, 1), scale, np.float32))
 
-    def forward(self, x):
-        return ops.conv3d(x, self.kernel, None)
+    def forward(self, x, add_to=None, subtract=False):
+        return ops.conv3d(x, self.kernel, None, add_to=add_to,
+                          subtract=subtract)
 
 
 class WatchedOutput(Module):
-    """A sub-network that notes, when its last recorded op's backward
-    starts, whether its output tensor is still alive."""
+    """A sub-network that keeps the output of each recorded call."""
 
     def __init__(self, unit):
         self.unit = unit
-        self.alive_in_backward = []
+        self.recorded = []
 
-    def forward(self, x):
-        out = self.unit(x)
-        node = out.node()
-        if node is not None:
-            ref, inner = weakref.ref(out), node.backward_fn
-
-            def watched(g, inputs, output):
-                self.alive_in_backward.append(ref() is not None)
-                return inner(g, inputs, output)
-
-            node.backward_fn = watched
+    def forward(self, x, add_to=None, subtract=False):
+        out = self.unit.forward(x, add_to=add_to, subtract=subtract)
+        if out.node() is not None:
+            self.recorded.append(out)
         return out
 
 
@@ -272,12 +263,12 @@ class TestSequenceBackward:
         # Tensors over y's halves (y1 and x2, rebuilt in y2's buffer) view y,
         # which is counted before entry. At the peak, inside G's backward:
         # G's seed, a view of the gradient, which G's backward pass holds by
-        # the whole buffer it views. G's output is not held, and G's one op,
-        # conv3d with a norm prologue, saves only its input (4 while each
-        # Tensor and each pass counted its own buffer, 7 while the conv
-        # saved the normalised activation). The gradient halves, the
-        # gradient sums and the rebuilt halves are no Tensors of their own
-        # (at 6, while each was wrapped in one).
+        # the whole buffer it views. G's output is a Tensor over y2's
+        # buffer, and G's one op, conv3d with a norm prologue, saves only
+        # its input (4 while each Tensor and each pass counted its own
+        # buffer, 7 while the conv saved the normalised activation). The
+        # gradient halves, the gradient sums and the rebuilt halves are no
+        # Tensors of their own (at 6, while each was wrapped in one).
         from revvolnet.reversible import sequence_backward
 
         seq = toy_sequence(1, 10, rng)
@@ -289,13 +280,14 @@ class TestSequenceBackward:
 
     def test_transient_peak_in_numpy_buffers_is_pinned(self, rng):
         # One block, width 10, 32^3, batch 1, counted by tracemalloc: each
-        # rebuilt half overwrites the half it came from and each gradient sum
+        # recompute subtracts into the half it rebuilds and each gradient sum
         # goes into its incoming half, so the buffers beside y and grad are
         # the engine's gradients and kernel scratch, one depth slab of the
-        # unit's grids among them (2.26 halves; 4.95 while the conv built
-        # whole padded grids, 5.96 while the unit's conv saved the
-        # normalised activation, 8.96 with a fresh buffer per half and per
-        # sum). memtrack reads 2, as above.
+        # unit's grids among them (1.90 halves; 2.26 while each recompute
+        # formed its whole output half, 4.95 while the conv built whole
+        # padded grids, 5.96 while the unit's conv saved the normalised
+        # activation, 8.96 with a fresh buffer per half and per sum).
+        # memtrack reads 2, as above.
         from revvolnet.reversible import sequence_backward
 
         seq = toy_sequence(1, 10, rng)
@@ -305,7 +297,7 @@ class TestSequenceBackward:
         tracked, numpy_peak = memory_model.measure_peaks(
             lambda: sequence_backward(seq, grad, y))
         assert tracked == 2 * half
-        assert 2 * half < numpy_peak <= 3 * half, numpy_peak / half
+        assert half < numpy_peak <= 2 * half, numpy_peak / half
 
     def test_batch_two_numpy_peak_is_pinned(self, rng):
         # At batch 2 the halves of y are copies, but each gradient sum still
@@ -322,14 +314,18 @@ class TestSequenceBackward:
             lambda: sequence_backward(seq, grad, y))
         assert 4 * half < numpy_peak <= 5 * half, numpy_peak / half
 
-    @pytest.mark.parametrize("batch,halves", [(1, 3), (2, 5)])
+    @pytest.mark.parametrize("batch,halves", [(1, 2), (2, 5)])
     def test_backprop_peak_in_half_buffers(self, rng, batch, halves):
         # Through the tape the sequence's node holds y, counted before entry,
-        # until its backward returns. Above entry: the incoming gradient,
-        # held once by the engine, and the recomputed sub-network's output
-        # half (the model's M_B at batch 1, where G's seed views the
-        # gradient and y's halves view y). At batch 2 the Tensors over y's
-        # halves and G's seed are one-half copies each (4 and 3 while every
+        # until its backward returns. Above entry, in the block backward: the
+        # incoming gradient, held once by the engine (the model's M_B at
+        # batch 1, where G's seed views the gradient, y's halves view y and
+        # each recompute subtracts into y's buffer; the unit's input
+        # gradient, which the nested pass returns, is not held). The loss's
+        # backward holds the same gradient beside its 4 B seed, so at batch
+        # 1 that is the pass's peak. At batch 2 the Tensors over y's halves
+        # and G's seed are one-half copies each (3 and 5 while each
+        # recompute formed its whole output half; 4 and 3 while every
         # Tensor and every pass counted its own buffer and the engine
         # released y before the call; 8 at both while every half was a
         # Tensor of its own and `add`'s gradient was counted per consumer).
@@ -340,7 +336,7 @@ class TestSequenceBackward:
         with Tape() as tape:
             loss = ops.weighted_sum(seq.forward(x), probe)
         peak = memtrack.GLOBAL.measure(lambda: backprop(tape, loss))
-        assert peak == halves * half, peak / half
+        assert peak == max(halves * half, 2 * half + 4), peak / half
         if batch == 1:
             # the memory model's M_B is this measured count
             assert memory_model.BLOCK_BACKWARD_HALF_BUFFERS == halves
@@ -407,10 +403,12 @@ class TestSequenceBackward:
         for rev, ref in zip(run(stored=False), run(stored=True)):
             assert relative_error(rev, ref) <= 1e-4
 
-    def test_sub_network_outputs_die_before_their_backward_returns(self, rng):
-        # One block, width 10, 8^3. Each sub-network output is consumed by
-        # the subtraction that reconstructs the block's input; no backward
-        # reads it, so it must be gone by the time its conv's backward runs.
+    def test_recomputed_outputs_are_written_into_y(self, rng):
+        # One block, width 10, 8^3. Each recorded recompute subtracts into
+        # the half it rebuilds, so its node's output is a Tensor over y's
+        # buffer and no sub-network output exists beside it (until each was
+        # a half-width Tensor of its own, dropped once the subtraction had
+        # read it).
         from revvolnet.reversible import sequence_backward
 
         seq = toy_sequence(1, 10, rng)
@@ -418,8 +416,10 @@ class TestSequenceBackward:
         block.f, block.g = WatchedOutput(block.f), WatchedOutput(block.g)
         y = Tensor(randn5(rng, (1, 10, 8, 8, 8)))
         sequence_backward(seq, randn5(rng, y.shape), y)
-        assert block.g.alive_in_backward == [False]
-        assert block.f.alive_in_backward == [False]
+        for sub, half in ((block.g, slice(5, None)), (block.f, slice(None, 5))):
+            (out,) = sub.recorded
+            assert np.shares_memory(out.data, y.data[:, half])
+            assert out.data.base is y.data
 
     def test_stored_reference_backward_peak_grows_with_depth(self, rng):
         peaks = {}

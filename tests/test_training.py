@@ -349,6 +349,15 @@ class TestDatasetIO:
                            match=f"case001_masks.rvt: {message}"):
             load_dataset(tmp_path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_image_voxel_names_its_file(self, tmp_path, value):
+        vols = tiny_dataset(n=2, size=8)
+        vols[1].image[2, 3, 4, 5] = value
+        save_dataset(vols, tmp_path)
+        with pytest.raises(ValueError, match="case001_image.rvt: image "
+                                             "record holds a non-finite"):
+            load_dataset(tmp_path)
+
     def test_truncated_record_names_its_file(self, tmp_path):
         save_dataset(tiny_dataset(n=1, size=8), tmp_path)
         path = tmp_path / "case000_masks.rvt"
