@@ -3,16 +3,16 @@
 Every op validates shapes up front, computes the forward result with numpy,
 and registers a tape node whose backward closure produces the input gradients
 and accumulates parameter gradients. Each op declares what its closure reads
-(``saves``): ``conv3d``, ``upsample_merge`` and ``group_norm_leaky_relu``
-their inputs, ``sigmoid`` its output, ``max_pool2`` both, and the
-upsampling, channel plumbing, arithmetic and reductions nothing. The tape
-retains and hands over only those values, so closures capture parameters
-and small saved statistics only. The closures carry no test hook: the
-gradient checker corrupts gradients by op name in ``tape.backward``. Empty
-tensors (batch 0 or a zero spatial extent) run through the general kernels;
-GroupNorm statistics are undefined there, so the normalisation's setup
-gives none and both ``group_norm_leaky_relu`` and ``conv3d``'s ``norm``
-prologue map an empty tensor to itself.
+(``saves``): ``conv3d`` (what enters its prologue), ``upsample_merge``
+and ``group_norm_leaky_relu`` their inputs, ``sigmoid`` its output,
+``max_pool2`` both, and the upsampling, channel plumbing, arithmetic and
+reductions nothing. The tape retains and hands over only those values, so
+closures capture parameters and small saved statistics only. The closures
+carry no test hook: the gradient checker corrupts gradients by op name in
+``tape.backward``. Empty tensors (batch 0 or a zero spatial extent) run
+through the general kernels; GroupNorm statistics are undefined there, so
+the normalisation's setup gives none and both ``group_norm_leaky_relu``
+and ``conv3d``'s ``norm`` prologue map an empty tensor to itself.
 
 Convolution has one padding rule: stride 1 and "same" zero padding, so
 every kernel extent must be odd (3x3x3 units, 1x1x1 channel changes) and
@@ -28,15 +28,20 @@ once per call, since every padded slab reads one grid buffer. With
 ``add_to``, the forward adds each slab into a given array (with
 ``subtract``, subtracts it), so not even the output is whole: the
 reversible coupling's y1 = x1 + F(x2) (Gomez et al. 2017) forms no F(x2),
-and its recorded inverse x2 = y2 - G(y1) no G(y1). With ``norm``,
-``conv3d`` is the paper's GN-LeakyReLU-conv unit as one op: each slab
-normalises the input planes it reads as they enter, so the op saves only
-its input.
+and its recorded inverse x2 = y2 - G(y1) no G(y1). Two prologues transform
+the input planes a slab reads as they enter, and the backward rebuilds
+them, so the op saves only its input: with ``norm``, ``conv3d`` is the
+paper's GN-LeakyReLU-conv unit as one op, and with ``pool`` it convolves
+``max_pool2`` of its input (the reversible net's down step), whose pooled
+copy is then never formed whole. ``max_pool2`` and the pooling prologue
+pool through one helper (``_pool_blocks``) and route the gradient through
+another (``_route_blocks``).
 
 Every kernel that works in pieces takes its ranges from ``_tiles``: the
-convolution's depth slabs, the normalisation backward's row blocks,
-``max_pool2``'s plane chunks, the upsampling's slice groups and
-``upsample_merge``'s column chunks. A piece holds about ``_TILE_BYTES`` of
+convolution's depth slabs, the normalisation backward's row blocks, the
+pooling's plane or channel chunks, the upsampling's slice groups and
+output plane chunks, and ``upsample_merge``'s column and output channel
+chunks. A piece holds about ``_TILE_BYTES`` of
 scratch, so it and what it reads stay in the L2 cache instead of a whole
 array streaming once per pass (cache blocking after Goto and van de Geijn
 2008), and the scratch is a small fraction of the tensors: calls are traded
@@ -82,7 +87,7 @@ class Norm(NamedTuple):
 
 def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
            norm: Norm | None = None, add_to: np.ndarray | None = None,
-           subtract: bool = False) -> Tensor:
+           subtract: bool = False, pool: bool = False) -> Tensor:
     """Stride-1 cross-correlation with "same" zero padding, plus bias.
 
     Every kernel extent must be odd; each axis is padded by (k - 1) // 2 on
@@ -94,6 +99,13 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
     the backward rebuilds them the same way (the backward recompute of
     memory-efficient DenseNets, Pleiss et al. 2017). A ``ConvUnit`` builds
     its ``Norm`` once and hands it to every call.
+
+    With ``pool``, the convolution reads ``max_pool2(x)`` the same way, bit
+    for bit, and has its extents: each slab pools the input planes it reads
+    as they enter, the node keeps only ``x``, and the backward rebuilds the
+    pooled planes to route the pooled-domain gradient by ``max_pool2``'s
+    rule. No pooled copy of ``x`` is retained or formed whole. A call takes
+    ``norm`` or ``pool``, not both.
 
     With ``add_to``, a contiguous float32 array of the output's shape that
     ``x`` does not overlap, the output is added into it slab by slab (with
@@ -109,10 +121,13 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
     """
     if subtract and add_to is None:
         raise ValueError("conv3d(subtract=True) needs add_to")
+    if pool and norm is not None:
+        raise ValueError("conv3d takes a norm or a pool prologue, not both")
     _check_axes(x, "conv3d input")
-    pads = _conv_pads(x.shape, kernel, bias)
+    in_shape = _pooled_shape(x.shape, "conv3d(pool=True)") if pool else x.shape
+    pads = _conv_pads(in_shape, kernel, bias)
     if add_to is not None:
-        shape = x.shape[:1] + kernel.value.shape[:1] + x.shape[2:]
+        shape = in_shape[:1] + kernel.value.shape[:1] + in_shape[2:]
         if (add_to.shape != shape or add_to.dtype != np.float32
                 or not add_to.flags.c_contiguous):
             raise ShapeError(
@@ -125,11 +140,11 @@ def conv3d(x: Tensor, kernel: Parameter, bias: Parameter | None = None,
         params += (norm.gamma, norm.beta)
         stats = _norm_setup(x.data, norm)
     out = Tensor(_conv_forward(x.data, pads, kernel, bias, stats, add_to,
-                               subtract))
+                               subtract, pool))
 
     def backward_fn(g, inputs, _output):
         (x_val,) = inputs
-        gx = _conv_backward(g, x_val, pads, kernel, bias, stats)
+        gx = _conv_backward(g, x_val, pads, kernel, bias, stats, pool)
         if stats is not None:
             _norm_backward(x_val, gx, stats)
         return (gx,)
@@ -192,41 +207,52 @@ def _slab_columns(planes, h, w, hp, wp):
     return (planes - 1) * hp * wp + (h - 1) * wp + w
 
 
-def _tiles(n, item_bytes):
+def _tiles(n, item_bytes, least=1):
     """The ranges [t0, t1) that cover [0, n) with about ``_TILE_BYTES`` of
-    ``item_bytes``-byte items each: at least one item, the last range
-    shorter when they do not divide. Every chunked kernel sizes its chunks
-    here."""
-    step = max(1, _TILE_BYTES // max(1, item_bytes))
-    for t0 in range(0, n, step):
-        yield t0, min(t0 + step, n)
+    ``item_bytes``-byte items each: at least ``least`` items, the last range
+    shorter when they do not divide, unless it would hold fewer than
+    ``least``, when it joins the range before. Every chunked kernel sizes
+    its chunks here."""
+    step = max(least, _TILE_BYTES // max(1, item_bytes))
+    t0 = 0
+    while t0 < n:
+        t1 = n if n - t0 < step + least else t0 + step
+        yield t0, t1
+        t0 = t1
 
 
 class _SlabGrid(NamedTuple):
     """A slab's zero-padded grid as its GEMMs read it: ``offsets``, its
-    ``_offset_views`` (kd, kh, kw, C, n), and ``views``, those (C, n)
-    matrices in ``np.ndindex`` order."""
+    ``_offset_views`` (kd, kh, kw, C, n), ``views``, those (C, n) matrices
+    in ``np.ndindex`` order, and ``planes``, the (C, hi - lo, H, W) input
+    planes of the slab's own output planes, as they entered."""
 
     offsets: np.ndarray
     views: list
+    planes: np.ndarray
 
 
-def _grid_slabs(x, pads, slabs, stats=None):
-    """The depth slabs of every sample of ``x`` (B, C, D, H, W), one per
-    output plane range [lo, hi) of ``slabs`` (``_tiles`` over D; the first
-    is the thickest); none when ``x`` is empty.
+def _grid_slabs(x, pads, slabs, stats=None, pool=False):
+    """The depth slabs of every sample of the convolution input ``x`` (B,
+    C, D, H, W), one per output plane range [lo, hi) of ``slabs``
+    (``_tiles`` over D; the first is the thickest); none when ``x`` is
+    empty. With ``pool``, the input is ``max_pool2`` of ``x`` (B, C, 2D,
+    2H, 2W).
 
     Yields ``(i, lo, hi, grid)``: ``grid`` is the ``_SlabGrid`` of the (C,
     hi - lo + 2*pd, Hp, Wp) zero-padded block of sample ``i``'s input
     planes [lo - pd, hi + pd) that output planes [lo, hi) read, zero
-    outside the volume. With ``stats``, ``x``'s ``_NormStats``, the planes
-    are normalised as they enter. Without padding the grid is the sample's
-    own planes (or their normalised copy). Otherwise it is one buffer for
-    every slab of the call: the 2*pd planes that neighbouring slabs share
-    are moved to its front, not rebuilt, and the views of each slab
-    thickness are built once.
+    outside the volume. The planes enter through the prologue: with
+    ``stats``, ``x``'s ``_NormStats``, they are normalised, and with
+    ``pool`` each is pooled from its two planes of ``x``. Without padding
+    the grid is the sample's own planes (or their prologue's copy).
+    Otherwise it is one buffer for every slab of the call: the 2*pd planes
+    that neighbouring slabs share are moved to its front, not rebuilt, and
+    the views of each slab thickness are built once.
     """
     b, c, d, h, w = x.shape
+    if pool:
+        d, h, w = d // 2, h // 2, w // 2
     pd, ph, pw = pads
     hp, wp = h + 2 * ph, w + 2 * pw
     extents = tuple(2 * p + 1 for p in pads)
@@ -234,17 +260,27 @@ def _grid_slabs(x, pads, slabs, stats=None):
     def slab_grid(grid, planes):
         offsets = _offset_views(grid, extents,
                                 _slab_columns(planes, h, w, hp, wp))
-        return _SlabGrid(offsets, [offsets[k] for k in np.ndindex(extents)])
+        return _SlabGrid(offsets, [offsets[k] for k in np.ndindex(extents)],
+                         grid[:, pd:pd + planes, ph:ph + h, pw:pw + w])
 
-    def enter(i, planes):
-        return planes if stats is None else _normalised_planes(planes, stats, i)
+    def enter(i, p0, p1, out=None):
+        """Input planes [p0, p1) of sample ``i``, into ``out`` if given."""
+        if pool:
+            return _pool_blocks(_blocks(x[i, :, 2 * p0:2 * p1]), out)
+        planes = x[i, :, p0:p1]
+        if stats is not None:
+            planes = _normalised_planes(planes, stats, i)
+        if out is None:
+            return planes
+        out[...] = planes
+        return out
 
     if not x.size:
         return
     if not any(pads):
         for i in range(b):
             for lo, hi in slabs:
-                yield i, lo, hi, slab_grid(enter(i, x[i, :, lo:hi]), hi - lo)
+                yield i, lo, hi, slab_grid(enter(i, lo, hi), hi - lo)
         return
     buf = np.zeros((c, slabs[0][1] + 2 * pd, hp, wp), dtype=np.float32)
     grids = {}  # by slab thickness: each reads the front of ``buf``
@@ -262,8 +298,8 @@ def _grid_slabs(x, pads, slabs, stats=None):
             p0, p1 = max(lo - pd + first, 0), min(hi + pd, d)  # new volume planes
             grid[:, first:p0 - lo + pd] = 0
             if p1 > p0:
-                inner = grid[:, p0 - lo + pd:p1 - lo + pd, ph:ph + h, pw:pw + w]
-                inner[...] = enter(i, x[i, :, p0:p1])
+                enter(i, p0, p1, out=grid[:, p0 - lo + pd:p1 - lo + pd,
+                                          ph:ph + h, pw:pw + w])
             grid[:, max(p0, p1) - lo + pd:] = 0
             if size not in grids:
                 grids[size] = slab_grid(grid, hi - lo)
@@ -294,9 +330,11 @@ def _slab_gemm(mats, grid, dst):
         dst[...] = acc.reshape(r, planes, hp, wp)[:, :, :h, :w]
 
 
-def _conv_forward(x, pads, kernel, bias, stats, add_to=None, subtract=False):
+def _conv_forward(x, pads, kernel, bias, stats, add_to=None, subtract=False,
+                  pool=False):
     """The convolution of ``x`` plus the bias, one depth slab at a time;
-    with ``stats``, ``x``'s ``_NormStats``, of the normalised ``x``.
+    with ``stats``, ``x``'s ``_NormStats``, of the normalised ``x``, and
+    with ``pool`` of ``max_pool2(x)``.
 
     Each slab's GEMM sum gets the bias in place. With ``add_to`` the slab
     is formed in one slab-sized scratch and then added into ``add_to`` (with
@@ -304,7 +342,7 @@ def _conv_forward(x, pads, kernel, bias, stats, add_to=None, subtract=False):
     formed in a new output array.
     """
     w = kernel.value.data
-    b, c, d, h, wdt = x.shape
+    b, c, d, h, wdt = _pooled_shape(x.shape) if pool else x.shape
     out_ch = w.shape[0]
     hp, wp = h + 2 * pads[1], wdt + 2 * pads[2]
     mats = _offset_matrices(w)
@@ -317,7 +355,7 @@ def _conv_forward(x, pads, kernel, bias, stats, add_to=None, subtract=False):
         out = add_to
         scratch = np.empty((out_ch, slabs[0][1] if slabs else 0, h, wdt),
                            dtype=np.float32)
-    for i, lo, hi, grid in _grid_slabs(x, pads, slabs, stats):
+    for i, lo, hi, grid in _grid_slabs(x, pads, slabs, stats, pool):
         dst = out[i, :, lo:hi] if add_to is None else scratch[:, :hi - lo]
         _slab_gemm(mats, grid, dst)
         if bias is not None:
@@ -329,7 +367,7 @@ def _conv_forward(x, pads, kernel, bias, stats, add_to=None, subtract=False):
     return out
 
 
-def _conv_backward(g, x, pads, kernel, bias, stats):
+def _conv_backward(g, x, pads, kernel, bias, stats, pool=False):
     """The input gradient of ``_conv_forward`` at output gradient ``g``; the
     kernel and bias gradients are added to ``kernel.grad`` and ``bias.grad``.
 
@@ -337,10 +375,13 @@ def _conv_backward(g, x, pads, kernel, bias, stats):
     on the same padded layout. The kernel gradient sums ``g @ grid^T`` per
     offset over the slabs; the slab's input gradient is the convolution of
     the padded ``g`` with the flipped, transposed kernel, written straight
-    into the unpadded gradient.
+    into the unpadded gradient. With ``pool`` that is the gradient at the
+    slab's pooled planes, formed in a slab-sized scratch, which
+    ``_route_blocks`` then hands to the maxima of ``x``'s blocks in the
+    full-resolution gradient.
     """
     w = kernel.value.data
-    b, c, d, h, wdt = x.shape
+    b, c, d, h, wdt = _pooled_shape(x.shape) if pool else x.shape
     out_ch = w.shape[0]
     hp, wp = h + 2 * pads[1], wdt + 2 * pads[2]
     # offset k of the flipped kernel is offset k^3 - 1 - k of the kernel
@@ -352,15 +393,28 @@ def _conv_backward(g, x, pads, kernel, bias, stats):
         slabs = list(_tiles(d, 4 * (c + out_ch) * hp * wp))
     # the kernel gradient, offsets first: (kd, kh, kw, C_out, C_in)
     gw = np.zeros(w.shape[2:] + w.shape[:2], dtype=np.float32)
-    gx = np.empty(x.shape, dtype=np.float32)
-    grids = zip(_grid_slabs(x, pads, slabs, stats), _grid_slabs(g, pads, slabs))
+    if pool:
+        # every voxel that is no block's maximum gets zero
+        gx = np.zeros(x.shape, dtype=np.float32)
+        scratch = np.empty((c, slabs[0][1] if slabs else 0, h, wdt),
+                           dtype=np.float32)
+    else:
+        gx = np.empty(x.shape, dtype=np.float32)
+    grids = zip(_grid_slabs(x, pads, slabs, stats, pool),
+                _grid_slabs(g, pads, slabs))
     for (i, lo, hi, xgrid), (_, _, _, ggrid) in grids:
         # column z*Hp*Wp + y*Wp + x of the centre offset's view holds g at
         # output voxel (z, y, x); the columns no voxel owns are zero
         gf = ggrid.offsets[pads]
         # every offset's product in one batched call
         gw += np.matmul(gf, xgrid.offsets.swapaxes(-1, -2))
-        _slab_gemm(flipped, ggrid, gx[i, :, lo:hi])
+        if not pool:
+            _slab_gemm(flipped, ggrid, gx[i, :, lo:hi])
+            continue
+        gp = scratch[:, :hi - lo]
+        _slab_gemm(flipped, ggrid, gp)
+        _route_blocks(_blocks(x[i, :, 2 * lo:2 * hi]), xgrid.planes, gp,
+                      _blocks(gx[i, :, 2 * lo:2 * hi]))
     kernel.grad.data += np.moveaxis(gw, (0, 1, 2), (2, 3, 4))
     if bias is not None:
         bias.grad.data += g.sum(axis=(0, 2, 3, 4)).reshape(1, -1, 1, 1, 1)
@@ -608,44 +662,78 @@ def max_pool2(x: Tensor) -> Tensor:
     """Non-overlapping 2x2x2 max pooling; ties go to the first voxel in scan
     order, and the backward routes the whole gradient there."""
     _check_axes(x, "max_pool2 input")
-    b, c, d, h, w = x.shape
-    if d % 2 or h % 2 or w % 2:
-        raise ShapeError(f"max_pool2 requires even spatial extents, got {x.shape[2:]}")
-    d2, h2, w2 = d // 2, h // 2, w // 2
-
-    # three pairwise maxima over strided views (z, then y, then x), one
-    # chunk of output depth planes at a time, the last straight into the
-    # output; no copy of the input is formed, and a NaN in a block still wins
-    planes = b * c * d2
-    v = x.data.reshape(planes, 2, h2, 2, w2, 2)
-    pooled = np.empty((planes, h2, w2), dtype=np.float32)
-    # a chunk's z and y maxima are 4 and 2 output planes per output plane
-    for p0, p1 in _tiles(planes, 4 * 6 * h2 * w2):
-        m = v[p0:p1]
-        m = np.maximum(m[:, 0], m[:, 1])
-        m = np.maximum(m[:, :, 0], m[:, :, 1])
-        np.maximum(m[..., 0], m[..., 1], out=pooled[p0:p1])
-    out = Tensor(pooled.reshape(b, c, d2, h2, w2))
+    shape = _pooled_shape(x.shape, "max_pool2")
+    b, c, d2, h2, w2 = shape
+    # the blocks of each output plane
+    blocks, planes = (b * c * d2, 2, h2, 2, w2, 2), (b * c * d2, h2, w2)
+    out = Tensor(_pool_blocks(x.data.reshape(blocks)).reshape(shape))
 
     def backward_fn(g, inputs, output):
         (x_val,) = inputs
-        v = x_val.reshape(b, c, d2, 2, h2, 2, w2, 2)
         gx = np.zeros(x_val.shape, dtype=np.float32)
-        gv = gx.reshape(v.shape)
-        # the eight block positions in (dz, dy, dx) scan order: each block's
-        # gradient goes to the first voxel equal to its maximum, or to its
-        # first NaN, and the block is then no longer free
-        free = np.ones(output.shape, dtype=bool)
-        for dz, dy, dx in np.ndindex(2, 2, 2):
-            xk = v[:, :, :, dz, :, dy, :, dx]
-            hit = (xk == output) | np.isnan(xk)
-            hit &= free
-            np.copyto(gv[:, :, :, dz, :, dy, :, dx], g, where=hit)
-            free ^= hit
+        _route_blocks(x_val.reshape(blocks), output.reshape(planes),
+                      g.reshape(planes), gx.reshape(blocks))
         return (gx,)
 
     return record("max_pool2", out, [x], backward_fn,
                   saves=("inputs", "output"))
+
+
+def _pooled_shape(shape, op="max_pool2"):
+    """``max_pool2``'s output shape for an input of ``shape``, whose spatial
+    extents must be even."""
+    if any(e % 2 for e in shape[2:]):
+        raise ShapeError(f"{op} requires even spatial extents, got {shape[2:]}")
+    return tuple(shape[:2]) + tuple(e // 2 for e in shape[2:])
+
+
+def _blocks(x):
+    """The (C, D, H, W) planes ``x`` as a view of its 2x2x2 blocks: (C,
+    D/2, 2, H/2, 2, W/2, 2), ``(dz, dy, dx)`` the axes -5, -3 and -1."""
+    d, h, w = x.shape[-3:]
+    return x.reshape(x.shape[:-3] + (d // 2, 2, h // 2, 2, w // 2, 2))
+
+
+def _pool_blocks(v, out=None):
+    """The maximum of each 2x2x2 block of ``v`` (N, ..., 2, h, 2, w, 2), a
+    ``_blocks`` view, into ``out`` (N, ..., h, w), a new array if None, and
+    returned: ``max_pool2``'s forward and ``conv3d``'s pooling prologue.
+
+    Three pairwise maxima over strided views (z, then y, then x), one
+    ``_tiles`` chunk along N at a time, the last straight into ``out``; no
+    copy of the input is formed, and a NaN in a block wins.
+    """
+    if out is None:
+        out = np.empty(v.shape[:-5] + v.shape[-4:-3] + v.shape[-2:-1],
+                       dtype=np.float32)
+    # a chunk's z and y maxima are 4 and 2 output elements per output element
+    for t0, t1 in _tiles(len(v), 4 * 6 * out[:1].size):
+        m = v[t0:t1]
+        m = np.maximum(m[..., 0, :, :, :, :], m[..., 1, :, :, :, :])
+        m = np.maximum(m[..., 0, :, :], m[..., 1, :, :])
+        np.maximum(m[..., 0], m[..., 1], out=out[t0:t1])
+    return out
+
+
+def _route_blocks(v, pooled, g, gv):
+    """``max_pool2``'s backward rule: the gradient ``g`` at the block maxima
+    ``pooled`` (N, ..., h, w) of ``v`` (N, ..., 2, h, 2, w, 2) is written
+    into ``gv``, the zeroed gradient of ``v``, one ``_tiles`` chunk along N
+    at a time.
+
+    The eight block positions go in (dz, dy, dx) scan order: each block's
+    gradient goes to the first voxel equal to its maximum, or to its first
+    NaN, and the block is then no longer free.
+    """
+    # the free and hit masks and two comparisons, a byte each per element
+    for t0, t1 in _tiles(len(v), 4 * pooled[:1].size):
+        free = np.ones(pooled[t0:t1].shape, dtype=bool)
+        for dz, dy, dx in np.ndindex(2, 2, 2):
+            xk = v[t0:t1, ..., dz, :, dy, :, dx]
+            hit = (xk == pooled[t0:t1]) | np.isnan(xk)
+            hit &= free
+            np.copyto(gv[t0:t1, ..., dz, :, dy, :, dx], g[t0:t1], where=hit)
+            free ^= hit
 
 
 def _interp_matrix(n_in: int) -> np.ndarray:
@@ -677,9 +765,10 @@ def _upsample_data(x: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarra
     The output is the one full-size buffer: the passes run over ``_tiles``
     groups of (sample, channel) slices, sized by each slice's W, H and D
     results together. The D pass writes straight into the group's slices of
-    the output, or into a group-sized temporary that is then added into
-    ``add_to``'s. Each slice gets the matrix products one whole-array pass
-    gives it, so the result is the same bit for bit whatever the grouping.
+    the output, or, for ``add_to``, forms ``_tiles`` chunks of at least two
+    output depth planes, each added into ``add_to``'s as it is formed. Each
+    slice gets the matrix products one whole-array pass gives it, so the
+    result is the same bit for bit whatever the grouping.
     """
     b, c, d, h, w = x.shape
     md, mh, mw = _interp_matrix(d), _interp_matrix(h), _interp_matrix(w)
@@ -696,8 +785,12 @@ def _upsample_data(x: np.ndarray, add_to: np.ndarray | None = None) -> np.ndarra
         y = y.reshape(n, d, 4 * h * w)
         if add_to is None:
             np.matmul(md, y, out=planes[s0:s1])
-        else:
-            planes[s0:s1] += md @ y
+            continue
+        # the D results in chunks of output depth planes, each added as it
+        # is formed; no chunk is one plane, which numpy would hand to gemv
+        # instead of the whole pass's gemm
+        for r0, r1 in _tiles(2 * d, 4 * n * 4 * h * w, least=2):
+            planes[s0:s1, r0:r1] += md[r0:r1] @ y
     return out
 
 
@@ -744,9 +837,11 @@ def upsample_merge(skip: Tensor, d: Tensor, kernel: Parameter,
     The forward holds one full-resolution buffer, the output: ``W_s @
     skip`` is written into it per sample, one ``_tiles`` chunk of output
     columns (runs of depth planes) at a time, each chunk's skip columns
-    read before they are overwritten; then ``_upsample_data`` adds ``u``'s
-    upsampling into it group by group of (sample, channel) slices; the bias
-    comes last. Every element gets the
+    read before they are overwritten; then ``u`` is formed one ``_tiles``
+    chunk of output channels at a time, and ``_upsample_data`` adds each
+    chunk's upsampling into its channel slice; the bias comes last. No
+    chunk is one row or one column, so every product is a gemm, as in the
+    whole-array sum. Every element gets the
     float32 operations of the whole-array sum ``(W_s @ skip + up) + b``,
     which IEEE addition makes ``(up + W_s @ skip) + b`` bit for bit. The
     backward applies the upsampling adjoint once, to ``g``, and writes the
@@ -786,12 +881,17 @@ def upsample_merge(skip: Tensor, d: Tensor, kernel: Parameter,
     n_hi, n_lo = sd * sh * sw, dd * dh * dw
 
     yf, sf = out.reshape(b, out_ch, n_hi), skip.data.reshape(b, cs, n_hi)
+    df = d.data.reshape(b, cd, n_lo)
+    # no product here has one row or one column: numpy hands that to BLAS
+    # gemv, which orders its sums unlike the gemm of a whole-array product
     for i in range(b):
-        for t0, t1 in _tiles(n_hi, 4 * out_ch):
+        for t0, t1 in _tiles(n_hi, 4 * out_ch, least=2):
             # in the skip's buffer, each chunk reads only the columns it writes
             np.matmul(w_s, sf[i, :, t0:t1], out=yf[i, :, t0:t1])
-    u = np.matmul(w_u, d.data.reshape(b, cd, n_lo))
-    _upsample_data(u.reshape(b, out_ch, dd, dh, dw), add_to=out)
+        for o0, o1 in _tiles(out_ch, 4 * n_lo, least=2):
+            u = w_u[o0:o1] @ df[i]
+            _upsample_data(u.reshape(1, o1 - o0, dd, dh, dw),
+                           add_to=out[i:i + 1, o0:o1])
     out += bias.value.data
     out = Tensor(out)
     kernel_ref, bias_ref = kernel, bias

@@ -87,13 +87,19 @@ def dice_loss(pred: Tensor, target, epsilon: float = 1e-5) -> Tensor:
             f"dice_loss target shape {tuple(tgt.shape)} does not match "
             f"prediction shape {pred.shape}")
     eps = float(epsilon)
-    axes = (0, 2, 3, 4)
 
-    p64 = pred.data.astype(np.float64)
-    g64 = tgt.astype(np.float64)
-    inter = (p64 * g64).sum(axis=axes)
-    psum = p64.sum(axis=axes)
-    gsum = g64.sum(axis=axes)
+    # float64 sums one region at a time, the product in the prediction's
+    # copy: two float64 copies of one region exist, not three of the whole
+    # volume, and each sum equals the whole array's over axes (0, 2, 3, 4)
+    regions = pred.shape[1]
+    inter, psum, gsum = (np.empty(regions) for _ in range(3))
+    for r in range(regions):
+        p64 = pred.data[:, r].astype(np.float64)
+        g64 = tgt[:, r].astype(np.float64)
+        psum[r], gsum[r] = p64.sum(), g64.sum()
+        p64 *= g64
+        inter[r] = p64.sum()
+        del p64, g64  # before the next region's
     num = 2.0 * inter + eps
     den = psum + gsum + eps
     value = float((1.0 - num / den).sum())

@@ -8,7 +8,11 @@ twin's body is a stack of ``2n`` full-width GN-LeakyReLU-Conv units whose
 first unit changes the channel count. Every ``ConvUnit`` reads its kernel
 size, group size, slope and epsilon from the spec.
 
-Each reversible decoder level starts with one ``merge`` step,
+Each reversible encoder level ends with one ``down`` step,
+``ops.conv3d(pool=True)``: the ``down*`` conv of the max-pooled skip, each
+slab pooling the planes it reads, so no pooled copy is formed, and the
+tape keeps only the skip, which the merge reads anyway. Each reversible
+decoder level starts with one ``merge`` step,
 ``ops.upsample_merge``: the ``merge*`` conv of the skip concatenated with
 the upsampled coarser output, computed as ``W_s @ skip + up(W_u @ d) + b``.
 It reads only the two sequence outputs, which the tape keeps anyway, so no
@@ -19,9 +23,11 @@ tensor must exist.
 
 A network is stored as a flat list of steps, ``(kind, name, ...)`` tuples:
 
-- ``conv``: a ``ConvLayer`` (``stem``, ``down*``, ``head``);
+- ``conv``: a ``ConvLayer`` (``stem``, ``head``);
 - ``seq`` / ``stack``: a level body with its path and level index;
-- ``pool``: stores its level's skip, then max-pools;
+- ``down``: the reversible encoder's transition, a ``ConvLayer`` and its
+  level index: stores the level's skip, then convolves its max-pooling;
+- ``pool``: the twin's, stores its level's skip, then max-pools;
 - ``merge``: the reversible decoder's fused upsample and merge conv;
 - ``upsample`` and ``concat_skip``: the twin decoder's two steps;
 - ``sigmoid``: the output.
@@ -222,6 +228,9 @@ def _run_step(step, x, skips, stored):
         return step[2](x)
     if kind == "seq":
         return step[2].forward_stored(x) if stored else step[2].forward(x)
+    if kind == "down":
+        skips[step[3]] = x
+        return ops.conv3d(x, step[2].kernel, step[2].bias, pool=True)
     if kind == "pool":
         skips[step[2]] = x
         return ops.max_pool2(x)
@@ -331,19 +340,19 @@ def build(spec: ArchitectureSpec, seed: int = 0) -> Network:
         steps.append(("seq" if spec.reversible else "stack", name, body, path, i))
         return width
 
-    def transition(name, in_ch, out_ch):
-        """1x1x1 channel change; the twin leaves it to the next level body."""
-        if not spec.reversible:
-            return in_ch
-        steps.append(("conv", name, ConvLayer(in_ch, out_ch, 1, rng, name)))
-        return out_ch
-
     ch = widths[0]
     for i in range(len(widths)):
         ch = level(f"enc{i}", "encoder", i, spec.encoder_blocks, ch)
-        if i < len(widths) - 1:
+        if i == len(widths) - 1:
+            break
+        if spec.reversible:
+            # the 1x1x1 channel change of the pooled skip, in one op
+            steps.append(("down", f"down{i}",
+                          ConvLayer(ch, widths[i + 1], 1, rng, f"down{i}"), i))
+            ch = widths[i + 1]
+        else:
+            # the twin leaves the channel change to the next level body
             steps.append(("pool", f"pool{i}", i))
-            ch = transition(f"down{i}", ch, widths[i + 1])
     for i in range(len(widths) - 2, -1, -1):
         if spec.reversible:
             # the 1x1x1 merge conv of cat(skip, up(x)), in one op

@@ -8,7 +8,9 @@ from its kinks. The group_norm_leaky_relu and conv_unit cases place each
 channel's LeakyReLU kink in the widest gap between its normalised values;
 the first runs the whole GroupNorm gradient path, the second (``conv3d``
 with a ``norm`` prologue, the op a ConvUnit records) runs it behind the
-convolution of the rebuilt activation.
+convolution of the rebuilt activation. The pooled_conv case, ``conv3d``
+with a ``pool`` prologue (a reversible net's down step), runs max_pool2's
+routing behind the convolution of the rebuilt pooled planes.
 """
 
 from dataclasses import dataclass
@@ -226,6 +228,11 @@ def _op_cases(rng):
               {**norm_arrays((1, 4, 3, 3, 3), 2),
                **kernel_arrays((2, 4, 3, 3, 3))}, norm_params + conv_params),
         _case_dice(rng),
+        # the reversible down step: the pooled planes enter the convolution
+        # through its prologue, so the max routing runs inside conv3d
+        _case(rng, "pooled_conv",
+              lambda x, kernel, bias: ops.conv3d(x, kernel, bias, pool=True),
+              conv_arrays((1, 2, 4, 4, 6), (3, 2, 3, 3, 3)), conv_params),
     ]
 
 

@@ -234,7 +234,8 @@ class TestMeasurePeak:
         # scalar. (+4 B while each recompute formed its whole output half
         # and M_B was 3 halves; +262,144 B at 1 block and +917,504 B at 2
         # and 4 while each sequence's forward built fresh halves and
-        # concatenated them.)
+        # concatenated them.) 5,660,676 B while the tape retained each
+        # level's pooled copy before its down conv.
         from revvolnet import cli
 
         spec = replace(load_spec(DESK_SPEC), encoder_blocks=blocks,
@@ -244,13 +245,15 @@ class TestMeasurePeak:
         _, tracked, _ = cli._step_peak(net, SHAPE, 0)
         assert tracked == (report.total_prev_bytes
                            - report.breakdown["sum_m_p_bytes"]
-                           + 3 * 32 ** 3 * 4 + 4) == 5_660_676
+                           + 3 * 32 ** 3 * 4 + 4) == 5_455_876
 
     def test_desk_inference_peak_is_flat_in_depth(self):
         # The paper's depth claim at inference: each sequence couples in its
         # input's buffer, F and G adding their outputs into it slab by slab,
         # so forward_full_volume's tracked peak at desk 16^3 is the same at
-        # 1, 2 and 4 blocks per level: 1.375 level-0 buffers at down0
+        # 1, 2 and 4 blocks per level: 1.3125 level-0 buffers, the level-0
+        # and level-1 skips beside the level-2 buffer (1.375, at down0,
+        # while each down conv read a whole pooled copy)
         volume = Tensor(np.random.default_rng(0).standard_normal(
             (1, 4, 16, 16, 16), dtype=np.float32))
         peaks = {}
@@ -259,7 +262,7 @@ class TestMeasurePeak:
                            decoder_blocks=blocks)
             net = build(spec, seed=0)
             peaks[blocks] = measure_peak(lambda: forward_full_volume(net, volume))
-        assert peaks == dict.fromkeys((1, 2, 4), 225_280)
+        assert peaks == dict.fromkeys((1, 2, 4), 215_040)
 
     @pytest.mark.parametrize("stored,bound", [(False, 10_500_000),
                                               (True, 14_000_000)],
@@ -349,15 +352,28 @@ class TestExecutorMatch:
     def test_desk_trace_marks_what_some_backward_reads(self):
         report = memory_model.estimate(build(DESK_REV, seed=0), SHAPE)
         saved = {t.layer: t.saved for t in report.terms}
-        # read by a max-pool, a merge or a conv, or by their own backward
+        # read by a pooled down conv, a merge or a conv, or by their own
+        # backward
         assert all(saved[n] for n in ("enc0", "enc1", "enc2", "dec1", "dec0",
-                                      "pool0", "output"))
+                                      "output"))
         # read only by backwards that read no input: a reversible sequence
         # or the sigmoid
         assert not any(saved[n] for n in ("stem", "down0", "merge1", "merge0",
                                           "head"))
-        # the merge step reads the skip and the coarser output directly
-        assert not {"up0", "cat0", "up1", "cat1"} & set(saved)
+        # the merge step reads the skip and the coarser output directly,
+        # and each down conv pools its skip as it reads it
+        assert not {"up0", "cat0", "up1", "cat1", "pool0", "pool1"} & set(saved)
+
+    def test_desk_reversible_tape_keeps_no_pooled_copy(self):
+        # the down steps pool inside their conv, so the trace has no pool
+        # term and the tape retains the sequence outputs, the skips the
+        # down convs save among them, and the output alone: 3,751,936 B
+        # at 1x4x32^3 (3,956,736 B while it kept both pooled copies)
+        net = build(DESK_REV, seed=0)
+        layers = [t.layer for t in memory_model.estimate(net, SHAPE).terms]
+        assert not [n for n in layers if n.startswith("pool")], layers
+        assert "down0" in layers and "down1" in layers
+        assert forward_retained_bytes(net, SHAPE, stored=False) == 3_751_936
 
     @pytest.mark.parametrize("spec", [DESK_REV, DESK_BASE, ZERO_BLOCK],
                              ids=["reversible", "baseline", "zero_block"])

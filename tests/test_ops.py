@@ -734,6 +734,94 @@ class TestConvAddTo:
             assert np.array_equal(bits(g), bits(w))
 
 
+class TestConvPool:
+    """``conv3d(pool=True)`` convolves ``max_pool2(x)`` as one op; output
+    and every gradient must equal the two recorded ops' bit for bit."""
+
+    @staticmethod
+    def _arrays(rng, batch, k):
+        x = randn5(rng, (batch, 3, 10, 4, 6), scale=1.0)
+        if batch:
+            x[0, 0, 0:2, 0:2, 0:2] = 0.5                    # whole block tied
+            x[-1, 2, 2:4, 2:4, 4:6] = -3.0
+            x[-1, 2, 2, 3, 4] = x[-1, 2, 3, 2, 5] = 9.0     # two maxima
+            x[-1, 1, 4:6, 0:2, 2:4] = np.nan                # all-NaN block
+            x[0, 1, 9, 3, 5] = np.nan                       # NaN scanned last
+            x[0, 2, 6:8, 0:2, 0:2] = np.array([-0.0, 0.0] * 4).reshape(2, 2, 2)
+        kernel = randn5(rng, (4, 3, k, k, k), scale=1.0)
+        bias = randn5(rng, (1, 4, 1, 1, 1), scale=1.0)
+        g = randn5(rng, (batch, 4, 5, 2, 3), scale=1.0)
+        return x, kernel, bias, g
+
+    @staticmethod
+    def _run(fn, x, kernel, bias, g):
+        xt = Tensor(x.copy())
+        k, b = Parameter(kernel.copy()), Parameter(bias.copy())
+        with Tape() as tape:
+            y = fn(xt, k, b)
+            out = y.data.copy()
+            (gx,) = backward(tape, y, g.copy(), wrt=[xt])
+        return [out, gx, k.grad.data, b.grad.data]
+
+    @pytest.mark.parametrize("ragged", [False, True], ids=["one-slab", "ragged"])
+    @pytest.mark.parametrize("batch", [0, 1, 2])
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_equals_max_pool2_then_conv(self, rng, monkeypatch, k, batch,
+                                        ragged):
+        # ragged: the 5 pooled planes in forward slabs of 3 and 2 and
+        # backward slabs of 1, each slab pooled in chunks of channels (the
+        # first 2 and 1 for the 3x3x3 kernel, 1 for the 1x1x1)
+        if ragged:
+            hp, wp = 2 + k - 1, 3 + k - 1
+            monkeypatch.setattr(ops, "_TILE_BYTES", 4 * 4 * hp * wp * 3)
+            assert [t1 - t0 for t0, t1 in
+                    ops._tiles(5, 4 * 4 * hp * wp)] == [3, 2]
+            assert [t1 - t0 for t0, t1 in ops._tiles(3, 4 * 6 * 3 * 2 * 3)
+                    ] == ([2, 1] if k == 3 else [1, 1, 1])
+            assert [t1 - t0 for t0, t1 in
+                    ops._tiles(5, 4 * (3 + 4) * hp * wp)] == [1] * 5
+        x, kernel, bias, g = self._arrays(rng, batch, k)
+        fused = self._run(lambda t, kk, bb: ops.conv3d(t, kk, bb, pool=True),
+                          x, kernel, bias, g)
+        composed = self._run(lambda t, kk, bb: ops.conv3d(ops.max_pool2(t),
+                                                          kk, bb),
+                             x, kernel, bias, g)
+        for name, got, want in zip(("y", "gx", "g_kernel", "g_bias"), fused,
+                                   composed):
+            assert got.shape == want.shape, name
+            assert np.array_equal(bits(got), bits(want)), name
+        if batch:
+            # the tied block's gradient reaches its first voxel only, the
+            # NaN block's its first NaN
+            assert np.count_nonzero(fused[1][0, :, 0:2, 0:2, 0:2][0]) == 1
+            assert fused[1][0, 0, 0, 0, 0] != 0
+            assert np.isnan(fused[0][-1]).any()
+
+    def test_node_saves_only_x(self, rng):
+        x, kernel, bias, _ = self._arrays(rng, 1, 1)
+        x0 = Tensor(x)
+        with Tape() as tape:
+            # a recorded producer, so the tape's retained bytes show what
+            # the op keeps of its input
+            xt = ops.add(x0, x0)
+            first = len(tape.nodes)
+            y = ops.conv3d(xt, Parameter(kernel), Parameter(bias), pool=True)
+        assert y.shape == (1, 4, 5, 2, 3)
+        assert [n.op for n in tape.nodes[first:]] == ["conv3d"]
+        assert tape.nodes[-1].saves == ("inputs",)
+        assert [n.retained_out is not None for n in tape.nodes] == [True, False]
+        assert tape.retained_bytes == xt.nbytes
+
+    def test_norm_with_pool_and_odd_extents_refused(self, rng):
+        x, kernel, bias, _ = self._arrays(rng, 1, 1)
+        norm = ops.Norm(Parameter(np.ones((1, 3, 1, 1, 1), np.float32)),
+                        Parameter(np.zeros((1, 3, 1, 1, 1), np.float32)), 3)
+        with no_record(), pytest.raises(ValueError, match="not both"):
+            ops.conv3d(Tensor(x), Parameter(kernel), norm=norm, pool=True)
+        with no_record(), pytest.raises(ShapeError, match="even"):
+            ops.conv3d(Tensor(x[:, :, :9]), Parameter(kernel), pool=True)
+
+
 class TestSigmoid:
     def test_zero_maps_to_half(self):
         with no_record():
@@ -1047,6 +1135,28 @@ class TestUpsampleMerge:
         assert y.shape == want.shape
         assert np.array_equal(bits(y.data), bits(want))
 
+    @pytest.mark.parametrize("rows", [2, 3])
+    @pytest.mark.parametrize("co", [5, 7])
+    @pytest.mark.parametrize("batch,low", [(1, (3, 5, 7)), (2, (3, 5, 7)),
+                                           (2, (1, 1, 1)), (1, (8, 8, 8))])
+    def test_channel_chunks_equal_the_whole_array_formula(
+            self, rng, monkeypatch, batch, low, co, rows):
+        # W_u @ d is formed and upsampled in chunks of output channels, and
+        # the D pass adds its results in chunks of output planes, none of
+        # them one row: a tile of ``rows`` rows of W_u @ d splits 5
+        # channels as (2, 3) or (3, 2) and 7 as (2, 2, 3) or (3, 4), and
+        # each slice's 2D output planes into chunks of max(2, rows * D / 4)
+        # (the 1 x 1 x 1 input's 2 in one)
+        n_lo = int(np.prod(low))
+        monkeypatch.setattr(ops, "_TILE_BYTES", rows * 4 * n_lo)
+        chunks = [t1 - t0 for t0, t1 in ops._tiles(co, 4 * n_lo, least=2)]
+        assert len(chunks) > 1 and min(chunks) >= 2, chunks
+        skip, d, w, b = self._arrays(rng, batch, co=co, low=low)
+        with no_record():
+            y = ops.upsample_merge(Tensor(skip), Tensor(d), Parameter(w),
+                                   Parameter(b))
+        assert np.array_equal(bits(y.data), bits(whole_merge(skip, d, w, b)))
+
     def test_desk_merge_equals_whole_array_formula(self, rng):
         # the level-0 desk merge at batch 2 and the default tile: groups of
         # 2 of the 20 upsampled slices, and 6,553-column chunks, which do
@@ -1177,6 +1287,18 @@ class TestTiles:
     def test_ranges_cover_n_in_tiles(self, monkeypatch, n, item_bytes, ranges):
         monkeypatch.setattr(ops, "_TILE_BYTES", 12)
         assert list(ops._tiles(n, item_bytes)) == ranges
+
+    @pytest.mark.parametrize("n,item_bytes,ranges", [
+        (0, 4, []),                         # nothing to cover
+        (1, 4, [(0, 1)]),                   # a lone item is the one range
+        (5, 20, [(0, 2), (2, 5)]),          # two items above the tile, and
+                                            # the last one joins its range
+        (7, 4, [(0, 3), (3, 7)]),           # the lone seventh item joins
+        (8, 4, [(0, 3), (3, 6), (6, 8)]),   # a last range of two stays
+    ])
+    def test_least_items_a_range(self, monkeypatch, n, item_bytes, ranges):
+        monkeypatch.setattr(ops, "_TILE_BYTES", 12)
+        assert list(ops._tiles(n, item_bytes, least=2)) == ranges
 
 
 class TestKernelScratch:
@@ -1339,6 +1461,18 @@ class TestKernelScratch:
         assert self._forward_ratio(lambda: ops.upsample_merge(
             skip, d, k, b, consume_skip=True)) < 0.35
 
+    def test_upsample_merge_into_skip_forms_w_u_d_in_chunks(self, rng):
+        # the level-0 merge of a 64^3 inference: 0.11x of the output
+        # measured, two rows of W_u @ d, one upsampling group and one D
+        # column chunk; 0.28x while W_u @ d (0.125x) was formed whole and
+        # the D pass's results a whole slice at a time
+        skip = Tensor(randn5(rng, (1, 10, 64, 64, 64), scale=1.0))
+        d = Tensor(randn5(rng, (1, 20, 32, 32, 32), scale=1.0))
+        k = Parameter(randn5(rng, (10, 30, 1, 1, 1), scale=1.0))
+        b = Parameter(randn5(rng, (1, 10, 1, 1, 1), scale=1.0))
+        assert self._forward_ratio(lambda: ops.upsample_merge(
+            skip, d, k, b, consume_skip=True)) < 0.15
+
     def test_weighted_sum_forms_no_float64_copy(self, rng):
         # a float64 copy of the input alone would be 2x its bytes
         x = Tensor(randn5(rng, (1, 10, 32, 32, 32), scale=1.0))
@@ -1448,7 +1582,7 @@ class TestFiniteDifferences:
             "max_pool2", "upsample2",
             "upsample_merge", "reduce_sum",
             "split_concat", "add", "weighted_sum", "conv_unit",
-            "dice_loss"]
+            "dice_loss", "pooled_conv"]
 
     def test_sum_of_conv_gradient_on_batched_input(self, rng):
         # loss = sum(conv3d(x)) on a 2x2x4x4x4 input, input gradient against

@@ -2,6 +2,7 @@
 synthetic data, and the training loop."""
 
 import csv
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -65,6 +66,43 @@ class TestDiceLoss:
         with pytest.raises(ShapeError):
             dice_loss(Tensor(randn5(rng, (1, 3, 4, 4, 4))),
                       np.zeros((1, 3, 2, 4, 4), np.float32))
+
+    @pytest.mark.parametrize("shape", [(1, 3, 16, 16, 16), (2, 3, 16, 16, 16),
+                                       (2, 3, 5, 7, 9)])
+    def test_region_sums_equal_the_whole_array_formula(self, rng, shape):
+        # the sums run one region at a time; loss and gradient must be
+        # those of the float64 sums over the whole arrays, bit for bit
+        pred = rng.random(shape, dtype=np.float32)
+        target = (rng.random(shape) < 0.3).astype(np.float32)
+        axes, eps = (0, 2, 3, 4), 1e-5
+        p64, g64 = pred.astype(np.float64), target.astype(np.float64)
+        num = 2.0 * (p64 * g64).sum(axis=axes) + eps
+        den = p64.sum(axis=axes) + g64.sum(axis=axes) + eps
+        num32 = num.astype(np.float32).reshape(1, -1, 1, 1, 1)
+        den32 = den.astype(np.float32).reshape(1, -1, 1, 1, 1)
+        want_grad = -(2.0 * target * den32 - num32) / (den32 * den32)
+        pt = Tensor(pred)
+        with Tape() as tape:
+            loss = dice_loss(pt, target)
+            (gp,) = backprop(tape, loss, wrt=[pt])
+        assert loss.item() == np.float32(float((1.0 - num / den).sum()))
+        assert np.array_equal(gp.view(np.uint32),
+                              want_grad.astype(np.float32).view(np.uint32))
+
+    def test_forward_forms_no_whole_float64_copy(self, rng):
+        # 1.33x the prediction's bytes measured: one region's float64 copy
+        # of the prediction and of the target; 6x while both were copied
+        # whole with their product beside them
+        pred = Tensor(rng.random((1, 3, 32, 32, 32), dtype=np.float32))
+        target = (rng.random(pred.shape) < 0.3).astype(np.float32)
+        tracemalloc.start()
+        try:
+            with no_record():
+                dice_loss(pred, target)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak / pred.nbytes < 1.5, peak / pred.nbytes
 
     def test_gradient_matches_finite_differences(self, rng):
         pred = (0.1 + 0.8 * rng.random((1, 3, 4, 4, 4))).astype(np.float32)
