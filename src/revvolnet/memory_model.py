@@ -30,7 +30,7 @@ tape retains.
 
 M_B models this engine's per-block backward strategy as
 BLOCK_BACKWARD_HALF_BUFFERS half-width buffers, memtrack's count at the peak
-of one block's backward through the tape at batch 1 (a test pins the two
+of one block's backward through the tape at any batch (a test pins the two
 together): the incoming gradient's two halves. G's seed is a view of that
 gradient and adds nothing. The block's input halves are rebuilt in the
 boundary's output, so they stay in M_S: each recomputed sub-network, one
@@ -56,11 +56,11 @@ grids, accumulator and product), which memtrack does not see and
 tracemalloc does, and allocator slack. A reversible sequence couples in
 place in its input's buffer, and its sub-networks add their outputs into
 it slab by slab, so its forward adds no buffer. memtrack's desk reversible
-step at 32^3, batch 1, measured after a warm-up step that allocates M_P,
-reads exactly the model less M_P plus 393,220 B, at 1, 2 and 4 blocks per
-level (a test pins this): its peak is the head conv's backward, which holds
-its 3-channel output gradient beside its input gradient where the sum + max
-form counts one M_D, as in stored mode, plus the 4 B loss scalar.
+step at 32^3, after a warm-up step that allocates M_P, reads exactly the
+model less M_P plus batch x 393,216 + 4 B at 1, 2 and 4 blocks per level
+and batch 1 and 2 (tests pin this; the stored step too, the twin +4 B):
+the head conv's backward holds its 3-channel output gradient beside its
+input gradient where the sum + max form counts one M_D, plus the 4 B loss.
 """
 
 import json

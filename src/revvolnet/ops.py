@@ -929,7 +929,7 @@ def concat_channels(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(np.concatenate([a.data, b.data], axis=1))
 
     def backward_fn(g, _inputs, _output):
-        return (np.ascontiguousarray(g[:, :ca]), np.ascontiguousarray(g[:, ca:]))
+        return g[:, :ca], g[:, ca:]
 
     return record("concat_channels", out, [a, b], backward_fn)
 

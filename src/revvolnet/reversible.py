@@ -148,11 +148,10 @@ class ReversibleSequence(Module):
         self.blocks = list(blocks)
 
     def forward(self, x: Tensor) -> Tensor:
-        half = _half_width(x)
         y = x.data
         with no_record():
-            for i in range(y.shape[0]):
-                x1, x2 = Tensor(y[i:i + 1, :half]), Tensor(y[i:i + 1, half:])
+            for h1, h2 in _sample_halves(y):
+                x1, x2 = Tensor(h1), Tensor(h2)
                 for block in self.blocks:
                     block.f.forward(x2, add_to=x1.data)
                     block.g.forward(x1, add_to=x2.data)
@@ -170,11 +169,17 @@ class ReversibleSequence(Module):
         return ops.concat_channels(x1, x2)
 
 
-def _half_width(x: Tensor) -> int:
+def _half_width(x) -> int:
     c = x.shape[1]
     if c % 2:
         raise ShapeError(f"reversible sequence needs an even channel count, got {c}")
     return c // 2
+
+
+def _sample_halves(a: np.ndarray) -> list:
+    """Each sample's two channel halves of ``a``: contiguous views."""
+    half = _half_width(a)
+    return [(a[i:i + 1, :half], a[i:i + 1, half:]) for i in range(a.shape[0])]
 
 
 def block_backward(block: ReversibleBlock, y1: Tensor, y2: Tensor,
@@ -215,30 +220,22 @@ def block_backward(block: ReversibleBlock, y1: Tensor, y2: Tensor,
 
 def sequence_backward(seq: ReversibleSequence, grad_out: np.ndarray, y) -> np.ndarray:
     """Gradient of a reversible sequence given only its output, computed in
-    the buffers of ``y`` and ``grad_out``: ``block_backward`` for each block,
-    last block first. Each reconstructed pair becomes the "output" of the
-    preceding block, so no whole-sequence buffer ever exists.
-
-    The gradient halves are channel views of ``grad_out`` that seed the
-    sub-networks' backward and take each gradient sum, so ``grad_out`` is
-    returned as the input gradient. y1 and y2 are Tensors over channel views
-    of ``y`` (copies when the batch exceeds 1). A caller that still needs
-    ``y`` or ``grad_out`` copies it first; the tape engine hands it a
+    the buffers of ``y`` and ``grad_out``: for each sample, as the forward
+    walks them, ``block_backward`` for each block, last block first, on
+    Tensors over the sample's channel halves of ``y`` and the same views of
+    ``grad_out`` (contiguous at any batch), so each block's inputs are
+    rebuilt in ``y``, parameter gradients are summed sample by sample and
+    ``grad_out`` is returned as the input gradient. A caller that still
+    needs ``y`` or ``grad_out`` copies it first; the tape engine hands it a
     gradient buffer nothing else holds (see ``tape.record``).
     """
     y_data = y.data if isinstance(y, Tensor) else np.asarray(y, dtype=np.float32)
     grad_out = np.ascontiguousarray(grad_out, dtype=np.float32)
     if grad_out.shape != y_data.shape:
-        raise ShapeError(
-            f"sequence gradient shape {grad_out.shape} does not match "
-            f"output shape {y_data.shape}"
-        )
-    if not seq.blocks:  # at batch > 1 the halves below would be copies
-        return grad_out
-    half = y_data.shape[1] // 2
-    # each block's output halves, then, rebuilt in place, its input halves
-    y1, y2 = Tensor(y_data[:, :half]), Tensor(y_data[:, half:])
-    g1, g2 = grad_out[:, :half], grad_out[:, half:]
-    for block in reversed(seq.blocks):
-        block_backward(block, y1, y2, g1, g2)
+        raise ShapeError(f"sequence gradient shape {grad_out.shape} does not match "
+                         f"output shape {y_data.shape}")
+    for (h1, h2), (g1, g2) in zip(_sample_halves(y_data), _sample_halves(grad_out)):
+        y1, y2 = Tensor(h1), Tensor(h2)
+        for block in reversed(seq.blocks):
+            block_backward(block, y1, y2, g1, g2)
     return grad_out

@@ -154,7 +154,8 @@ def record(op, out, inputs, backward_fn, *, params=(), saves=()):
     (``reversible_sequence``) may overwrite both its incoming gradient and
     its retained output, and may return the gradient buffer itself. The
     engine hands such an op a gradient buffer nothing else holds: it copies
-    the buffer only when it may share memory with another pending gradient,
+    the buffer only when it may share memory with another pending gradient
+    (two do when ``concat_channels`` returns its gradient's channel views),
     a leaf gradient or the caller's seed. It releases the node's output
     after the call, as it does every node's, so the output stays counted
     while the op overwrites it; a caller that reads a sequence's output

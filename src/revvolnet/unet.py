@@ -124,10 +124,10 @@ def parse_fields(cls, text: str, what: str):
     Each value is converted by its field's annotation: ``tuple`` takes
     comma-separated ints, ``bool`` takes true/false, and any other type is
     called on the text. Errors name the offending line, and every field without
-    a default must be set.
+    a default must be set, and none twice.
     """
     known = {f.name: f for f in fields(cls)}
-    values = {}
+    values, set_on = {}, {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -138,6 +138,8 @@ def parse_fields(cls, text: str, what: str):
         key, val = key.strip(), val.strip()
         if key not in known:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
+        if set_on.setdefault(key, lineno) != lineno:
+            raise ValueError(f"line {lineno}: {key!r} already set on line {set_on[key]}")
         kind = known[key].type
         try:
             values[key] = _CONVERTERS.get(kind, kind)(val)

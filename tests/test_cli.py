@@ -222,6 +222,14 @@ class TestEstimateMemory:
         assert "Traceback" not in proc.stderr
         assert line.split("=")[0] in proc.stderr
 
+    def test_repeated_spec_key_is_usage_error(self, tmp_path):
+        spec = tmp_path / "twice.spec"
+        spec.write_text(TINY_SPEC + "levels=8,16\n")
+        proc = run_cli("estimate-memory", "--spec", str(spec))
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert "'levels' already set on line 1" in proc.stderr
+
     def test_indivisible_input_shape_is_usage_error(self):
         spec = Path(__file__).parents[1] / "specs" / "desk_reversible.spec"
         proc = run_cli("estimate-memory", "--spec", str(spec),

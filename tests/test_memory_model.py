@@ -225,27 +225,54 @@ class TestMeasurePeak:
     def test_desk_reversible_peak_is_model_less_m_p(self, blocks):
         # The paper's depth claim, exactly: the step measured after a
         # warm-up (which allocates M_P) peaks at the same figure at every
-        # depth, the model less M_P plus 393,220 B. With M_B at 2 halves
-        # (memtrack's count, which leaves out the unit's input gradient the
-        # nested backward returns) the block backward no longer sets the
-        # peak: the head conv's backward does, its 3-channel output
-        # gradient (393,216 B) beside its input gradient, which the sum +
-        # max form counts once (M_D), as in stored mode, plus the 4 B loss
-        # scalar. (+4 B while each recompute formed its whole output half
-        # and M_B was 3 halves; +262,144 B at 1 block and +917,504 B at 2
-        # and 4 while each sequence's forward built fresh halves and
-        # concatenated them.) 5,660,676 B while the tape retained each
-        # level's pooled copy before its down conv.
+        # depth, the model less M_P plus batch x 393,216 B + 4 B, at batch 1
+        # and 2. With M_B at 2 halves (memtrack's count, which leaves out the
+        # unit's input gradient the nested backward returns) the block
+        # backward no longer sets the peak: the head conv's backward does,
+        # its 3-channel output gradient (393,216 B a sample) beside its
+        # input gradient, which the sum + max form counts once (M_D), as in
+        # stored mode, plus the 4 B loss scalar. (At batch 2, +3,932,164 B
+        # while the sequence backward's Tensors over y's halves and the
+        # merge's gradient halves were copies; at batch 1, +4 B while each
+        # recompute formed its whole output half and M_B was 3 halves, and
+        # +262,144 B at 1 block and +917,504 B at 2 and 4 while each
+        # sequence's forward built fresh halves and concatenated them.)
+        # 5,660,676 B at batch 1 while the tape retained each level's
+        # pooled copy before its down conv.
         from revvolnet import cli
 
         spec = replace(load_spec(DESK_SPEC), encoder_blocks=blocks,
                        decoder_blocks=blocks)
         net = build(spec, seed=0)
-        report = estimate_partially_reversible(net, SHAPE)
-        _, tracked, _ = cli._step_peak(net, SHAPE, 0)
-        assert tracked == (report.total_prev_bytes
+        for batch, pinned in ((1, 5_455_876), (2, 10_911_748)):
+            shape = (batch,) + SHAPE[1:]
+            report = estimate_partially_reversible(net, shape)
+            _, tracked, _ = cli._step_peak(net, shape, 0)
+            assert tracked == (report.total_prev_bytes
+                               - report.breakdown["sum_m_p_bytes"]
+                               + batch * 3 * 32 ** 3 * 4 + 4) == pinned
+
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("twin", [False, True], ids=["stored", "twin"])
+    def test_desk_stored_and_twin_peaks_are_model_less_m_p(self, twin, batch):
+        # The stored step peaks as the reversible one does, at the head
+        # conv's backward, the model less M_P plus batch x 393,216 B + 4 B;
+        # the twin at the model less M_P plus the 4 B loss scalar. (At batch
+        # 2, 19,464,196 and 36,749,316 B while the merge's gradient halves
+        # were copies.)
+        from revvolnet import cli
+
+        spec = load_spec(DESK_SPEC)
+        net = build(spec.paired() if twin else spec, seed=0)
+        shape = (batch,) + SHAPE[1:]
+        report = estimate_partially_reversible(net, shape)
+        _, tracked, _ = cli._step_peak(net, shape, 0, stored=not twin)
+        head = 0 if twin else batch * 3 * 32 ** 3 * 4
+        pinned = {(False, 1): 8_814_596, (False, 2): 17_629_188,
+                  (True, 1): 17_063_940, (True, 2): 34_127_876}
+        assert tracked == (report.total_nonrev_bytes
                            - report.breakdown["sum_m_p_bytes"]
-                           + 3 * 32 ** 3 * 4 + 4) == 5_455_876
+                           + head + 4) == pinned[twin, batch]
 
     def test_desk_inference_peak_is_flat_in_depth(self):
         # The paper's depth claim at inference: each sequence couples in its

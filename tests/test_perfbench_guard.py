@@ -6,10 +6,14 @@ tests load its tracing and workload modules from their files, without
 editing them, and run every workload once under the tracer, so an edit that
 removes or renames a name the benchmark reaches fails here. The workloads'
 ``extra_checks`` are left out: whether reversible and stored gradients agree
-after a few training steps depends on where a LeakyReLU kink falls.
+after a few training steps depends on where a LeakyReLU kink falls. The
+benchmark's own tests, ``perfbench/selftest.py``, run too, in a child
+process, so that the ``sys.path`` entries they insert stay there.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -57,3 +61,11 @@ def test_workload_runs_traced(name, tracer, tmp_path):
     metrics = tracer.layer_metrics(op_s=1.0)
     assert metrics["ops.conv3d.calls"] > 0
     assert metrics["unet.forward_s"] > 0
+
+
+def test_benchmark_selftest_passes():
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         str(PERFBENCH / "selftest.py")],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr

@@ -225,6 +225,16 @@ class TestSequenceBackward:
                                       spatial=(4, 4, 4), batch=2)
         assert result["worst"] <= 1e-4, result["errors"]
 
+    @pytest.mark.parametrize("depth", [0, 1])
+    def test_odd_width_output_rejected(self, rng, depth):
+        # the forward's check, also for an empty sequence, which returned
+        # the gradient in silence
+        from revvolnet.reversible import sequence_backward
+
+        y = Tensor(randn5(rng, (1, 9, 4, 4, 4)))
+        with pytest.raises(ShapeError, match="even channel count"):
+            sequence_backward(toy_sequence(depth, 8, rng), randn5(rng, y.shape), y)
+
     def test_mismatched_output_gradient_rejected(self, rng):
         from revvolnet.reversible import sequence_backward
 
@@ -235,7 +245,6 @@ class TestSequenceBackward:
 
     @pytest.mark.parametrize("batch", [1, 2])
     def test_empty_sequence_backward_holds_nothing(self, rng, batch):
-        # at batch 2 the Tensors over y's halves would be copies
         from revvolnet.reversible import sequence_backward
 
         y = Tensor(randn5(rng, (batch, 8, 4, 4, 4)))
@@ -279,54 +288,46 @@ class TestSequenceBackward:
         assert peak == 2 * half
 
     def test_transient_peak_in_numpy_buffers_is_pinned(self, rng):
-        # One block, width 10, 32^3, batch 1, counted by tracemalloc: each
-        # recompute subtracts into the half it rebuilds and each gradient sum
-        # goes into its incoming half, so the buffers beside y and grad are
-        # the engine's gradients and kernel scratch, one depth slab of the
-        # unit's grids among them (1.90 halves; 2.26 while each recompute
-        # formed its whole output half, 4.95 while the conv built whole
-        # padded grids, 5.96 while the unit's conv saved the normalised
-        # activation, 8.96 with a fresh buffer per half and per sum).
-        # memtrack reads 2, as above.
+        # One block, width 10, 32^3, counted by tracemalloc, in halves of one
+        # sample: the backward walks the samples, each recompute subtracts
+        # into the half of y it rebuilds and each gradient sum goes into its
+        # incoming half of grad, so the buffers beside y and grad are the
+        # engine's gradients and kernel scratch of one sample, one depth slab
+        # of the unit's grids among them (1.90 halves at batch 1 and 1.91 at
+        # batch 2; at batch 2, 8.94 while the halves of y were copies; at
+        # batch 1, 2.26 while each recompute formed its whole output half,
+        # 4.95 while the conv built whole padded grids, 5.96 while the
+        # unit's conv saved the normalised activation, 8.96 with a fresh
+        # buffer per half and per sum). memtrack reads 2 of the whole
+        # batch's halves, the gradient's.
         from revvolnet.reversible import sequence_backward
 
         seq = toy_sequence(1, 10, rng)
-        y = Tensor(randn5(rng, (1, 10, 32, 32, 32)))
-        grad = randn5(rng, y.shape)
-        half = y.nbytes // 2
-        tracked, numpy_peak = memory_model.measure_peaks(
-            lambda: sequence_backward(seq, grad, y))
-        assert tracked == 2 * half
-        assert half < numpy_peak <= 2 * half, numpy_peak / half
+        for batch in (1, 2):
+            y = Tensor(randn5(rng, (batch, 10, 32, 32, 32)))
+            grad = randn5(rng, y.shape)
+            half = y.nbytes // 2
+            tracked, numpy_peak = memory_model.measure_peaks(
+                lambda: sequence_backward(seq, grad, y))
+            sample_half = half // batch
+            assert tracked == 2 * half, (batch, tracked / half)
+            assert sample_half < numpy_peak <= 2 * sample_half, (
+                batch, numpy_peak / sample_half)
 
-    def test_batch_two_numpy_peak_is_pinned(self, rng):
-        # At batch 2 the halves of y are copies, but each gradient sum still
-        # goes into a channel view of grad (4.58 halves; 6.58 while the conv
-        # built whole padded grids, 7.58 while the gradient halves were
-        # copies concatenated at the end)
-        from revvolnet.reversible import sequence_backward
-
-        seq = toy_sequence(1, 10, rng)
-        y = Tensor(randn5(rng, (2, 10, 32, 32, 32)))
-        grad = randn5(rng, y.shape)
-        half = y.nbytes // 2
-        _, numpy_peak = memory_model.measure_peaks(
-            lambda: sequence_backward(seq, grad, y))
-        assert 4 * half < numpy_peak <= 5 * half, numpy_peak / half
-
-    @pytest.mark.parametrize("batch,halves", [(1, 2), (2, 5)])
+    @pytest.mark.parametrize("batch,halves", [(1, 2), (2, 2)])
     def test_backprop_peak_in_half_buffers(self, rng, batch, halves):
         # Through the tape the sequence's node holds y, counted before entry,
         # until its backward returns. Above entry, in the block backward: the
-        # incoming gradient, held once by the engine (the model's M_B at
-        # batch 1, where G's seed views the gradient, y's halves view y and
-        # each recompute subtracts into y's buffer; the unit's input
-        # gradient, which the nested pass returns, is not held). The loss's
-        # backward holds the same gradient beside its 4 B seed, so at batch
-        # 1 that is the pass's peak. At batch 2 the Tensors over y's halves
-        # and G's seed are one-half copies each (3 and 5 while each
-        # recompute formed its whole output half; 4 and 3 while every
-        # Tensor and every pass counted its own buffer and the engine
+        # incoming gradient, held once by the engine (the model's M_B, where
+        # G's seed views the gradient, y's halves view y and each recompute
+        # subtracts into y's buffer; the unit's input gradient, which the
+        # nested pass returns, is not held). The loss's backward holds the
+        # same gradient beside its 4 B seed, so that is the pass's peak. The
+        # backward walks the samples over views of y and the gradient, so
+        # the count is the same at batch 2 (5 while the Tensors over y's
+        # halves and G's seed were one-half copies each at batch 2; 3 and 5
+        # while each recompute formed its whole output half; 4 and 3 while
+        # every Tensor and every pass counted its own buffer and the engine
         # released y before the call; 8 at both while every half was a
         # Tensor of its own and `add`'s gradient was counted per consumer).
         seq = toy_sequence(1, 10, rng)
@@ -337,9 +338,8 @@ class TestSequenceBackward:
             loss = ops.weighted_sum(seq.forward(x), probe)
         peak = memtrack.GLOBAL.measure(lambda: backprop(tape, loss))
         assert peak == max(halves * half, 2 * half + 4), peak / half
-        if batch == 1:
-            # the memory model's M_B is this measured count
-            assert memory_model.BLOCK_BACKWARD_HALF_BUFFERS == halves
+        # the memory model's M_B is this measured count
+        assert memory_model.BLOCK_BACKWARD_HALF_BUFFERS == halves
 
     def test_recorded_halves_are_copies(self, rng):
         # a recorded half that F's conv saves must not keep the whole input
@@ -352,32 +352,24 @@ class TestSequenceBackward:
         assert halves
         assert not any(np.shares_memory(h.data, x.data) for h in halves)
 
-    def test_in_place_backward_overwrites_output_and_returns_gradient(self, rng):
-        # batch 1: the halves are views, so the block's input is rebuilt in
-        # y's buffer and the input gradient is returned in grad's
+    @pytest.mark.parametrize("batch", [1, 2])
+    def test_in_place_backward_overwrites_output_and_returns_gradient(self, rng, batch):
+        # each sample's halves are views at any batch, so the block's input
+        # is rebuilt in y's buffer and the input gradient is returned in
+        # grad's, the same as from copies of both
         from revvolnet.reversible import sequence_backward
 
         seq = toy_sequence(2, 8, rng)
-        x = Tensor(randn5(rng, (1, 8, 4, 4, 4)))
+        x = Tensor(randn5(rng, (batch, 8, 4, 4, 4)))
         x_before = x.data.copy()  # the forward couples in x's buffer
         with no_record():
             y = seq.forward(x)
         assert not np.array_equal(y.data, x_before)
         grad = randn5(rng, y.shape)
-        assert sequence_backward(seq, grad, y) is grad
-        np.testing.assert_allclose(y.data, x_before, atol=1e-5)
-
-    def test_batch_two_returns_gradient_buffer(self, rng):
-        # the gradient halves are channel views at any batch, so the input
-        # gradient lands in grad's buffer
-        from revvolnet.reversible import sequence_backward
-
-        seq = toy_sequence(2, 8, rng)
-        y = Tensor(randn5(rng, (2, 8, 4, 4, 4)))
-        grad = randn5(rng, y.shape)
         expected = sequence_backward(seq, grad.copy(), Tensor(y.data.copy()))
         assert sequence_backward(seq, grad, y) is grad
         np.testing.assert_array_equal(grad, expected)
+        np.testing.assert_allclose(y.data, x_before, atol=1e-5)
 
     def test_gradient_shared_with_a_pending_input_is_not_overwritten(self, rng):
         # add's backward hands one buffer to both of its inputs; the sequence
@@ -405,21 +397,24 @@ class TestSequenceBackward:
 
     def test_recomputed_outputs_are_written_into_y(self, rng):
         # One block, width 10, 8^3. Each recorded recompute subtracts into
-        # the half it rebuilds, so its node's output is a Tensor over y's
-        # buffer and no sub-network output exists beside it (until each was
-        # a half-width Tensor of its own, dropped once the subtraction had
-        # read it).
+        # the half of its sample that it rebuilds, so its node's output is a
+        # Tensor over y's buffer and no sub-network output exists beside it
+        # (at batch 2, a copy while y's halves were copies; at batch 1, a
+        # half-width Tensor of its own, dropped once the subtraction had
+        # read it, until then).
         from revvolnet.reversible import sequence_backward
 
-        seq = toy_sequence(1, 10, rng)
-        block = seq.blocks[0]
-        block.f, block.g = WatchedOutput(block.f), WatchedOutput(block.g)
-        y = Tensor(randn5(rng, (1, 10, 8, 8, 8)))
-        sequence_backward(seq, randn5(rng, y.shape), y)
-        for sub, half in ((block.g, slice(5, None)), (block.f, slice(None, 5))):
-            (out,) = sub.recorded
-            assert np.shares_memory(out.data, y.data[:, half])
-            assert out.data.base is y.data
+        for batch in (1, 2):
+            seq = toy_sequence(1, 10, rng)
+            block = seq.blocks[0]
+            block.f, block.g = WatchedOutput(block.f), WatchedOutput(block.g)
+            y = Tensor(randn5(rng, (batch, 10, 8, 8, 8)))
+            sequence_backward(seq, randn5(rng, y.shape), y)
+            for sub, half in ((block.g, slice(5, None)), (block.f, slice(None, 5))):
+                assert len(sub.recorded) == batch
+                for i, out in enumerate(sub.recorded):
+                    assert np.shares_memory(out.data, y.data[i, half])
+                    assert out.data.base is y.data
 
     def test_stored_reference_backward_peak_grows_with_depth(self, rng):
         peaks = {}

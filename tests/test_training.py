@@ -416,6 +416,11 @@ class TestDatasetIO:
         with pytest.raises(ValueError, match="line 1"):
             parse_config_text("lr_drop_epochs=10,x\n")
 
+    def test_config_repeated_key_rejected(self):
+        with pytest.raises(ValueError,
+                           match=r"line 2: 'max_epochs' already set on line 1"):
+            parse_config_text("max_epochs=50\nmax_epochs=60\n")
+
     def test_config_window_patience_invariant(self):
         with pytest.raises(ValueError, match="moving_average_window"):
             TrainingConfig(moving_average_window=10, patience=5).validate()

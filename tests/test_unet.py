@@ -298,6 +298,12 @@ class TestSpecFiles:
         with pytest.raises(ValueError, match="unknown key"):
             parse_spec_text("levels=4,8\nbogus=3\n")
 
+    def test_repeated_key_rejected(self):
+        # the last one won silently: this built levels (20, 40)
+        with pytest.raises(ValueError,
+                           match=r"line 3: 'levels' already set on line 1"):
+            parse_spec_text("levels=10,20\ngroup_size=5\nlevels=20,40\n")
+
     def test_missing_levels_rejected(self):
         with pytest.raises(ValueError, match="levels"):
             parse_spec_text("encoder_blocks=1\n")
