@@ -288,31 +288,46 @@ class TestSequenceBackward:
         assert peak == 2 * half
 
     def test_transient_peak_in_numpy_buffers_is_pinned(self, rng):
-        # One block, width 10, 32^3, counted by tracemalloc, in halves of one
-        # sample: the backward walks the samples, each recompute subtracts
-        # into the half of y it rebuilds and each gradient sum goes into its
-        # incoming half of grad, so the buffers beside y and grad are the
-        # engine's gradients and kernel scratch of one sample, one depth slab
-        # of the unit's grids among them (1.90 halves at batch 1 and 1.91 at
-        # batch 2; at batch 2, 8.94 while the halves of y were copies; at
-        # batch 1, 2.26 while each recompute formed its whole output half,
-        # 4.95 while the conv built whole padded grids, 5.96 while the
-        # unit's conv saved the normalised activation, 8.96 with a fresh
-        # buffer per half and per sum). memtrack reads 2 of the whole
-        # batch's halves, the gradient's.
+        # One block, width 10, 32^3, batch 1, counted by tracemalloc: each
+        # recompute subtracts into the half it rebuilds and each gradient sum
+        # goes into its incoming half, so the buffers beside y and grad are
+        # the engine's gradients and kernel scratch, one depth slab of the
+        # unit's grids among them (1.90 halves; 2.26 while each recompute
+        # formed its whole output half, 4.95 while the conv built whole
+        # padded grids, 5.96 while the unit's conv saved the normalised
+        # activation, 8.96 with a fresh buffer per half and per sum).
+        # memtrack reads 2, as above.
         from revvolnet.reversible import sequence_backward
 
         seq = toy_sequence(1, 10, rng)
-        for batch in (1, 2):
-            y = Tensor(randn5(rng, (batch, 10, 32, 32, 32)))
-            grad = randn5(rng, y.shape)
-            half = y.nbytes // 2
-            tracked, numpy_peak = memory_model.measure_peaks(
-                lambda: sequence_backward(seq, grad, y))
-            sample_half = half // batch
-            assert tracked == 2 * half, (batch, tracked / half)
-            assert sample_half < numpy_peak <= 2 * sample_half, (
-                batch, numpy_peak / sample_half)
+        y = Tensor(randn5(rng, (1, 10, 32, 32, 32)))
+        grad = randn5(rng, y.shape)
+        half = y.nbytes // 2
+        tracked, numpy_peak = memory_model.measure_peaks(
+            lambda: sequence_backward(seq, grad, y))
+        assert tracked == 2 * half
+        assert half < numpy_peak <= 2 * half, numpy_peak / half
+
+    def test_batch_two_numpy_peak_is_pinned(self, rng):
+        # At batch 2 the backward walks the samples over views of y and
+        # grad, so the buffers beside them are one sample's, as at batch 1:
+        # 1.91 halves of one sample (4.58 of the whole batch's halves while
+        # the halves of y were copies; 6.58 while the conv built whole
+        # padded grids, 7.58 while the gradient halves were copies
+        # concatenated at the end). memtrack reads 2 of the whole batch's
+        # halves, the gradient's.
+        from revvolnet.reversible import sequence_backward
+
+        seq = toy_sequence(1, 10, rng)
+        y = Tensor(randn5(rng, (2, 10, 32, 32, 32)))
+        grad = randn5(rng, y.shape)
+        half = y.nbytes // 2
+        sample_half = half // 2
+        tracked, numpy_peak = memory_model.measure_peaks(
+            lambda: sequence_backward(seq, grad, y))
+        assert tracked == 2 * half, tracked / half
+        assert sample_half < numpy_peak <= 2 * sample_half, (
+            numpy_peak / sample_half)
 
     @pytest.mark.parametrize("batch,halves", [(1, 2), (2, 2)])
     def test_backprop_peak_in_half_buffers(self, rng, batch, halves):
@@ -352,15 +367,32 @@ class TestSequenceBackward:
         assert halves
         assert not any(np.shares_memory(h.data, x.data) for h in halves)
 
-    @pytest.mark.parametrize("batch", [1, 2])
-    def test_in_place_backward_overwrites_output_and_returns_gradient(self, rng, batch):
-        # each sample's halves are views at any batch, so the block's input
-        # is rebuilt in y's buffer and the input gradient is returned in
-        # grad's, the same as from copies of both
+    def test_in_place_backward_overwrites_output_and_returns_gradient(self, rng):
+        # batch 1: the halves are views, so the block's input is rebuilt in
+        # y's buffer and the input gradient is returned in grad's, the same
+        # as from copies of both
         from revvolnet.reversible import sequence_backward
 
         seq = toy_sequence(2, 8, rng)
-        x = Tensor(randn5(rng, (batch, 8, 4, 4, 4)))
+        x = Tensor(randn5(rng, (1, 8, 4, 4, 4)))
+        x_before = x.data.copy()  # the forward couples in x's buffer
+        with no_record():
+            y = seq.forward(x)
+        assert not np.array_equal(y.data, x_before)
+        grad = randn5(rng, y.shape)
+        expected = sequence_backward(seq, grad.copy(), Tensor(y.data.copy()))
+        assert sequence_backward(seq, grad, y) is grad
+        np.testing.assert_array_equal(grad, expected)
+        np.testing.assert_allclose(y.data, x_before, atol=1e-5)
+
+    def test_batch_two_returns_gradient_buffer(self, rng):
+        # each sample's halves are views at any batch, so at batch 2 too the
+        # block's input is rebuilt in y's buffer and the input gradient
+        # lands in grad's, the same as from copies of both
+        from revvolnet.reversible import sequence_backward
+
+        seq = toy_sequence(2, 8, rng)
+        x = Tensor(randn5(rng, (2, 8, 4, 4, 4)))
         x_before = x.data.copy()  # the forward couples in x's buffer
         with no_record():
             y = seq.forward(x)
